@@ -30,7 +30,6 @@ re-verifies it and treats any corrupt or truncated entry as a miss
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -40,7 +39,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from ..errors import SweepError
-from ..runner.spec import ExperimentSpec, Shard, canonical_json
+from ..runner.spec import ExperimentSpec, Shard
+from ..spec import digest
 from .version import code_version
 
 _OBJECTS = "objects"
@@ -66,7 +66,7 @@ def parse_age_s(text: Union[str, int, float]) -> float:
 
 def result_digest(result: Dict[str, Any]) -> str:
     """SHA-256 of the canonical JSON of a shard result."""
-    return hashlib.sha256(canonical_json(result).encode()).hexdigest()
+    return digest(result)
 
 
 def shard_cache_key(
@@ -80,7 +80,7 @@ def shard_cache_key(
     axis layout and execution policy are excluded so overlapping
     sweeps hit each other's entries.
     """
-    material = canonical_json(
+    return digest(
         {
             "scenario": spec.scenario,
             "collect": spec.collect,
@@ -90,7 +90,6 @@ def shard_cache_key(
             "code": code if code is not None else code_version(),
         }
     )
-    return hashlib.sha256(material.encode()).hexdigest()
 
 
 @dataclass

@@ -25,20 +25,16 @@ Each :class:`FaultSpec` names one fault model instance:
 
 from __future__ import annotations
 
-import copy
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..errors import FaultError
+from ..spec import Spec
 from ..units import duration_ps
-
-_FAULT_FIELDS = ("name", "model", "target", "params", "start", "stop")
 
 
 @dataclass
-class FaultSpec:
+class FaultSpec(Spec):
     """One fault model instance with its target and activation window."""
 
     name: str
@@ -47,6 +43,11 @@ class FaultSpec:
     params: Dict[str, Any] = field(default_factory=dict)
     start: Union[int, str] = 0
     stop: Optional[Union[int, str]] = None
+
+    _FIELDS = ("name", "model", "target", "params", "start", "stop")
+    _REQUIRED = ("name", "model")
+    _ERROR = FaultError
+    _LABEL = "fault"
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -72,29 +73,23 @@ class FaultSpec:
     def stop_ps(self) -> Optional[int]:
         return None if self.stop is None else duration_ps(self.stop)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {name: copy.deepcopy(getattr(self, name)) for name in _FAULT_FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultSpec":
-        if not isinstance(data, dict):
-            raise FaultError(f"fault must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - set(_FAULT_FIELDS)
-        if unknown:
-            raise FaultError(f"unknown fault field(s): {', '.join(sorted(unknown))}")
-        if "name" not in data or "model" not in data:
-            raise FaultError("fault needs at least 'name' and 'model'")
-        return cls(**copy.deepcopy(data))
-
 
 @dataclass
-class ImpairmentSpec:
+class ImpairmentSpec(Spec):
     """A named set of fault models — the whole impairment plan of a run."""
 
     faults: List[FaultSpec] = field(default_factory=list)
     name: str = "impairments"
 
+    _FIELDS = ("name", "faults")
+    _ERROR = FaultError
+    _LABEL = "impairment spec"
+
     def __post_init__(self) -> None:
+        if not isinstance(self.faults, (list, tuple)):
+            raise FaultError(
+                f"faults must be a list, got {type(self.faults).__name__}"
+            )
         normalized: List[FaultSpec] = []
         for entry in self.faults:
             if isinstance(entry, FaultSpec):
@@ -150,31 +145,8 @@ class ImpairmentSpec:
         return {"name": self.name, "faults": [f.to_dict() for f in self.faults]}
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ImpairmentSpec":
-        if not isinstance(data, dict):
-            raise FaultError(f"spec must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - {"name", "faults"}
-        if unknown:
-            raise FaultError(f"unknown spec field(s): {', '.join(sorted(unknown))}")
-        return cls(
-            faults=list(data.get("faults", ())),
-            name=data.get("name", "impairments"),
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=(indent is None))
-
-    @classmethod
     def from_json(cls, document: str) -> "ImpairmentSpec":
-        try:
-            data = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise FaultError(f"impairment spec is not valid JSON: {exc}") from exc
+        data = cls._parse_json(document)
         if isinstance(data, list):
             return cls(faults=data)
         return cls.from_dict(data)
-
-    def fingerprint(self) -> str:
-        """Content hash: equal specs → equal fingerprints across runs."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]

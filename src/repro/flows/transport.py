@@ -32,8 +32,6 @@ timeout recovery catastrophically slower than fast retransmit.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -42,6 +40,7 @@ from ..net.builder import _frame  # module-internal helper reused deliberately
 from ..net.ethernet import ETHERTYPE_IPV4
 from ..net.ipv4 import Ipv4Header, PROTO_TCP
 from ..net.tcp import FLAG_ACK, FLAG_PSH, TcpHeader
+from ..spec import digest
 from ..units import ms, us
 
 if TYPE_CHECKING:
@@ -120,10 +119,7 @@ def completions_digest(records: List[FlowCompletion]) -> str:
     and observability arming — any behavioural divergence in the
     transport or the impairment timeline changes it.
     """
-    canonical = json.dumps(
-        [asdict(record) for record in records], sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return digest([asdict(record) for record in records])[:16]
 
 
 class FlowEndpoint:

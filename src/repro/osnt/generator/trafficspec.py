@@ -27,12 +27,11 @@ draw sequence.
 from __future__ import annotations
 
 import copy
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Union
 
 from ...errors import ConfigError
+from ...spec import Spec
 from ...units import TEN_GBPS, duration_ps, rate_bps
 from .schedule import (
     Bursts,
@@ -50,8 +49,6 @@ from .trafficmodels import (
     MarkovOnOff,
     Periodic,
 )
-
-_SPEC_FIELDS = ("model", "params", "name")
 
 #: Registry of model kinds → builder(params, ctx) -> Schedule.
 TRAFFIC_MODELS: Dict[str, Callable[..., Schedule]] = {}
@@ -79,15 +76,14 @@ class BuildContext:
     seed: Optional[int] = None
 
     def stream(self, kind: str):
-        """Per-model RNG stream, or None for the legacy default."""
+        """The per-model RNG stream ``traffic/<name>.<kind>``, drawn from
+        ``streams`` when given, else derived from ``seed`` (0 when None)."""
         label = f"traffic/{self.name}.{kind}"
         if self.streams is not None:
             return self.streams.stream(label)
-        if self.seed is not None:
-            from ...sim import RandomStreams
+        from ...sim import RandomStreams
 
-            return RandomStreams(self.seed).stream(label)
-        return None
+        return RandomStreams(0 if self.seed is None else self.seed).stream(label)
 
     def child(self, suffix: str) -> "BuildContext":
         return BuildContext(
@@ -260,12 +256,17 @@ def _build_composite(params, ctx):
 
 
 @dataclass
-class TrafficModelSpec:
+class TrafficModelSpec(Spec):
     """One traffic pattern: a registered kind plus its parameters."""
 
     model: str
     params: Dict[str, Any] = field(default_factory=dict)
     name: str = "traffic"
+
+    _FIELDS = ("model", "params", "name")
+    _REQUIRED = ("model",)
+    _ERROR = ConfigError
+    _LABEL = "traffic spec"
 
     def __post_init__(self) -> None:
         if not self.model:
@@ -305,43 +306,6 @@ class TrafficModelSpec:
             f"cannot build a TrafficModelSpec from {type(value).__name__}"
         )
 
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {name: copy.deepcopy(getattr(self, name)) for name in _SPEC_FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TrafficModelSpec":
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"traffic model spec must be a JSON object, got "
-                f"{type(data).__name__}"
-            )
-        unknown = set(data) - set(_SPEC_FIELDS)
-        if unknown:
-            raise ConfigError(
-                f"unknown traffic spec field(s): {', '.join(sorted(unknown))}"
-            )
-        if "model" not in data:
-            raise ConfigError("traffic model spec needs at least 'model'")
-        return cls(**copy.deepcopy(data))
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=(indent is None))
-
-    @classmethod
-    def from_json(cls, document: str) -> "TrafficModelSpec":
-        try:
-            data = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"traffic spec is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-    def fingerprint(self) -> str:
-        """Content hash: equal specs → equal fingerprints across runs."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
     # -- building ------------------------------------------------------------
 
     def build(
@@ -353,9 +317,9 @@ class TrafficModelSpec:
     ) -> Schedule:
         """Materialize the schedule this spec describes.
 
-        ``streams`` (a :class:`repro.sim.RandomStreams`) or ``seed``
-        pins stochastic kinds to the derived ``traffic/<name>.<kind>``
-        stream; with neither, the legacy ``Random(0)`` default applies.
+        Stochastic kinds draw from the derived ``traffic/<name>.<kind>``
+        stream of ``streams`` (a :class:`repro.sim.RandomStreams`), or
+        of ``RandomStreams(seed)`` (seed 0 when neither is given).
         """
         if self.model not in TRAFFIC_MODELS:
             raise ConfigError(

@@ -27,7 +27,8 @@ The same campaign runs from the shell via ``osnt-sweep run spec.json``.
 from .execution import SweepRunner, run_shard, run_spec
 from .registry import get_scenario, list_scenarios, register_scenario, scenario
 from .report import ShardResult, SweepReport
-from .spec import ExperimentSpec, Shard, canonical_json, shard_seed
+from ..spec import canonical_json
+from .spec import ExperimentSpec, Shard, shard_seed
 
 __all__ = [
     "ExperimentSpec",

@@ -23,9 +23,10 @@ from typing import List, Optional
 from ..analysis.report import format_table
 from ..errors import SweepError
 from ..obs.flight import DEFAULT_HEARTBEAT_S
+from ..spec import canonical_json
 from .execution import SweepRunner
 from .registry import get_scenario, list_scenarios
-from .spec import ExperimentSpec, canonical_json
+from .spec import ExperimentSpec
 
 _EXAMPLE_SPEC = {
     "name": "latency-vs-load",

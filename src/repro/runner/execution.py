@@ -10,8 +10,8 @@ completion:
   spec's budget and records exhausted shards as *failed* without
   aborting the sweep.
 * ``workers == 0`` — inline execution in this process (no isolation,
-  no timeout enforcement): the debugging mode, and what the thin
-  ``measure_*`` shims use so library calls never fork.
+  no timeout enforcement): the debugging mode, and the way to run a
+  sweep from library code without forking.
 * ``scheduler=...`` — any :class:`repro.cluster.Scheduler` backend;
   the forked pool above is just the default
   (:class:`~repro.cluster.LocalScheduler`), and
@@ -219,8 +219,8 @@ class SweepRunner:
     >>> runner = SweepRunner(spec, workers=4, checkpoint_dir="run1")
     >>> report = runner.run()          # resumes automatically on rerun
 
-    ``workers=0`` executes inline (no subprocesses, no timeouts) and is
-    what the deprecated ``measure_*`` wrappers use under the hood.
+    ``workers=0`` executes inline (no subprocesses, no timeouts) — the
+    way to run a sweep from library code without forking.
 
     ``scheduler`` accepts any :class:`repro.cluster.Scheduler`
     (overriding ``workers``/``start_method``); by default a

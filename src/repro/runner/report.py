@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .spec import ExperimentSpec, canonical_json
+from ..spec import canonical_json, digest
+from .spec import ExperimentSpec
 
 #: Shard terminal states.
 STATUS_OK = "ok"
@@ -132,8 +133,8 @@ class SweepReport:
     def require_ok(self) -> "SweepReport":
         """Raise :class:`~repro.errors.SweepError` unless every shard is ok.
 
-        Library-style callers (the deprecated ``measure_*`` shims) want
-        exceptions, not partial reports.
+        For library-style callers that want exceptions, not partial
+        reports.
         """
         from ..errors import SweepError
 
@@ -203,18 +204,12 @@ class SweepReport:
         byte-identical at any worker count and across kill-and-resume —
         one string proves a whole sweep's timelines reproduced.
         """
-        import hashlib
-
         shard_digests: Dict[str, str] = {}
         for s in self.ok:
-            digest = (s.result or {}).get("waveform_digest")
-            if digest is not None:
-                shard_digests[str(s.index)] = digest
-        combined = (
-            hashlib.sha256(canonical_json(shard_digests).encode()).hexdigest()
-            if shard_digests
-            else None
-        )
+            waveform_digest = (s.result or {}).get("waveform_digest")
+            if waveform_digest is not None:
+                shard_digests[str(s.index)] = waveform_digest
+        combined = digest(shard_digests) if shard_digests else None
         return {"combined_digest": combined, "shards": shard_digests}
 
     # -- human output -------------------------------------------------------

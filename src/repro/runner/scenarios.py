@@ -6,8 +6,9 @@ scenario calling convention ``fn(params, seed) -> dict``:
 * rates and durations in params may be human strings (``"9.5Gbps"``,
   ``"10ms"``) — coerced here through :mod:`repro.units`;
 * the shard's derived ``seed`` is used unless the spec pins an explicit
-  ``params["seed"]`` (the deprecated ``measure_*`` shims pin the legacy
-  constants so their results stay bit-compatible);
+  ``params["seed"]`` (pin ``seed: 0`` — and ``switch_seed: 1`` where
+  the scenario has one — to reproduce the point functions' defaults
+  and the golden E-series numbers);
 * ``params["telemetry"] = true`` asks supporting scenarios to include
   the card's metrics snapshot under the ``"telemetry"`` result key,
   which :meth:`~repro.runner.SweepReport.merged_telemetry` folds across

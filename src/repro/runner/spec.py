@@ -20,34 +20,11 @@ from __future__ import annotations
 import copy
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..errors import SweepError
-
-#: Spec fields, in serialization order.
-_FIELDS = (
-    "name",
-    "scenario",
-    "params",
-    "axes",
-    "repeats",
-    "seed",
-    "timeout_s",
-    "retries",
-    "collect",
-    "imports",
-)
-
-
-def canonical_json(value: Any) -> str:
-    """The one JSON rendering used for fingerprints and merged reports.
-
-    Sorted keys, no whitespace: byte-identical for equal values, so
-    reports can be compared with ``==`` across runs and worker counts.
-    """
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+from ..spec import Spec, canonical_json
 
 
 def shard_seed(root_seed: int, index: int, params: Dict[str, Any], repeat: int) -> int:
@@ -82,7 +59,7 @@ class Shard:
 
 
 @dataclass
-class ExperimentSpec:
+class ExperimentSpec(Spec):
     """A declarative, serializable experiment description.
 
     * ``name`` — campaign identifier (labels checkpoints and reports).
@@ -117,6 +94,21 @@ class ExperimentSpec:
     collect: Optional[List[str]] = None
     imports: List[str] = field(default_factory=list)
 
+    _FIELDS = (
+        "name",
+        "scenario",
+        "params",
+        "axes",
+        "repeats",
+        "seed",
+        "timeout_s",
+        "retries",
+        "collect",
+        "imports",
+    )
+    _REQUIRED = ("name", "scenario")
+    _ERROR = SweepError
+
     def __post_init__(self) -> None:
         if not self.name:
             raise SweepError("spec needs a non-empty name")
@@ -129,6 +121,15 @@ class ExperimentSpec:
         for axis, values in self.axes.items():
             if not isinstance(values, list) or not values:
                 raise SweepError(f"axis {axis!r} must be a non-empty list of values")
+        for name in ("repeats", "retries", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SweepError(f"{name} must be an integer, got {value!r}")
+        timeout = self.timeout_s
+        if timeout is not None and (
+            isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+        ):
+            raise SweepError(f"timeout_s must be a number or None, got {timeout!r}")
         if self.repeats < 1:
             raise SweepError(f"repeats must be >= 1, got {self.repeats}")
         if self.retries < 0:
@@ -172,35 +173,3 @@ class ExperimentSpec:
                 )
                 index += 1
         return shards
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {name: copy.deepcopy(getattr(self, name)) for name in _FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExperimentSpec":
-        if not isinstance(data, dict):
-            raise SweepError(f"spec must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - set(_FIELDS)
-        if unknown:
-            raise SweepError(f"unknown spec field(s): {', '.join(sorted(unknown))}")
-        for required in ("name", "scenario"):
-            if required not in data:
-                raise SweepError(f"spec is missing required field {required!r}")
-        return cls(**copy.deepcopy(data))
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=(indent is None))
-
-    @classmethod
-    def from_json(cls, document: str) -> "ExperimentSpec":
-        try:
-            data = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SweepError(f"spec is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-    def fingerprint(self) -> str:
-        """Content hash used to guard checkpoint-directory resumes."""
-        return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()[:16]

@@ -45,7 +45,6 @@ any worker count and across kill-and-resume.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 from collections import deque
@@ -53,6 +52,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigError
+from ..spec import digest
 
 #: Default retained points per series (the ring bound).
 DEFAULT_WAVEFORM_CAPACITY = 1 << 14
@@ -539,10 +539,7 @@ class WaveformRecorder:
         prove two runs produced byte-identical timelines (the property
         the datapath-equivalence tests and the sweep fold assert).
         """
-        canonical = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return digest(self.to_dict())
 
     def summary(self) -> Dict[str, Any]:
         """Compact per-series facts + digest (what scenarios report)."""

@@ -1,4 +1,4 @@
-"""Reusable measurement scenarios — the code behind experiments E1–E7.
+"""Reusable measurement scenarios — the code behind experiments E1–E9.
 
 Each experiment is factored into a **single-point function**
 (``*_point``): build one fresh topology, run one measurement, return a
@@ -7,15 +7,17 @@ The point functions are registered as named scenarios in
 :mod:`repro.runner.scenarios`, which is what makes them sweepable,
 shardable and resumable through :class:`~repro.runner.ExperimentSpec`.
 
-The original ``measure_*`` entry points remain as **thin deprecation
-shims**: each builds the equivalent spec and runs it inline via
-:func:`repro.runner.run_spec`, returning the same row lists as before.
-New code should construct specs directly (see ``docs/RUNNER.md``).
+Call a point function directly for one row; build an
+:class:`~repro.runner.ExperimentSpec` for a sweep (see
+``docs/RUNNER.md``). Their defaults (``seed=0``, ``switch_seed=1``)
+are the seeds behind the golden E-series numbers.
+E4 and E5 are single measurements already, so
+:func:`measure_flowmod_latency` and
+:func:`measure_forwarding_consistency` are registered directly.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -23,6 +25,7 @@ from ..analysis.latency import latency_from_capture
 from ..analysis.stats import SummaryStats, gap_jitter_std
 from ..devices.legacy_switch import LegacySwitch
 from ..devices.openflow_switch import SwitchProfile
+from ..errors import ConfigError
 from ..hw.port import connect
 from ..openflow import constants as ofp
 from ..openflow.match import Match
@@ -46,21 +49,6 @@ from .workloads import fixed_size_source, port_sweep_source, udp_template
 
 #: Extras returned by every point function (telemetry snapshots etc.).
 Extras = Dict[str, Any]
-
-
-def _row_from_result(cls, result: Dict[str, Any]):
-    """Rebuild a row dataclass from a (possibly larger) result dict."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{key: value for key, value in result.items() if key in names})
-
-
-def _run_shim_spec(spec) -> List[Dict[str, Any]]:
-    """Run a shim's spec inline; surface any shard failure as an error."""
-    from ..runner import run_spec
-
-    report = run_spec(spec, workers=0)
-    report.require_ok()
-    return report.results()
 
 
 def _maybe_snapshot(tester: OSNT, telemetry: bool) -> Extras:
@@ -125,25 +113,6 @@ def line_rate_point(
     return row, _maybe_snapshot(tester, telemetry)
 
 
-def measure_line_rate(
-    frame_sizes: List[int],
-    duration_ps: int = ms(1),
-    ports: int = 1,
-) -> List[LineRateRow]:
-    """Deprecated shim over the ``line_rate`` scenario (docs/RUNNER.md)."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_line_rate",
-        scenario="line_rate",
-        params={"duration": duration_ps, "ports": ports, "seed": 0},
-        axes={"frame_size": list(frame_sizes)},
-        timeout_s=None,
-        retries=0,
-    )
-    return [_row_from_result(LineRateRow, r) for r in _run_shim_spec(spec)]
-
-
 # ---------------------------------------------------------------------------
 # E2 — timing precision: hardware vs software, GPS discipline
 # ---------------------------------------------------------------------------
@@ -167,6 +136,12 @@ def idt_precision_point(
 ) -> Tuple[PrecisionRow, Extras]:
     """One E2 point: wire-level inter-departure precision for one
     generator kind (``"osnt"`` hardware model or ``"software"`` host)."""
+    if kind not in ("osnt", "software"):
+        raise ConfigError(f"unknown generator kind {kind!r} (osnt|software)")
+    if packet_count < 2:
+        raise ConfigError(
+            f"packet_count must be >= 2 to measure a gap, got {packet_count}"
+        )
     sim = Simulator()
     tester = OSNT(sim)
     connect(tester.port(0), tester.port(1))
@@ -180,7 +155,7 @@ def idt_precision_point(
         )
         generator._engine.configure(source, schedule=schedule, count=packet_count)
         generator._engine.start()
-    elif kind == "software":
+    else:
         # A separate port pair driven by the host-stack model.
         from ..hw.port import EthernetPort
 
@@ -191,10 +166,6 @@ def idt_precision_point(
         a.tx.on_start_of_frame = lambda p: departures.append(sim.now)
         swgen.configure(source, schedule, count=packet_count)
         swgen.start()
-    else:
-        from ..errors import ConfigError
-
-        raise ConfigError(f"unknown generator kind {kind!r} (osnt|software)")
     sim.run()
     gaps = [b_ - a_ for a_, b_ in zip(departures, departures[1:])]
     mean = sum(gaps) / len(gaps)
@@ -206,31 +177,6 @@ def idt_precision_point(
         worst_error_ns=max(abs(g - target_gap_ps) for g in gaps) / 1e3,
     )
     return row, {}
-
-
-def measure_idt_precision(
-    target_gap_ps: int,
-    packet_count: int = 500,
-    frame_size: int = 128,
-    seed: int = 0,
-) -> List[PrecisionRow]:
-    """Deprecated shim over the ``idt_precision`` scenario."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_idt_precision",
-        scenario="idt_precision",
-        params={
-            "target_gap_ps": target_gap_ps,
-            "packet_count": packet_count,
-            "frame_size": frame_size,
-            "seed": seed,
-        },
-        axes={"kind": ["osnt", "software"]},
-        timeout_s=None,
-        retries=0,
-    )
-    return [_row_from_result(PrecisionRow, r) for r in _run_shim_spec(spec)]
 
 
 @dataclass
@@ -270,34 +216,6 @@ def clock_error_point(
             )
         )
     return rows, {}
-
-
-def measure_clock_error(
-    freq_error_ppm: float = 30.0,
-    walk_ppb: float = 20.0,
-    horizon_s: int = 10,
-    seed: int = 0,
-) -> List[ClockErrorRow]:
-    """Deprecated shim over the ``clock_error`` scenario."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_clock_error",
-        scenario="clock_error",
-        params={
-            "freq_error_ppm": freq_error_ppm,
-            "walk_ppb": walk_ppb,
-            "horizon_s": horizon_s,
-            "seed": seed,
-        },
-        axes={"mode": ["free-running", "gps-disciplined"]},
-        timeout_s=None,
-        retries=0,
-    )
-    rows: List[ClockErrorRow] = []
-    for result in _run_shim_spec(spec):
-        rows.extend(_row_from_result(ClockErrorRow, r) for r in result["rows"])
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -380,33 +298,6 @@ def legacy_latency_point(
         switch_drops=switch.egress_drops,
     )
     return row, _maybe_snapshot(bed.tester, telemetry)
-
-
-def measure_legacy_switch_latency(
-    loads: List[float],
-    frame_sizes: List[int],
-    duration_ps: int = ms(2),
-    probe_load: float = 0.05,
-    switch_kwargs: Optional[dict] = None,
-) -> List[LatencyRow]:
-    """Deprecated shim over the ``legacy_latency`` scenario."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_legacy_switch_latency",
-        scenario="legacy_latency",
-        params={
-            "duration": duration_ps,
-            "probe_load": probe_load,
-            "switch_kwargs": switch_kwargs,
-            "seed": 0,
-            "switch_seed": 1,
-        },
-        axes={"frame_size": list(frame_sizes), "load": list(loads)},
-        timeout_s=None,
-        retries=0,
-    )
-    return [_row_from_result(LatencyRow, r) for r in _run_shim_spec(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +601,9 @@ CAPTURE_VARIANTS: List[Dict[str, Any]] = [
     {"name": "cut+thin", "snaplen": 64, "keep_one_in": 8},
 ]
 
+#: Keys a capture variant may carry: ``name`` plus the start_capture options.
+_VARIANT_KEYS = {"name", "snaplen", "keep_one_in", "hash_packets"}
+
 
 def capture_path_point(
     load: float,
@@ -720,9 +614,15 @@ def capture_path_point(
     seed: int = 0,
 ) -> Tuple[CaptureRow, Extras]:
     """One E6 point: capture completeness for one load and one reducer
-    variant (``{"name": ..., "snaplen": ..., "keep_one_in": ...}``;
-    the deprecated ``snap_bytes`` key is still honoured)."""
+    variant (``{"name": ..., "snaplen": ..., "keep_one_in": ...,
+    "hash_packets": ...}``)."""
     variant = dict(variant or {"name": "full"})
+    unknown = set(variant) - _VARIANT_KEYS
+    if unknown:
+        raise ConfigError(
+            f"capture variant: unknown key(s) {', '.join(sorted(unknown))} "
+            f"(allowed: {', '.join(sorted(_VARIANT_KEYS))})"
+        )
     variant_name = variant.pop("name", "custom")
     sim = Simulator()
     tester = OSNT(sim, root_seed=seed, dma_bandwidth_bps=dma_bandwidth_bps)
@@ -743,31 +643,6 @@ def capture_path_point(
         dropped=pipeline.dma_drops_at_port,
     )
     return row, {}
-
-
-def measure_capture_path(
-    loads: List[float],
-    frame_size: int = 512,
-    duration_ps: int = ms(2),
-    dma_bandwidth_bps: float = 2 * GBPS,
-) -> List[CaptureRow]:
-    """Deprecated shim over the ``capture_path`` scenario."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_capture_path",
-        scenario="capture_path",
-        params={
-            "frame_size": frame_size,
-            "duration": duration_ps,
-            "dma_bandwidth_bps": dma_bandwidth_bps,
-            "seed": 0,
-        },
-        axes={"load": list(loads), "variant": list(CAPTURE_VARIANTS)},
-        timeout_s=None,
-        retries=0,
-    )
-    return [_row_from_result(CaptureRow, r) for r in _run_shim_spec(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -834,32 +709,6 @@ def timestamp_placement_point(
         host_std_us=host.std / 1e6,
     )
     return row, {}
-
-
-def measure_timestamp_placement(
-    loads: List[float],
-    frame_size: int = 512,
-    duration_ps: int = ms(2),
-    dma_bandwidth_bps: float = 4 * GBPS,
-) -> List[PlacementRow]:
-    """Deprecated shim over the ``timestamp_placement`` scenario."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_timestamp_placement",
-        scenario="timestamp_placement",
-        params={
-            "frame_size": frame_size,
-            "duration": duration_ps,
-            "dma_bandwidth_bps": dma_bandwidth_bps,
-            "seed": 0,
-            "switch_seed": 1,
-        },
-        axes={"load": list(loads)},
-        timeout_s=None,
-        retries=0,
-    )
-    return [_row_from_result(PlacementRow, r) for r in _run_shim_spec(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -932,31 +781,6 @@ def router_latency_point(
     return row, {}
 
 
-def measure_router_latency(
-    prefix_lens: List[int],
-    fib_fill: int = 1000,
-    frame_size: int = 256,
-    duration_ps: int = ms(1),
-) -> List[RouterLatencyRow]:
-    """Deprecated shim over the ``router_latency`` scenario."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_router_latency",
-        scenario="router_latency",
-        params={
-            "fib_fill": fib_fill,
-            "frame_size": frame_size,
-            "duration": duration_ps,
-            "seed": 0,
-        },
-        axes={"prefix_len": list(prefix_lens)},
-        timeout_s=None,
-        retries=0,
-    )
-    return [_row_from_result(RouterLatencyRow, r) for r in _run_shim_spec(spec)]
-
-
 # ---------------------------------------------------------------------------
 # E3b — per-size latency from one mixed (IMIX) stream
 # ---------------------------------------------------------------------------
@@ -1025,28 +849,3 @@ def imix_latency_point(
             )
         )
     return rows, {}
-
-
-def measure_imix_latency(
-    load: float = 0.5,
-    duration_ps: int = ms(2),
-    switch_kwargs: Optional[dict] = None,
-) -> List[ImixLatencyRow]:
-    """Deprecated shim over the ``imix_latency`` scenario."""
-    from ..runner import ExperimentSpec
-
-    spec = ExperimentSpec(
-        name="measure_imix_latency",
-        scenario="imix_latency",
-        params={
-            "load": load,
-            "duration": duration_ps,
-            "switch_kwargs": switch_kwargs,
-            "seed": 0,
-            "switch_seed": 1,
-        },
-        timeout_s=None,
-        retries=0,
-    )
-    (result,) = _run_shim_spec(spec)
-    return [_row_from_result(ImixLatencyRow, r) for r in result["rows"]]

@@ -53,30 +53,30 @@ the spec stays serializable, the injected object is used as-is.
 
 from __future__ import annotations
 
-import copy
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import TopologyError
 from .hw.port import DEFAULT_PROPAGATION_PS, EthernetPort, Link, connect
+from .spec import Spec
 from .units import duration_ps, rate_bps
 
 #: Registered node kinds (see module docstring).
 NODE_KINDS = ("host", "legacy_switch", "openflow_switch", "osnt", "snmp")
 
-_NODE_FIELDS = ("name", "kind", "params")
-_LINK_FIELDS = ("a", "b", "delay", "rate", "bit_error_rate")
-
 
 @dataclass
-class NodeSpec:
+class NodeSpec(Spec):
     """One device declaration: a unique name, a kind, its parameters."""
 
     name: str
     kind: str
     params: Dict[str, Any] = field(default_factory=dict)
+
+    _FIELDS = ("name", "kind", "params")
+    _REQUIRED = ("name", "kind")
+    _ERROR = TopologyError
+    _LABEL = "node"
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -96,23 +96,9 @@ class NodeSpec:
                 f"got {type(self.params).__name__}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {name: copy.deepcopy(getattr(self, name)) for name in _NODE_FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "NodeSpec":
-        if not isinstance(data, dict):
-            raise TopologyError(f"node must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - set(_NODE_FIELDS)
-        if unknown:
-            raise TopologyError(f"unknown node field(s): {', '.join(sorted(unknown))}")
-        if "name" not in data or "kind" not in data:
-            raise TopologyError("node needs at least 'name' and 'kind'")
-        return cls(**copy.deepcopy(data))
-
 
 @dataclass
-class LinkSpec:
+class LinkSpec(Spec):
     """One cable: two port references plus the wire's properties."""
 
     a: str
@@ -120,6 +106,11 @@ class LinkSpec:
     delay: Union[int, str] = DEFAULT_PROPAGATION_PS
     rate: Optional[Union[float, str]] = None
     bit_error_rate: float = 0.0
+
+    _FIELDS = ("a", "b", "delay", "rate", "bit_error_rate")
+    _REQUIRED = ("a", "b")
+    _ERROR = TopologyError
+    _LABEL = "link"
 
     def __post_init__(self) -> None:
         if not self.a or not self.b:
@@ -137,20 +128,6 @@ class LinkSpec:
     def rate_bps(self) -> Optional[float]:
         return None if self.rate is None else rate_bps(self.rate)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {name: copy.deepcopy(getattr(self, name)) for name in _LINK_FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "LinkSpec":
-        if not isinstance(data, dict):
-            raise TopologyError(f"link must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - set(_LINK_FIELDS)
-        if unknown:
-            raise TopologyError(f"unknown link field(s): {', '.join(sorted(unknown))}")
-        if "a" not in data or "b" not in data:
-            raise TopologyError("link needs at least 'a' and 'b'")
-        return cls(**copy.deepcopy(data))
-
 
 def _parse_endpoint(ref: str) -> Tuple[str, Optional[int]]:
     """Split ``"name"`` / ``"name:3"`` into (node name, port index)."""
@@ -162,8 +139,12 @@ def _parse_endpoint(ref: str) -> Tuple[str, Optional[int]]:
     return name, int(index)
 
 
-class Topology:
+class Topology(Spec):
     """Chainable builder of a :class:`NodeSpec`/:class:`LinkSpec` plan."""
+
+    _FIELDS = ("name", "nodes", "links")
+    _ERROR = TopologyError
+    _LABEL = "topology"
 
     def __init__(
         self,
@@ -236,32 +217,6 @@ class Topology:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Topology":
-        if not isinstance(data, dict):
-            raise TopologyError(f"topology must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - {"name", "nodes", "links"}
-        if unknown:
-            raise TopologyError(
-                f"unknown topology field(s): {', '.join(sorted(unknown))}"
-            )
-        return cls(
-            name=data.get("name", "topology"),
-            nodes=list(data.get("nodes", ())),
-            links=list(data.get("links", ())),
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=(indent is None))
-
-    @classmethod
-    def from_json(cls, document: str) -> "Topology":
-        try:
-            data = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise TopologyError(f"topology is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-    @classmethod
     def from_any(
         cls, value: Union[None, "Topology", Dict[str, Any], str]
     ) -> "Topology":
@@ -275,11 +230,6 @@ class Topology:
         if isinstance(value, dict):
             return cls.from_dict(value)
         raise TopologyError(f"cannot build a Topology from {type(value).__name__}")
-
-    def fingerprint(self) -> str:
-        """Content hash: equal topologies → equal fingerprints."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     # -- construction --------------------------------------------------------
 

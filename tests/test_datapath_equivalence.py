@@ -243,7 +243,7 @@ class TestLoopbackWorkloads:
             # exceeds line rate, so the 2 KiB FIFO must tail-drop.
             generator.configure(
                 TemplateSource(udp_template(200)),
-                schedule=PoissonGaps(20_000, rng=random.Random(11)),
+                schedule=PoissonGaps(20_000, stream=random.Random(11)),
                 duration_ps=us(100),
             )
             generator.start()

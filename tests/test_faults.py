@@ -83,6 +83,8 @@ class TestImpairmentSpec:
     def test_bad_json_rejected(self):
         with pytest.raises(FaultError, match="not valid JSON"):
             ImpairmentSpec.from_json("{nope")
+        with pytest.raises(FaultError, match="faults must be a list"):
+            ImpairmentSpec.from_json('{"faults": null}')
 
     def test_fingerprint_tracks_content(self):
         one = ImpairmentSpec.from_any([{"name": "a", "model": "link_loss"}])

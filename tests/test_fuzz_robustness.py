@@ -6,15 +6,29 @@ typed errors, and the simulator must survive hostile-but-legal use.
 """
 
 import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import OpenFlowError, PcapError, ReproError
+from repro.errors import OpenFlowError, PcapError, ReproError, SweepError
 from repro.net import PcapReader, decode
 from repro.net.packet import Packet
 from repro.openflow import MessageBuffer, parse_message
 from repro.openflow.match import Match
+from repro.runner import ExperimentSpec
+
+#: Arbitrary JSON values (what a hand-written spec file can contain).
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
 
 
 class TestFrameParserFuzz:
@@ -93,6 +107,22 @@ class TestPcapFuzz:
         record = struct.pack("<IIII", 0, 0, 0xFFFFFFF0, 60)
         with pytest.raises(PcapError):
             list(PcapReader(io.BytesIO(header + record)))
+
+
+class TestSpecFuzz:
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from(["repeats", "retries", "seed", "timeout_s", "params", "axes"]),
+        _JSON,
+    )
+    def test_experiment_spec_raises_only_sweep_errors(self, field, value):
+        document = json.dumps({"name": "x", "scenario": "echo", field: value})
+        try:
+            spec = ExperimentSpec.from_json(document)
+        except SweepError:
+            return
+        assert spec.shard_count >= 1
+        assert len(spec.fingerprint()) == 16
 
 
 class TestErrorHierarchy:

@@ -16,6 +16,7 @@ from repro.runner import (
     run_spec,
     shard_seed,
 )
+from repro.runner.cli import main as sweep_main
 from repro.units import us
 
 
@@ -94,6 +95,41 @@ class TestSpecSerialization:
         spec = echo_spec()
         spec.to_dict()["axes"]["x"].append(99)
         assert spec.axes["x"] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("repeats", "2"),
+            ("repeats", 2.0),
+            ("repeats", True),
+            ("retries", None),
+            ("retries", "1"),
+            ("seed", "abc"),
+            ("seed", 1.5),
+            ("seed", False),
+            ("timeout_s", "5"),
+            ("timeout_s", True),
+        ],
+    )
+    def test_wrong_typed_fields_rejected(self, field, value):
+        document = json.dumps({"name": "x", "scenario": "echo", field: value})
+        with pytest.raises(SweepError, match=field):
+            ExperimentSpec.from_json(document)
+
+    def test_numeric_fields_accept_their_types(self):
+        spec = ExperimentSpec.from_dict(
+            {"name": "x", "scenario": "echo", "seed": 3, "timeout_s": 5}
+        )
+        assert (spec.seed, spec.timeout_s) == (3, 5)
+        assert ExperimentSpec(name="x", scenario="echo", timeout_s=None).timeout_s is None
+
+    def test_cli_reports_wrong_typed_field_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"name": "x", "scenario": "echo", "repeats": "2"}')
+        assert sweep_main(["run", str(path)]) != 0
+        err = capsys.readouterr().err
+        assert "repeats must be an integer" in err
+        assert "Traceback" not in err
 
 
 class TestExpansion:
@@ -329,35 +365,45 @@ class TestSharedConfigRegression:
     """Sweep helpers must not mutate caller- or module-owned dicts."""
 
     def test_capture_variants_survive_a_sweep(self):
-        from repro.testbed.scenarios import CAPTURE_VARIANTS, measure_capture_path
+        from repro.testbed.scenarios import CAPTURE_VARIANTS
 
         before = copy.deepcopy(CAPTURE_VARIANTS)
-        rows = measure_capture_path([0.1], duration_ps=us(50))
+        spec = ExperimentSpec(
+            name="capture",
+            scenario="capture_path",
+            params={"duration": us(50), "seed": 0},
+            axes={"load": [0.1], "variant": CAPTURE_VARIANTS},
+            timeout_s=None,
+            retries=0,
+        )
+        rows = run_spec(spec).require_ok().results()
         assert len(rows) == len(CAPTURE_VARIANTS)
         assert CAPTURE_VARIANTS == before  # "name" must not be popped off
 
     def test_capture_point_leaves_callers_variant_alone(self):
         from repro.testbed.scenarios import capture_path_point
 
-        variant = {"name": "cut-64", "snap_bytes": 64}
+        variant = {"name": "cut-64", "snaplen": 64}
         capture_path_point(0.1, variant=variant, duration_ps=us(50))
-        assert variant == {"name": "cut-64", "snap_bytes": 64}
+        assert variant == {"name": "cut-64", "snaplen": 64}
 
     def test_legacy_latency_switch_kwargs_not_mutated(self):
-        from repro.testbed.scenarios import measure_legacy_switch_latency
+        from repro.testbed.scenarios import legacy_latency_point
 
         switch_kwargs = {"mac_table_capacity": 64}
-        measure_legacy_switch_latency(
-            [0.2], [256], duration_ps=us(50), switch_kwargs=switch_kwargs
+        legacy_latency_point(
+            256, 0.2, duration_ps=us(50), switch_kwargs=switch_kwargs
         )
         assert switch_kwargs == {"mac_table_capacity": 64}
 
 
 class TestLegacyShims:
-    def test_measure_line_rate_rows_match_scenario_results(self):
-        from repro.testbed.scenarios import measure_line_rate
+    """Pinned legacy seeds: a point function's row equals the scenario's."""
 
-        rows = measure_line_rate([64], duration_ps=us(100))
+    def test_line_rate_point_matches_scenario_result(self):
+        from repro.testbed.scenarios import line_rate_point
+
+        row, _ = line_rate_point(64, duration_ps=us(100))
         spec = ExperimentSpec(
             name="direct",
             scenario="line_rate",
@@ -367,8 +413,8 @@ class TestLegacyShims:
             timeout_s=None,
         )
         result = run_spec(spec).results()[0]
-        assert rows[0].achieved_pps == result["achieved_pps"]
-        assert rows[0].frame_size == 64
+        assert row.achieved_pps == result["achieved_pps"]
+        assert row.frame_size == 64
 
     def test_pinned_seed_beats_derived_seed(self):
         report = run_spec(

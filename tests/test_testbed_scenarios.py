@@ -6,23 +6,32 @@ factor — which is exactly what the benchmark harness prints.
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.testbed import (
-    LegacySwitchTestbed,
-    OpenFlowTestbed,
+    CAPTURE_VARIANTS,
+    capture_path_point,
+    clock_error_point,
+    idt_precision_point,
     imix_source,
+    legacy_latency_point,
+    legacy_testbed,
+    line_rate_point,
     load_points,
-    measure_capture_path,
-    measure_clock_error,
     measure_flowmod_latency,
     measure_forwarding_consistency,
-    measure_idt_precision,
-    measure_legacy_switch_latency,
-    measure_line_rate,
-    measure_timestamp_placement,
     multi_flow_source,
+    openflow_testbed,
+    timestamp_placement_point,
 )
 from repro.sim import Simulator
 from repro.units import line_rate_pps, ms, us
+
+
+def _capture(load, name):
+    """One E6 row for the named reducer variant."""
+    variant = next(v for v in CAPTURE_VARIANTS if v["name"] == name)
+    row, _ = capture_path_point(load, variant=variant, duration_ps=ms(1))
+    return row
 
 
 class TestWorkloads:
@@ -57,31 +66,33 @@ class TestWorkloads:
 
 class TestE1LineRate:
     def test_full_line_rate_at_64_and_1518(self):
-        rows = measure_line_rate([64, 1518], duration_ps=ms(1))
-        for row in rows:
+        for frame_size in (64, 1518):
+            row, _ = line_rate_point(frame_size, duration_ps=ms(1))
             # "full line-rate traffic generation regardless of packet size"
             assert row.efficiency > 0.999
 
     def test_four_ports_aggregate(self):
-        rows = measure_line_rate([512], duration_ps=ms(1), ports=4)
-        row = rows[0]
+        row, _ = line_rate_point(512, duration_ps=ms(1), ports=4)
         assert row.ports == 4
         assert row.achieved_pps == pytest.approx(4 * line_rate_pps(512), rel=1e-3)
 
 
 class TestE2Precision:
     def test_hardware_pacing_beats_software(self):
-        rows = measure_idt_precision(us(20), packet_count=300)
-        osnt = next(r for r in rows if r.generator == "osnt")
-        software = next(r for r in rows if r.generator == "software")
+        osnt, _ = idt_precision_point("osnt", us(20), packet_count=300)
+        software, _ = idt_precision_point("software", us(20), packet_count=300)
         assert osnt.gap_std_ns == 0  # ps-exact pacing
         assert software.gap_std_ns > 100  # µs-scale OS noise
         assert software.mean_gap_ns > osnt.mean_gap_ns
 
+    @pytest.mark.parametrize("packet_count", [0, 1])
+    def test_too_few_packets_is_a_config_error(self, packet_count):
+        with pytest.raises(ConfigError, match="packet_count"):
+            idt_precision_point("osnt", us(20), packet_count=packet_count)
+
     def test_gps_keeps_clock_sub_microsecond(self):
-        rows = measure_clock_error(horizon_s=8)
-        free = [r for r in rows if r.mode == "free-running"]
-        disciplined = [r for r in rows if r.mode == "gps-disciplined"]
+        free, _ = clock_error_point("free-running", horizon_s=8)
+        disciplined, _ = clock_error_point("gps-disciplined", horizon_s=8)
         assert free[-1].abs_error_ns > 100_000  # hundreds of µs adrift
         assert disciplined[-1].abs_error_ns < 1_000  # sub-µs, per the paper
         # Free-running error grows monotonically with 30 ppm drift.
@@ -91,27 +102,25 @@ class TestE2Precision:
 
 class TestE3LegacyLatency:
     def test_latency_rises_with_load(self):
-        rows = measure_legacy_switch_latency(
-            loads=[0.2, 0.95, 1.2], frame_sizes=[512], duration_ps=ms(2)
+        low, high, overload = (
+            legacy_latency_point(512, load, duration_ps=ms(2))[0]
+            for load in (0.2, 0.95, 1.2)
         )
-        low, high, overload = rows
         assert low.mean_us < high.mean_us < overload.mean_us
         assert overload.mean_us > 5 * low.mean_us  # saturated queue
 
     def test_baseline_latency_scales_with_frame_size(self):
-        rows = measure_legacy_switch_latency(
-            loads=[0.1], frame_sizes=[64, 1518], duration_ps=ms(2)
+        small, large = (
+            legacy_latency_point(size, 0.1, duration_ps=ms(2))[0]
+            for size in (64, 1518)
         )
-        small, large = rows
         # Store-and-forward: two serializations more for big frames.
         assert large.mean_us > small.mean_us + 2.0
 
     def test_probes_survive_light_load(self):
-        rows = measure_legacy_switch_latency(
-            loads=[0.3], frame_sizes=[256], duration_ps=ms(1)
-        )
-        assert rows[0].switch_drops == 0
-        assert rows[0].packets > 0
+        row, _ = legacy_latency_point(256, 0.3, duration_ps=ms(1))
+        assert row.switch_drops == 0
+        assert row.packets > 0
 
 
 class TestE4FlowMod:
@@ -152,36 +161,40 @@ class TestE5Consistency:
 
 class TestE6CapturePath:
     def test_full_capture_loses_at_high_load(self):
-        rows = measure_capture_path(loads=[0.9], duration_ps=ms(1))
-        full = next(r for r in rows if r.variant == "full")
+        full = _capture(0.9, "full")
         assert full.dropped > 0
         assert full.capture_fraction < 1.0
 
     def test_cutting_restores_lossless_capture(self):
-        rows = measure_capture_path(loads=[0.9], duration_ps=ms(1))
-        cut = next(r for r in rows if r.variant == "cut-64")
+        cut = _capture(0.9, "cut-64")
         assert cut.dropped == 0
         assert cut.capture_fraction == 1.0
 
     def test_thinning_restores_lossless_capture(self):
-        rows = measure_capture_path(loads=[0.9], duration_ps=ms(1))
-        thin = next(r for r in rows if r.variant == "thin-1in8")
+        thin = _capture(0.9, "thin-1in8")
         assert thin.dropped == 0
 
     def test_low_load_lossless_everywhere(self):
-        rows = measure_capture_path(loads=[0.1], duration_ps=ms(1))
-        assert all(r.dropped == 0 for r in rows)
+        assert all(_capture(0.1, v["name"]).dropped == 0 for v in CAPTURE_VARIANTS)
+
+    def test_unknown_variant_key_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="snap_bytes"):
+            capture_path_point(
+                0.1, variant={"name": "cut", "snap_bytes": 64}, duration_ps=us(50)
+            )
 
 
 class TestE7TimestampPlacement:
     def test_host_timestamps_noisier_under_load(self):
-        rows = measure_timestamp_placement(loads=[0.8], duration_ps=ms(1))
-        row = rows[0]
+        row, _ = timestamp_placement_point(0.8, duration_ps=ms(1))
         assert row.host_std_us > 10 * row.hw_std_us
         assert row.host_mean_us > row.hw_mean_us
 
     def test_hw_measurement_unaffected_by_capture_load(self):
-        low, high = measure_timestamp_placement(loads=[0.2, 0.8], duration_ps=ms(1))
+        low, high = (
+            timestamp_placement_point(load, duration_ps=ms(1))[0]
+            for load in (0.2, 0.8)
+        )
         # Hardware-stamped latency statistics stay stable while host-side
         # statistics blow up with DMA/host queueing.
         assert high.hw_std_us < 0.1
@@ -191,14 +204,14 @@ class TestE7TimestampPlacement:
 class TestTopologies:
     def test_legacy_testbed_wiring(self):
         sim = Simulator()
-        bed = LegacySwitchTestbed(sim)
+        bed = legacy_testbed(sim)
         assert bed.tester.port(0).connected
         assert bed.tester.port(1).connected
         assert not bed.tester.port(2).connected
 
     def test_openflow_testbed_has_channels(self):
         sim = Simulator()
-        bed = OpenFlowTestbed(sim, wire_cross_ports=True)
+        bed = openflow_testbed(sim, wire_cross_ports=True)
         assert bed.tester.port(2).connected
         assert bed.snmp.ports is not None
         assert bed.controller is bed.channel.controller

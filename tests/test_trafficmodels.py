@@ -3,14 +3,13 @@
 Covers the pattern classes (BurstTrain, Periodic, Composite,
 MarkovOnOff) at the gap-sequence level, the spec registry's JSON
 round-trip and fingerprint stability for *every* registered kind, the
-RNG unification (streams/seed over the deprecated ``rng=``), the
+RNG unification (every stochastic model draws from a derived
+``traffic/...`` stream, seed 0 by default), the
 engine's initial-gap handling, and packet|burst datapath bit-identity
 for the new schedules. The hypothesis property pins the Composite
 mean-load identity: the combinator's long-run load equals the
 time-share-weighted sum of its components' loads.
 """
-
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -240,20 +239,21 @@ class TestMarkovOnOff:
             assert isinstance(gap, int)
         assert isinstance(model._on_budget_ps, int)
 
-    def test_rng_kwarg_deprecated(self):
+    def test_default_derives_the_seed_zero_stream(self):
+        """No stream/seed → the ``traffic/markov_onoff`` stream of seed 0."""
+        default = _timeline(MarkovOnOff(50_000, 100_000))
+        assert default == _timeline(MarkovOnOff(50_000, 100_000, seed=0))
+        stream = RandomStreams(0).stream("traffic/markov_onoff")
+        assert default == _timeline(MarkovOnOff(50_000, 100_000, stream=stream))
+        assert default != _timeline(MarkovOnOff(50_000, 100_000, seed=1))
+
+    def test_rng_kwarg_is_gone(self):
         import random
 
-        with pytest.deprecated_call():
+        with pytest.raises(TypeError):
             MarkovOnOff(1_000, 1_000, rng=random.Random(0))
-
-    def test_legacy_default_unchanged(self):
-        """No rng/stream/seed → the historical Random(0) timeline."""
-        import random
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = MarkovOnOff(50_000, 100_000, rng=random.Random(0))
-        assert _timeline(MarkovOnOff(50_000, 100_000)) == _timeline(legacy)
+        with pytest.raises(TypeError):
+            PoissonGaps(1_000, rng=random.Random(0))
 
 
 class TestComposite:

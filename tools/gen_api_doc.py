@@ -17,6 +17,7 @@ import sys
 SUBPACKAGES = [
     "repro.sim",
     "repro.units",
+    "repro.spec",
     "repro.net",
     "repro.hw",
     "repro.openflow",
@@ -38,6 +39,7 @@ SUBPACKAGES = [
 
 #: Display titles for sections whose package name alone undersells them.
 SECTION_TITLES = {
+    "repro.spec": "Spec Base & Digests",
     "repro.topology": "Declarative Topologies",
     "repro.flows": "Closed-Loop Flows",
     "repro.telemetry": "Telemetry & Tracing",
