@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
 from ..hw.port import EthernetPort
-from ..net.fields import is_multicast_mac
+from ..net.fields import is_multicast_mac, mac_to_str
 from ..net.packet import Packet
 from ..sim import Simulator
 from ..units import TEN_GBPS, ns, seconds
@@ -161,8 +161,8 @@ class LegacySwitch:
         header = packet.data[0:12]
         cached = self._hdr_cache.get(header)
         if cached is None:
-            dst_mac = ":".join(f"{b:02x}" for b in header[0:6])
-            src_mac = ":".join(f"{b:02x}" for b in header[6:12])
+            dst_mac = mac_to_str(header[0:6])
+            src_mac = mac_to_str(header[6:12])
             cached = (dst_mac, src_mac, is_multicast_mac(dst_mac))
             if len(self._hdr_cache) >= self._HDR_CACHE_MAX:
                 self._hdr_cache.clear()

@@ -16,7 +16,7 @@ from ..errors import ConfigError
 from ..hw.port import EthernetPort
 from ..net.checksum import internet_checksum
 from ..net.ethernet import ETHERTYPE_IPV4
-from ..net.fields import ipv4_to_int, mac_to_bytes, u16
+from ..net.fields import ipv4_to_int, mac_to_bytes, mac_to_str, u16
 from ..net.ipv4 import Ipv4Header, PROTO_ICMP
 from ..net.packet import Packet
 from ..net.parser import decode
@@ -127,7 +127,7 @@ class Router:
         self.fib = Fib()
         base = int.from_bytes(mac_to_bytes(interface_mac_base), "big")
         self.interface_macs = [
-            ":".join(f"{b:02x}" for b in (base + index + 1).to_bytes(6, "big"))
+            mac_to_str((base + index + 1).to_bytes(6, "big"))
             for index in range(num_ports)
         ]
         self.interface_ips = [f"10.255.{index}.1" for index in range(num_ports)]

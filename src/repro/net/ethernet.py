@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -15,6 +16,8 @@ ETHERTYPE_IPV6 = 0x86DD
 
 ETH_HEADER_LEN = 14
 VLAN_TAG_LEN = 4
+
+_ETHERNET = struct.Struct("!6s6sH")
 
 
 @dataclass
@@ -35,14 +38,8 @@ class EthernetHeader:
             raise TruncatedPacketError(
                 f"Ethernet header needs {ETH_HEADER_LEN} bytes, got {len(data)}"
             )
-        return (
-            cls(
-                dst=mac_to_str(data[0:6]),
-                src=mac_to_str(data[6:12]),
-                ethertype=read_u16(data, 12),
-            ),
-            ETH_HEADER_LEN,
-        )
+        dst, src, ethertype = _ETHERNET.unpack_from(data)
+        return cls(dst=mac_to_str(dst), src=mac_to_str(src), ethertype=ethertype), ETH_HEADER_LEN
 
 
 @dataclass

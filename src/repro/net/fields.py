@@ -76,7 +76,7 @@ def mac_to_str(data: bytes) -> str:
     """6 packed bytes → ``"00:11:22:aa:bb:cc"``."""
     if len(data) != 6:
         raise PacketError(f"MAC address must be 6 bytes, got {len(data)}")
-    return ":".join(f"{byte:02x}" for byte in data)
+    return data.hex(":")
 
 
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
@@ -111,7 +111,7 @@ def ipv4_to_str(value: int) -> str:
     """32-bit integer → dotted quad."""
     if not 0 <= value < (1 << 32):
         raise PacketError(f"bad IPv4 integer: {value}")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
 
 
 def ipv4_to_bytes(address: str) -> bytes:

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Tuple
 
 from ..errors import PacketError, TruncatedPacketError
 from .checksum import internet_checksum
-from .fields import ipv4_to_bytes, ipv4_to_str, read_u16, read_u32, u16
+from .fields import ipv4_to_bytes, ipv4_to_str, u16
 
 PROTO_ICMP = 1
 PROTO_TCP = 6
 PROTO_UDP = 17
 
 IPV4_MIN_HEADER_LEN = 20
+
+# version/IHL, DSCP/ECN, total length, identification, flags/fragment
+# offset, TTL, protocol, checksum, source, destination.
+_IPV4 = struct.Struct("!BBHHHBBHII")
 
 
 @dataclass
@@ -76,20 +81,22 @@ class Ipv4Header:
             raise PacketError(f"bad IPv4 IHL: {header_len} bytes")
         if offset + header_len > len(data):
             raise TruncatedPacketError("IPv4 options truncated")
-        flags_frag = read_u16(data, offset + 6)
+        _, tos, total_length, identification, flags_frag, ttl, protocol, checksum, src, dst = (
+            _IPV4.unpack_from(data, offset)
+        )
         header = cls(
-            src=ipv4_to_str(read_u32(data, offset + 12)),
-            dst=ipv4_to_str(read_u32(data, offset + 16)),
-            protocol=data[offset + 9],
-            total_length=read_u16(data, offset + 2),
-            ttl=data[offset + 8],
-            identification=read_u16(data, offset + 4),
-            dscp=data[offset + 1] >> 2,
-            ecn=data[offset + 1] & 0x3,
+            src=ipv4_to_str(src),
+            dst=ipv4_to_str(dst),
+            protocol=protocol,
+            total_length=total_length,
+            ttl=ttl,
+            identification=identification,
+            dscp=tos >> 2,
+            ecn=tos & 0x3,
             flags=flags_frag >> 13,
             fragment_offset=flags_frag & 0x1FFF,
             options=bytes(data[offset + IPV4_MIN_HEADER_LEN : offset + header_len]),
-            checksum=read_u16(data, offset + 10),
+            checksum=checksum,
         )
         return header, offset + header_len
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Tuple
 
 from ..errors import PacketError, TruncatedPacketError
 from .checksum import pseudo_header_checksum
-from .fields import read_u16, read_u32, u16, u32
+from .fields import u16, u32
 
 TCP_MIN_HEADER_LEN = 20
 PROTO_TCP = 6
@@ -18,6 +19,10 @@ FLAG_RST = 0x04
 FLAG_PSH = 0x08
 FLAG_ACK = 0x10
 FLAG_URG = 0x20
+
+# ports, sequence, acknowledgement, data offset, flags, window,
+# checksum, urgent pointer.
+_TCP = struct.Struct("!HHIIBBHHH")
 
 
 @dataclass
@@ -67,15 +72,18 @@ class TcpHeader:
             raise PacketError(f"bad TCP data offset: {header_len} bytes")
         if offset + header_len > len(data):
             raise TruncatedPacketError("TCP options truncated")
+        src_port, dst_port, seq, ack, _, flags, window, checksum, urgent = _TCP.unpack_from(
+            data, offset
+        )
         header = cls(
-            src_port=read_u16(data, offset),
-            dst_port=read_u16(data, offset + 2),
-            seq=read_u32(data, offset + 4),
-            ack=read_u32(data, offset + 8),
-            flags=data[offset + 13] & 0x3F,
-            window=read_u16(data, offset + 14),
-            urgent=read_u16(data, offset + 18),
+            src_port=src_port,
+            dst_port=dst_port,
+            seq=seq,
+            ack=ack,
+            flags=flags & 0x3F,
+            window=window,
+            urgent=urgent,
             options=bytes(data[offset + TCP_MIN_HEADER_LEN : offset + header_len]),
-            checksum=read_u16(data, offset + 16),
+            checksum=checksum,
         )
         return header, offset + header_len

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Tuple
 
 from ..errors import TruncatedPacketError
 from .checksum import pseudo_header_checksum
-from .fields import read_u16, u16
+from .fields import u16
 
 UDP_HEADER_LEN = 8
 PROTO_UDP = 17
+
+_UDP = struct.Struct("!HHHH")
 
 
 @dataclass
@@ -42,10 +45,6 @@ class UdpHeader:
     def unpack(cls, data: bytes, offset: int) -> Tuple["UdpHeader", int]:
         if offset + UDP_HEADER_LEN > len(data):
             raise TruncatedPacketError("UDP header truncated")
-        header = cls(
-            src_port=read_u16(data, offset),
-            dst_port=read_u16(data, offset + 2),
-            length=read_u16(data, offset + 4),
-            checksum=read_u16(data, offset + 6),
-        )
+        src_port, dst_port, length, checksum = _UDP.unpack_from(data, offset)
+        header = cls(src_port=src_port, dst_port=dst_port, length=length, checksum=checksum)
         return header, offset + UDP_HEADER_LEN

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..net.fields import is_multicast_mac
+from ..net.fields import is_multicast_mac, mac_to_str
 from . import constants as ofp
 from .actions import OutputAction
 from .connection import ControlEndpoint
@@ -66,8 +66,8 @@ class LearningSwitchController:
         data = event.data
         if len(data) < 14:
             return
-        dst_mac = ":".join(f"{b:02x}" for b in data[0:6])
-        src_mac = ":".join(f"{b:02x}" for b in data[6:12])
+        dst_mac = mac_to_str(data[0:6])
+        src_mac = mac_to_str(data[6:12])
         self.mac_to_port[src_mac] = event.in_port
 
         out_port = None

@@ -11,21 +11,15 @@ from __future__ import annotations
 
 from ...errors import GeneratorError
 from ...net.checksum import internet_checksum
+from ...net.ethernet import ETHERTYPE_IPV4
 from ...net.fields import ipv4_to_int, ipv4_to_str, u16, u32
-from ...net.parser import decode
+from ...net.ipv4 import PROTO_UDP
+from ...net.parser import HeaderOffsets, header_offsets
 
 
 def fix_ipv4_checksum(data: bytes) -> bytes:
     """Recompute the IPv4 header checksum of an (untagged or tagged) frame."""
-    decoded = decode(data)
-    if decoded.ipv4 is None:
-        return data
-    ip_offset = 14 + 4 * len(decoded.vlan_tags)
-    header_len = decoded.ipv4.header_length
-    header = bytearray(data[ip_offset : ip_offset + header_len])
-    header[10:12] = b"\x00\x00"
-    header[10:12] = u16(internet_checksum(bytes(header)))
-    return data[:ip_offset] + bytes(header) + data[ip_offset + header_len :]
+    return _fix_ipv4_checksum(data, header_offsets(data))
 
 
 def zero_l4_checksum(data: bytes) -> bytes:
@@ -34,10 +28,27 @@ def zero_l4_checksum(data: bytes) -> bytes:
     TCP checksums cannot legally be zeroed; swept TCP templates keep a
     stale checksum exactly as the hardware would emit them.
     """
-    decoded = decode(data)
-    if decoded.udp is None or decoded.ipv4 is None:
+    return _zero_udp_checksum(data, header_offsets(data))
+
+
+# The helpers below take the frame's offsets from the caller: a rewrite
+# moves no header, so one walk serves every step of it.
+
+
+def _fix_ipv4_checksum(data: bytes, at: HeaderOffsets) -> bytes:
+    if at.l3 != ETHERTYPE_IPV4:
         return data
-    checksum_at = decoded.payload_offset - 2
+    start, end = at.l3_offset, at.l3_offset + at.ip_header_len
+    header = bytearray(data[start:end])
+    header[10:12] = b"\x00\x00"
+    header[10:12] = u16(internet_checksum(bytes(header)))
+    return data[:start] + bytes(header) + data[end:]
+
+
+def _zero_udp_checksum(data: bytes, at: HeaderOffsets) -> bytes:
+    if at.l3 != ETHERTYPE_IPV4 or at.protocol != PROTO_UDP or at.l4_offset is None:
+        return data
+    checksum_at = at.l4_offset + 6
     return data[:checksum_at] + b"\x00\x00" + data[checksum_at + 2 :]
 
 
@@ -65,14 +76,13 @@ class Ipv4AddressSweep(FieldModifier):
         return ipv4_to_str((self.base + (index % self.count) * self.stride) & 0xFFFFFFFF)
 
     def apply(self, data: bytes, index: int) -> bytes:
-        decoded = decode(data)
-        if decoded.ipv4 is None:
+        at = header_offsets(data)
+        if at.l3 != ETHERTYPE_IPV4:
             return data
-        ip_offset = 14 + 4 * len(decoded.vlan_tags)
-        field_offset = ip_offset + (12 if self.field == "src" else 16)
+        field_offset = at.l3_offset + (12 if self.field == "src" else 16)
         value = (self.base + (index % self.count) * self.stride) & 0xFFFFFFFF
         data = data[:field_offset] + u32(value) + data[field_offset + 4 :]
-        return zero_l4_checksum(fix_ipv4_checksum(data))
+        return _zero_udp_checksum(_fix_ipv4_checksum(data, at), at)
 
 
 class UdpPortSweep(FieldModifier):
@@ -88,14 +98,13 @@ class UdpPortSweep(FieldModifier):
         self.count = count
 
     def apply(self, data: bytes, index: int) -> bytes:
-        decoded = decode(data)
-        if decoded.udp is None:
+        at = header_offsets(data)
+        if at.protocol != PROTO_UDP or at.l4_offset is None:
             return data
-        udp_offset = decoded.payload_offset - 8
-        field_offset = udp_offset + (0 if self.field == "src" else 2)
+        field_offset = at.l4_offset + (0 if self.field == "src" else 2)
         port = (self.base_port + index % self.count) & 0xFFFF
         data = data[:field_offset] + u16(port) + data[field_offset + 2 :]
-        return zero_l4_checksum(data)
+        return _zero_udp_checksum(data, at)
 
 
 class SequenceNumber(FieldModifier):
@@ -127,8 +136,7 @@ class VlanIdRewrite(FieldModifier):
         self.vid = vid
 
     def apply(self, data: bytes, index: int) -> bytes:
-        decoded = decode(data)
-        if not decoded.vlan_tags:
+        if not header_offsets(data).vlan_tags:
             return data
         tci_offset = 14
         old_tci = int.from_bytes(data[tci_offset : tci_offset + 2], "big")

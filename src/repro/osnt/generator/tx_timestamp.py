@@ -17,7 +17,9 @@ from __future__ import annotations
 from ...errors import GeneratorError
 from ...hw.timestamp import TimestampUnit, ps_to_raw, raw_to_ps
 from ...net.packet import Packet
-from ...net.parser import decode
+from ...net.parser import header_offsets
+from ...net.udp import UDP_HEADER_LEN
+from .field_modifiers import _zero_udp_checksum
 
 #: Default byte offset of the embedded stamp within the frame. OSNT's
 #: tools default to the start of a minimal UDP payload:
@@ -51,13 +53,10 @@ def extract_ps(data: bytes, offset: int = DEFAULT_OFFSET) -> int:
 
 def _clear_udp_checksum(data: bytes, offset: int) -> bytes:
     """Zero the UDP checksum if the stamp landed inside a UDP payload."""
-    decoded = decode(data)
-    if decoded.udp is None or decoded.ipv4 is None:
-        return data
-    if offset < decoded.payload_offset:
-        return data  # stamp hit headers, nothing sensible to fix
-    checksum_at = decoded.payload_offset - 2  # last field of the UDP header
-    return data[:checksum_at] + b"\x00\x00" + data[checksum_at + 2 :]
+    at = header_offsets(data)
+    if at.l4_offset is None or offset < at.l4_offset + UDP_HEADER_LEN:
+        return data  # no datagram, or the stamp hit its headers: nothing to fix
+    return _zero_udp_checksum(data, at)
 
 
 class TxTimestamper:

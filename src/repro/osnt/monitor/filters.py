@@ -14,8 +14,9 @@ from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ...errors import CaptureError
+from ...net.ethernet import ETH_HEADER_LEN
 from ...net.fields import ipv4_to_int
-from ...net.flows import FiveTuple
+from ...net.flows import FiveTuple, extract_five_tuple
 from ...net.parser import decode
 
 #: Hardware bank depth on the NetFPGA-10G design.
@@ -180,20 +181,21 @@ class FilterBank:
         self.rules.clear()
 
     def decide(self, data: bytes) -> bool:
-        """True if the frame should pass to the capture path."""
-        tup = None
-        decoded = decode(data)
-        if decoded.ipv4 is not None or decoded.ipv6 is not None:
-            from ...net.flows import extract_five_tuple
+        """True if the frame should pass to the capture path.
 
-            tup = extract_five_tuple(decoded)
-        for rule in self.rules:
-            if rule.matches(tup):
-                self.matched += 1
-                verdict = rule.action_pass
-                break
-        else:
-            verdict = self.default_pass
+        An empty bank parses nothing. A frame too short for Ethernet
+        counts as non-IP, so only an all-wildcard rule matches it.
+        """
+        verdict = self.default_pass
+        if self.rules:
+            tup = None
+            if len(data) >= ETH_HEADER_LEN:
+                tup = extract_five_tuple(decode(data))
+            for rule in self.rules:
+                if rule.matches(tup):
+                    self.matched += 1
+                    verdict = rule.action_pass
+                    break
         if verdict:
             self.passed += 1
         else:

@@ -99,6 +99,18 @@ class TestOsntMon:
         out = capsys.readouterr().out
         assert "host-load reduction" in out
 
+    @pytest.mark.parametrize(
+        "flags, passed", [([], 2), (["--proto", "17"], 1)], ids=["no-rule", "proto"]
+    )
+    def test_runt_record_is_non_ip(self, tmp_path, capsys, flags, passed):
+        path = tmp_path / "runt.pcap"
+        frames = [build_udp(frame_size=64).data, bytes(range(10))]
+        write_pcap(path, [PcapRecord(timestamp_ps=i, data=f) for i, f in enumerate(frames)])
+        assert mon_main([str(path), *flags]) == 0
+        out = capsys.readouterr().out
+        assert re.search(rf"passed filter\s+{passed}\n", out)
+        assert re.search(rf"dropped by filter\s+{2 - passed}\n", out)
+
 
 class TestOflopsCli:
     def test_single_module(self, capsys):

@@ -1,10 +1,14 @@
 """Tests for Packet, builders, the layer parser and flow extraction."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import PacketError
 from repro.net import (
+    ETHERTYPE_IPV4,
+    ETHERTYPE_IPV6,
     FiveTuple,
     Packet,
     build_arp_request,
@@ -148,6 +152,38 @@ class TestParser:
         decoded = decode(build_tcp(frame_size=128).data)
         assert decoded.l3 is decoded.ipv4
         assert decoded.l4 is decoded.tcp
+
+    def test_header_offsets_agree_with_decode(self):
+        from repro.net.parser import header_offsets
+
+        from .test_frame_golden import _corpus
+
+        for frame in _corpus():
+            try:
+                decoded = decode(frame)
+            except PacketError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    header_offsets(frame)
+                continue
+            at = header_offsets(frame)
+            assert (at.vlan_tags, at.l3_offset) == (
+                len(decoded.vlan_tags),
+                14 + 4 * len(decoded.vlan_tags),
+            )
+            if decoded.ipv4 is not None:
+                ip = (ETHERTYPE_IPV4, decoded.ipv4.header_length, decoded.ipv4.protocol)
+            elif decoded.ipv6 is not None:
+                ip = (ETHERTYPE_IPV6, 40, decoded.ipv6.next_header)
+            else:
+                ip = (None, 0, None)
+            assert (at.l3, at.ip_header_len, at.protocol) == ip
+            if decoded.tcp is not None:
+                l4_offset = decoded.payload_offset - decoded.tcp.header_length
+            elif decoded.udp is not None:
+                l4_offset = decoded.payload_offset - 8
+            else:
+                l4_offset = None
+            assert at.l4_offset == l4_offset
 
 
 class TestFiveTuples:

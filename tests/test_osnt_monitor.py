@@ -87,6 +87,32 @@ class TestFilterBank:
         bank.add_rule(FilterRule())  # all-wildcard row passes non-IP too
         assert bank.decide(build_arp_request().data)
 
+    def test_empty_bank_parses_nothing(self, monkeypatch):
+        from repro.osnt.monitor import filters
+
+        def decode(data):
+            raise AssertionError("frame parsed")
+
+        monkeypatch.setattr(filters, "decode", decode)
+        frames = [build_udp(frame_size=100).data, build_tcp(frame_size=100).data, b"\x00" * 5]
+        passing, dropping = FilterBank(), FilterBank(default_pass=False)
+        assert [passing.decide(f) for f in frames] == [True] * 3
+        assert [dropping.decide(f) for f in frames] == [False] * 3
+        assert (passing.passed, passing.filtered, passing.matched) == (3, 0, 0)
+        assert (dropping.passed, dropping.filtered, dropping.matched) == (0, 3, 0)
+        passing.add_rule(FilterRule(protocol=17))
+        with pytest.raises(AssertionError, match="frame parsed"):
+            passing.decide(frames[0])
+
+    def test_runt_frame_only_matches_all_wildcard_rule(self):
+        runt = bytes(10)
+        bank = FilterBank(default_pass=False)
+        bank.add_rule(FilterRule(protocol=17))
+        assert not bank.decide(runt)
+        bank.add_rule(FilterRule())
+        assert bank.decide(runt)
+        assert (bank.matched, bank.passed, bank.filtered) == (1, 1, 1)
+
 
 class TestReducers:
     def test_cutter_truncates(self):
