@@ -120,7 +120,6 @@ def swept() -> None:
         {
             "name": "linkguardian-sweep",
             "scenario": "fct_vs_loss",
-            "params": {"observe": True},
             "axes": {"protected": [False, True], "corrupt_rate": [0.0, 1e-3]},
             "seed": 6,
         }
@@ -140,7 +139,7 @@ def swept() -> None:
     print_table(
         ["protected", "corrupt", "p99 us", "flow digest"],
         rows,
-        title="workers=1 == workers=2, byte for byte (obs armed)",
+        title="workers=1 == workers=2, byte for byte",
     )
 
 

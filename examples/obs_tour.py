@@ -33,10 +33,9 @@ from repro.units import to_us
 
 def main() -> None:
     sim = Simulator()
-    tracer = Tracer()
-    sim.set_tracer(tracer)
+    tracer = Tracer().arm(sim)
     spans = SpanRecorder().arm(sim)
-    profiler = SimProfiler().attach(sim)
+    profiler = SimProfiler().arm(sim)
 
     bed = legacy_testbed(sim)
     bed.teach_mac_table("02:00:00:00:00:02")
@@ -45,7 +44,7 @@ def main() -> None:
     bed.generator.set_load(0.1).embed_timestamps()
     bed.generator.start()
     sim.run()
-    profiler.detach()
+    profiler.disarm()
 
     # -- the packet story ---------------------------------------------------
     [span] = spans.spans()

@@ -50,8 +50,8 @@ def main() -> None:
     print(f"synthesized {count} packets -> {pcap_path}")
 
     sim = Simulator()
-    tracer = Tracer(capacity=1 << 15)
-    sim.set_tracer(tracer)  # kernel + datapath events from the first tick
+    # Kernel + datapath events from the first tick.
+    tracer = Tracer(capacity=1 << 15).arm(sim)
 
     tester = OSNT(sim)
     connect(tester.port(0), tester.port(1))

@@ -33,20 +33,6 @@ from .protection import LinkGuardian
 from .transport import Flow, FlowConfig, FlowEndpoint, completions_digest
 
 
-def _arm_obs(sim: Simulator, observe: bool) -> None:
-    """Optionally arm packet-lifecycle spans (repro.obs composition).
-
-    Spans are a pure observation point: arming them must not perturb a
-    single timestamp, so every scenario result stays byte-identical
-    with ``observe`` on or off — the determinism tests assert exactly
-    that.
-    """
-    if observe:
-        from ..obs import SpanRecorder
-
-        SpanRecorder().arm(sim)
-
-
 def _pair_topology(link_rate, switch_seed: int) -> Topology:
     """h1 —(clean)— s1 —(dirty)— h2, both cables at ``link_rate``."""
     return (
@@ -100,7 +86,6 @@ def fct_vs_loss_point(
     switch_seed: int = 1,
     direction: Optional[str] = "a_to_b",
     impairments: Optional[List[Dict[str, Any]]] = None,
-    observe: bool = False,
 ) -> Dict[str, Any]:
     """FCT distribution for a flow batch over a corrupting last hop.
 
@@ -111,7 +96,6 @@ def fct_vs_loss_point(
     → same corrupted frames, only their fate differs.
     """
     sim = Simulator()
-    _arm_obs(sim, observe)
     built = _pair_topology(link_rate, switch_seed).build(sim)
     guardian = LinkGuardian(
         corrupt_rate=corrupt_rate,
@@ -149,7 +133,6 @@ def effective_loss_vs_speed_point(
     spacing_ps: int = us(50),
     seed: int = 0,
     switch_seed: int = 1,
-    observe: bool = False,
 ) -> Dict[str, Any]:
     """Transport-visible loss rate at a given link speed.
 
@@ -160,7 +143,6 @@ def effective_loss_vs_speed_point(
     loss rate the transport measured (retransmits / segments).
     """
     sim = Simulator()
-    _arm_obs(sim, observe)
     built = _pair_topology(link_rate, switch_seed).build(sim)
     guardian = LinkGuardian(
         corrupt_rate=corrupt_rate, protected=protected, seed=seed
@@ -190,7 +172,6 @@ def throughput_under_bursty_corruption_point(
     spacing_ps: int = us(20),
     seed: int = 0,
     switch_seed: int = 1,
-    observe: bool = False,
 ) -> Dict[str, Any]:
     """Aggregate goodput when corruption arrives in geometric bursts.
 
@@ -200,7 +181,6 @@ def throughput_under_bursty_corruption_point(
     at ``burst=1`` (i.i.d.) vs larger means.
     """
     sim = Simulator()
-    _arm_obs(sim, observe)
     built = _pair_topology(link_rate, switch_seed).build(sim)
     guardian = LinkGuardian(
         corrupt_rate=corrupt_rate, protected=protected, burst=burst, seed=seed

@@ -221,7 +221,7 @@ class BurstLane:
             )
         ok = (
             sim.spans is None
-            and sim._tracer is None
+            and sim.tracer is None
             # Closed-loop sources (repro.flows transports) react to
             # every delivery; batched window advancement is unsafe
             # anywhere in the same simulation.
@@ -337,7 +337,7 @@ class BurstLane:
         pipeline = self.pipeline
         ok = (
             sim.spans is None
-            and sim._tracer is None
+            and sim.tracer is None
             and not getattr(sim, "_closed_loop_sources", 0)
             and not self.link._impairments
             and self.link.bit_error_rate == 0

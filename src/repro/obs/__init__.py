@@ -17,9 +17,13 @@ Nothing in this package perturbs simulated behaviour: spans and
 profiles never schedule events, mutate packets or touch RNG streams,
 so results stay bit-identical with observability on or off.
 
-:func:`observe_simulators` arms recorders on every simulator created
-inside a ``with`` block — the way to observe scenario code that builds
-its own :class:`~repro.sim.Simulator` internally::
+Every recorder — these two and :mod:`repro.telemetry`'s ``Tracer`` and
+``WaveformRecorder`` — arms the same way: ``recorder.arm(sim)`` returns
+it, ``disarm()`` detaches it, ``armed`` reports it, and moving to
+another simulator keeps what was recorded. :func:`observe_simulators`
+arms recorders on every simulator created inside a ``with`` block — the
+way to observe scenario code that builds its own
+:class:`~repro.sim.Simulator` internally::
 
     spans, profiler = SpanRecorder(), SimProfiler()
     with observe_simulators(spans=spans, profiler=profiler):
@@ -56,35 +60,26 @@ def observe_simulators(
 ):
     """Arm observability on every Simulator created inside the block.
 
-    Each new simulator gets the given :class:`SpanRecorder` /
-    :class:`SimProfiler` / tracer / waveform recorder
-    (:class:`repro.telemetry.WaveformRecorder`) attached at construction
-    time (recorders move to the newest one; their recorded data
-    accumulates). On exit the hook is removed and the recorders are
-    detached. Yields the ``(spans, profiler)`` pair for convenience.
+    Each new simulator gets the given :class:`SpanRecorder`,
+    :class:`SimProfiler`, :class:`repro.telemetry.Tracer` and
+    :class:`repro.telemetry.WaveformRecorder` armed at construction
+    time (a recorder moves to the newest simulator and keeps what it
+    recorded on the earlier ones). On exit every given recorder is
+    disarmed, so no simulator built in the block keeps one.
     """
+    recorders = [r for r in (tracer, spans, profiler, waves) if r is not None]
 
     def hook(sim) -> None:
-        if tracer is not None:
-            sim.set_tracer(tracer)
-        if spans is not None:
-            spans.arm(sim)
-        if profiler is not None:
-            profiler.attach(sim)
-        if waves is not None:
-            waves.arm(sim)
+        for recorder in recorders:
+            recorder.arm(sim)
 
     _kernel.add_creation_hook(hook)
     try:
-        yield spans, profiler
+        yield
     finally:
         _kernel.remove_creation_hook(hook)
-        if spans is not None:
-            spans.disarm()
-        if profiler is not None and profiler.attached:
-            profiler.detach()
-        if waves is not None:
-            waves.disarm()
+        for recorder in recorders:
+            recorder.disarm()
 
 
 __all__ = [

@@ -2,14 +2,15 @@
 
 Answers the operational question every long sweep raises — *where is
 the wall-clock going, and how fast is simulated time advancing?* —
-without touching simulated behaviour. Attached via
-:meth:`repro.sim.Simulator.set_profiler`, the kernel routes every fired
-event through :meth:`SimProfiler.dispatch`, which times the callback
-with ``perf_counter`` and attributes it to the handler's qualified name.
+without touching simulated behaviour. Armed on a simulator
+(:meth:`SimProfiler.arm`, the arming protocol every recorder shares),
+the kernel routes every fired event through :meth:`SimProfiler.dispatch`,
+which times the callback with ``perf_counter`` and attributes it to the
+handler's qualified name.
 
 The headline number is the **speedometer**: simulated picoseconds
 advanced per wall-clock second. The breakdown is the top-N hottest
-handlers by cumulative wall time. Detached cost is one None check per
+handlers by cumulative wall time. Disarmed cost is one None check per
 dispatched event (benchmarked in ``benchmarks/test_perf_obs.py``).
 """
 
@@ -18,19 +19,23 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional
 
+from ..sim.kernel import _Recorder
 
-class SimProfiler:
-    """Wall-clock dispatch profiler (attach with ``sim.set_profiler``).
 
-    >>> profiler = SimProfiler().attach(sim)
+class SimProfiler(_Recorder):
+    """Wall-clock dispatch profiler (arm with :meth:`arm`).
+
+    >>> profiler = SimProfiler().arm(sim)
     >>> sim.run()
-    >>> profiler.detach()
+    >>> profiler.disarm()
     >>> print(profiler.format_report())
 
-    Re-attaching to a new simulator accumulates: stats and the
-    speedometer carry across (the ``observe_simulators`` helper uses
-    this to profile every simulator a scenario creates).
+    Arming another simulator accumulates: stats and the speedometer
+    carry across (``observe_simulators`` relies on this to profile every
+    simulator a scenario creates).
     """
+
+    _SLOT = "profiler"
 
     def __init__(self, clock=time.perf_counter) -> None:
         self.clock = clock
@@ -43,35 +48,17 @@ class SimProfiler:
         self._wall_started: Optional[float] = None
         self._wall_accumulated = 0.0
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def attach(self, sim) -> "SimProfiler":
-        """Start profiling ``sim`` (detaches from any previous one)."""
-        if self._sim is not None and self._sim is not sim:
-            self.detach()
-        self._sim = sim
+    def _attach(self, sim) -> None:
         self._sim_base_ps = sim.now
-        if self._wall_started is None:
-            self._wall_started = self.clock()
-        sim.set_profiler(self)
-        return self
+        self._wall_started = self.clock()
+        sim._profiler = self
+        sim._profile_dispatch = self.dispatch
 
-    def detach(self) -> "SimProfiler":
-        """Stop profiling; accumulated stats and clocks are kept."""
-        sim = self._sim
-        if sim is not None:
-            self._sim_ps_accumulated += sim.now - self._sim_base_ps
-            if sim.profiler is self:
-                sim.set_profiler(None)
-            self._sim = None
-        if self._wall_started is not None:
-            self._wall_accumulated += self.clock() - self._wall_started
-            self._wall_started = None
-        return self
-
-    @property
-    def attached(self) -> bool:
-        return self._sim is not None
+    def _detach(self, sim) -> None:
+        self._sim_ps_accumulated += sim.now - self._sim_base_ps
+        self._wall_accumulated += self.clock() - self._wall_started
+        self._wall_started = None
+        sim._profiler = sim._profile_dispatch = None
 
     # -- the kernel hook ---------------------------------------------------
 
@@ -96,14 +83,14 @@ class SimProfiler:
     # -- reads -------------------------------------------------------------
 
     def sim_ps_advanced(self) -> int:
-        """Simulated picoseconds advanced while attached (cumulative)."""
+        """Simulated picoseconds advanced while armed (cumulative)."""
         total = self._sim_ps_accumulated
         if self._sim is not None:
             total += self._sim.now - self._sim_base_ps
         return total
 
     def wall_elapsed_s(self) -> float:
-        """Wall-clock seconds spent attached (cumulative)."""
+        """Wall-clock seconds spent armed (cumulative)."""
         total = self._wall_accumulated
         if self._wall_started is not None:
             total += self.clock() - self._wall_started

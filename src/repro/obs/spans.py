@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..net.packet import Packet
+from ..sim.kernel import _Recorder
 
 #: Bound on live spans: beyond this the oldest span (and its index
 #: entries) is evicted, like the tracer's ring buffer.
@@ -109,7 +110,7 @@ class PacketSpan:
         }
 
 
-class SpanRecorder:
+class SpanRecorder(_Recorder):
     """Records :class:`PacketSpan` lifecycles while armed on a simulator.
 
     >>> spans = SpanRecorder().arm(sim)
@@ -121,6 +122,8 @@ class SpanRecorder:
     modulo counter, never RNG — sampling must not perturb seeded
     streams). Capacity is bounded; the oldest span is evicted when full.
     """
+
+    _SLOT = "spans"
 
     def __init__(
         self,
@@ -144,28 +147,6 @@ class SpanRecorder:
         self.evicted = 0
         self.stamp_matches = 0
         self._sim = None
-
-    # -- arming ------------------------------------------------------------
-
-    def arm(self, sim) -> "SpanRecorder":
-        """Attach to ``sim`` (re-arming moves the recorder; spans kept)."""
-        if self._sim is not None and self._sim is not sim:
-            self.disarm()
-        self._sim = sim
-        sim.spans = self
-        return self
-
-    def disarm(self) -> "SpanRecorder":
-        """Detach from the current simulator (recorded spans survive)."""
-        if self._sim is not None:
-            if getattr(self._sim, "spans", None) is self:
-                self._sim.spans = None
-            self._sim = None
-        return self
-
-    @property
-    def armed(self) -> bool:
-        return self._sim is not None
 
     # -- hot-path recording (called only while armed) ----------------------
 

@@ -94,26 +94,6 @@ class OflopsContext:
 
         return snapshot_to_openmetrics(self.snapshot(), prefix="oflops")
 
-    def arm_observability(self, spans=None, profiler=None, tracer=None, waves=None):
-        """Attach observability hooks to this context's simulator.
-
-        Any of a :class:`~repro.obs.SpanRecorder`, a
-        :class:`~repro.obs.SimProfiler`, a
-        :class:`~repro.telemetry.Tracer` and a
-        :class:`~repro.telemetry.WaveformRecorder` may be passed;
-        whichever are given get armed on ``self.sim``, and the tuple
-        ``(spans, profiler, tracer)`` is returned for chaining.
-        """
-        if tracer is not None:
-            self.sim.set_tracer(tracer)
-        if spans is not None:
-            spans.arm(self.sim)
-        if profiler is not None:
-            profiler.attach(self.sim)
-        if waves is not None:
-            waves.arm(self.sim)
-        return spans, profiler, tracer
-
     @property
     def switch(self):
         return self.testbed.switch

@@ -270,8 +270,7 @@ def telemetry_main(argv: Optional[List[str]] = None) -> int:
     sim = Simulator()
     tracer = None
     if args.trace:
-        tracer = Tracer(capacity=args.trace_capacity)
-        sim.set_tracer(tracer)
+        tracer = Tracer(capacity=args.trace_capacity).arm(sim)
     tester = OSNT(sim)
     connect(tester.port(0), tester.port(1))
     tester.start_telemetry()

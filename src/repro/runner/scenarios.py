@@ -353,7 +353,6 @@ def _syn_flood_flowmod(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         impairments=params.get("impairments"),
         seed=_seed(params, seed),
         deadline_ps=None if deadline is None else duration_ps(deadline),
-        observe=bool(params.get("observe", False)),
         telemetry=bool(params.get("telemetry", False)),
         waveforms=bool(params.get("waveforms", False)),
     )
@@ -375,7 +374,6 @@ def _incast_burst(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         switch_kwargs=params.get("switch_kwargs"),
         seed=_seed(params, seed),
         switch_seed=params.get("switch_seed", 1),
-        observe=bool(params.get("observe", False)),
         telemetry=bool(params.get("telemetry", False)),
         waveforms=bool(params.get("waveforms", False)),
     )
@@ -463,7 +461,6 @@ def _fct_vs_loss(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         switch_seed=params.get("switch_seed", 1),
         direction=params.get("direction", "a_to_b"),
         impairments=params.get("impairments"),
-        observe=params.get("observe", False),
     )
 
 
@@ -481,7 +478,6 @@ def _effective_loss_vs_speed(params: Dict[str, Any], seed: int) -> Dict[str, Any
         spacing_ps=duration_ps(params.get("spacing", us(50))),
         seed=_seed(params, seed),
         switch_seed=params.get("switch_seed", 1),
-        observe=params.get("observe", False),
     )
 
 
@@ -502,5 +498,4 @@ def _throughput_under_bursty_corruption(
         spacing_ps=duration_ps(params.get("spacing", us(20))),
         seed=_seed(params, seed),
         switch_seed=params.get("switch_seed", 1),
-        observe=params.get("observe", False),
     )

@@ -9,13 +9,19 @@ Determinism: the run order of same-timestamp events is fixed by
 ``(priority, scheduling order)``, and all randomness comes from seeded
 :class:`~repro.sim.random.RandomStreams`. The same configuration always
 produces bit-identical results.
+
+Observability hooks in: a simulator has one slot per recorder kind
+(``tracer``, ``profiler``, ``spans``, ``waves``), and only the
+recorders' ``arm(sim)`` / ``disarm()`` fill or clear them (the protocol
+is :class:`_Recorder`). An empty slot costs each hook site one ``None``
+check.
 """
 
 from __future__ import annotations
 
 import os
 import weakref
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, TypeVar
 
 from ..errors import ConfigError, SimulationError
 from .events import Event, EventQueue, PRIORITY_NORMAL
@@ -59,6 +65,65 @@ def current_simulator() -> Optional["Simulator"]:
     return None if ref is None else ref()
 
 
+_R = TypeVar("_R", bound="_Recorder")
+
+
+class _Recorder:
+    """The arming protocol of the four observability recorders.
+
+    :class:`repro.telemetry.Tracer`, :class:`repro.obs.SimProfiler`,
+    :class:`repro.obs.SpanRecorder` and
+    :class:`repro.telemetry.WaveformRecorder` each own one slot of a
+    :class:`Simulator` (named by ``_SLOT``), and only their :meth:`arm`
+    and :meth:`disarm` fill or clear it:
+
+    * ``arm(sim)`` fills the slot and returns the recorder; arming the
+      simulator it is already armed on changes nothing;
+    * arming another simulator disarms the first one, and a recorder
+      already in the new simulator's slot is disarmed too, so a
+      recorder watches at most one simulator at a time;
+    * ``disarm()`` clears the slot. Everything recorded so far is kept,
+      and later arms add to it.
+
+    Spans and waveforms set a plain attribute; the tracer and profiler
+    override :meth:`_attach` / :meth:`_detach` to also set or clear the
+    kernel hooks the run loop calls.
+    """
+
+    __slots__ = ("_sim",)
+    _SLOT = ""
+
+    def arm(self: _R, sim: "Simulator") -> _R:
+        """Record ``sim`` from now on (moves off any earlier simulator)."""
+        if self._sim is not sim:
+            self.disarm()
+            occupant = getattr(sim, self._SLOT)
+            if occupant is not None:
+                occupant.disarm()
+            self._sim = sim
+            self._attach(sim)
+        return self
+
+    def disarm(self: _R) -> _R:
+        """Stop recording; what was recorded so far is kept."""
+        sim = self._sim
+        if sim is not None:
+            self._detach(sim)
+            self._sim = None
+        return self
+
+    @property
+    def armed(self) -> bool:
+        """Whether the recorder is armed on a simulator."""
+        return self._sim is not None
+
+    def _attach(self, sim: "Simulator") -> None:
+        setattr(sim, self._SLOT, self)
+
+    def _detach(self, sim: "Simulator") -> None:
+        setattr(sim, self._SLOT, None)
+
+
 class Simulator:
     """Discrete-event simulator with an integer-picosecond clock."""
 
@@ -80,13 +145,13 @@ class Simulator:
         #: read it to avoid advancing state past the run horizon.
         self._run_until: Optional[int] = None
         self.events_processed: int = 0
+        #: The armed :class:`repro.telemetry.Tracer` and the kernel
+        #: hooks it supplies: raw C-level ``deque.append`` methods, so
+        #: an armed trace costs one append per fired event and one
+        #: small tuple per scheduled event — cheap enough to stay on
+        #: under line-rate workloads. Unarmed, each hot path pays one
+        #: None check.
         self._tracer: Optional[Any] = None
-        #: Cached kernel trace hooks (see :meth:`set_tracer`). With a
-        #: :class:`repro.telemetry.Tracer` these are raw C-level
-        #: ``deque.append`` methods, so an enabled trace costs one
-        #: append per fired event and one small tuple per scheduled
-        #: event — cheap enough to stay on under line-rate workloads.
-        #: When None (the default) each hot path pays one None check.
         self._trace_sched: Optional[Callable[[Any], None]] = None
         self._trace_fire: Optional[Callable[[Any], None]] = None
         #: Armed :class:`repro.obs.SpanRecorder`, or None. Instrumented
@@ -105,9 +170,10 @@ class Simulator:
         #: every delivery, so batched window advancement is unsafe while
         #: any source is attached.
         self._closed_loop_sources: int = 0
-        #: Opt-in dispatch profiler (see :meth:`set_profiler`): when set,
-        #: the run loop routes ``event.callback(*args)`` through
-        #: ``profiler.dispatch(event)`` for wall-clock attribution.
+        #: The armed :class:`repro.obs.SimProfiler` and its cached
+        #: ``dispatch``: when set, the run loop routes
+        #: ``event.callback(*args)`` through it for wall-clock
+        #: attribution.
         self._profiler: Optional[Any] = None
         self._profile_dispatch: Optional[Callable[[Any], None]] = None
         global _CURRENT_SIM
@@ -123,68 +189,28 @@ class Simulator:
         """Current simulated time in picoseconds."""
         return self._now
 
-    # -- tracing ---------------------------------------------------------
+    # -- observability slots -----------------------------------------------
 
     @property
     def tracer(self) -> Optional[Any]:
-        """The attached telemetry tracer, if any (see :meth:`set_tracer`)."""
+        """The armed telemetry tracer, if any (see ``Tracer.arm``)."""
         return self._tracer
 
-    @tracer.setter
-    def tracer(self, tracer: Optional[Any]) -> None:
-        self.set_tracer(tracer)
+    @property
+    def profiler(self) -> Optional[Any]:
+        """The armed dispatch profiler, if any (see ``SimProfiler.arm``).
 
-    def set_tracer(self, tracer: Optional[Any]) -> None:
-        """Attach (or with None, detach) an event tracer.
-
-        Normally a :class:`repro.telemetry.Tracer`, whose
-        ``attach_kernel`` supplies the two ring appenders; any object
-        with ``.instant(time_ps, category, name, detail)`` also works
-        (hooks are synthesized from it). The kernel reports every event
-        scheduled and fired; instrumented hardware models discover the
-        tracer here and report packet milestones.
+        While armed, every fired event is dispatched through
+        ``profiler.dispatch(event)`` instead of calling
+        ``event.callback(*event.args)`` directly. Arming takes effect on
+        the next :meth:`run` call (the loop binds the hook on entry).
         """
-        self._tracer = tracer
-        if tracer is None:
-            self._trace_sched = None
-            self._trace_fire = None
-            return
-        attach = getattr(tracer, "attach_kernel", None)
-        if attach is not None:
-            self._trace_sched, self._trace_fire = attach(self)
-        else:
-            self._trace_sched = lambda pair: tracer.instant(
-                pair[0], "kernel", "schedule", pair[1]
-            )
-            self._trace_fire = lambda event: tracer.instant(
-                event.time, "kernel", "fire", event
-            )
+        return self._profiler
 
     @property
     def events_scheduled(self) -> int:
         """Total events ever created on this simulator."""
         return self._seq
-
-    # -- profiling -------------------------------------------------------
-
-    @property
-    def profiler(self) -> Optional[Any]:
-        """The attached dispatch profiler, if any (see :meth:`set_profiler`)."""
-        return self._profiler
-
-    def set_profiler(self, profiler: Optional[Any]) -> None:
-        """Attach (or with None, detach) a dispatch profiler.
-
-        Normally a :class:`repro.obs.SimProfiler`. While attached, every
-        fired event is dispatched through ``profiler.dispatch(event)``
-        instead of calling ``event.callback(*event.args)`` directly, so
-        the profiler can attribute wall-clock time to handlers. The
-        dispatch method is cached like the trace hooks; when detached
-        the run loop pays only a None check per event. Takes effect on
-        the next :meth:`run` call (the loop binds the hook on entry).
-        """
-        self._profiler = profiler
-        self._profile_dispatch = None if profiler is None else profiler.dispatch
 
     # -- scheduling ------------------------------------------------------
 

@@ -20,8 +20,11 @@ CLI, benchmarks and OFLOPS modules:
 * :mod:`~repro.telemetry.openmetrics` — OpenMetrics text exposition of
   any snapshot (plus the strict parser the tests use to check it).
 
-Attach a tracer with ``sim.set_tracer(Tracer())``; read a card with
-``device.snapshot()`` after ``device.start_telemetry()``.
+Arm a tracer with ``Tracer().arm(sim)`` and a waveform recorder with
+``WaveformRecorder().arm(sim)`` — the same ``arm``/``disarm`` protocol
+as the :mod:`repro.obs` recorders, bundled for simulators built inside
+scenario code by :func:`repro.obs.observe_simulators`. Read a card
+with ``device.snapshot()`` after ``device.start_telemetry()``.
 """
 
 from .export import (
@@ -56,7 +59,7 @@ from .timeseries import (
     Waveform,
     WaveformRecorder,
 )
-from .trace import DEFAULT_CAPACITY, TraceBuffer, Tracer, resolve_tracer
+from .trace import DEFAULT_CAPACITY, TraceBuffer, Tracer
 
 __all__ = [
     "Counter",
@@ -81,7 +84,6 @@ __all__ = [
     "metric_name",
     "parse_openmetrics",
     "registry_histograms_to_dict",
-    "resolve_tracer",
     "snapshot_to_csv",
     "snapshot_to_json",
     "snapshot_to_openmetrics",

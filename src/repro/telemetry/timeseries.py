@@ -52,6 +52,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigError
+from ..sim.kernel import _Recorder
 from ..spec import digest
 
 #: Default retained points per series (the ring bound).
@@ -420,7 +421,7 @@ class RateWaveform:
 AnyWaveform = Union[Waveform, RateWaveform]
 
 
-class WaveformRecorder:
+class WaveformRecorder(_Recorder):
     """Named waveforms for one (or more) simulators' instrumented state.
 
     >>> waves = WaveformRecorder().arm(sim)
@@ -440,6 +441,8 @@ class WaveformRecorder:
     ``tests/test_invariance.py`` enforce.
     """
 
+    _SLOT = "waves"
+
     def __init__(
         self,
         capacity: int = DEFAULT_WAVEFORM_CAPACITY,
@@ -457,28 +460,6 @@ class WaveformRecorder:
         self.window_ps = window_ps
         self._series: Dict[str, AnyWaveform] = {}
         self._sim = None
-
-    # -- arming ------------------------------------------------------------
-
-    def arm(self, sim) -> "WaveformRecorder":
-        """Attach to ``sim`` (re-arming moves the recorder; series kept)."""
-        if self._sim is not None and self._sim is not sim:
-            self.disarm()
-        self._sim = sim
-        sim.waves = self
-        return self
-
-    def disarm(self) -> "WaveformRecorder":
-        """Detach from the current simulator (recorded series survive)."""
-        if self._sim is not None:
-            if getattr(self._sim, "waves", None) is self:
-                self._sim.waves = None
-            self._sim = None
-        return self
-
-    @property
-    def armed(self) -> bool:
-        return self._sim is not None
 
     # -- series registry ---------------------------------------------------
 

@@ -3,12 +3,13 @@
 The datapath models emit *instant* records — ``(time_ps, category,
 name, detail)`` tuples — into a :class:`TraceBuffer` via
 :meth:`Tracer.instant`. The sim kernel is hotter (two records per
-event), so it bypasses Python entirely: :meth:`Tracer.attach_kernel`
-hands it the raw C-level ``deque.append`` of two dedicated rings — one
-holding ``(scheduled_at_ps, Event)`` pairs, one holding fired ``Event``
+event), so it bypasses Python entirely: :meth:`Tracer.arm` hands it the
+raw C-level ``deque.append`` of two dedicated rings — one holding
+``(scheduled_at_ps, Event)`` pairs, one holding fired ``Event``
 objects — and totals come from the kernel's own counters rather than
-per-record increments. When no tracer is attached the only cost
-anywhere is a ``None`` check. The hooks attach to the kernel's
+per-record increments, carried over when the tracer moves to another
+simulator. When no tracer is armed the only cost anywhere is a
+``None`` check. The hooks attach to the kernel's
 schedule/fire path, *above* the event queue, so they cost the same one
 C-level append per event under both queue implementations (timing
 wheel and binary heap — see :mod:`repro.sim.wheel`).
@@ -29,9 +30,10 @@ Categories used by the built-in instrumentation:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..errors import ConfigError
+from ..sim.kernel import _Recorder
 
 DEFAULT_CAPACITY = 1 << 16
 
@@ -79,29 +81,37 @@ class TraceBuffer:
         return len(self._events)
 
 
-class Tracer:
+class Tracer(_Recorder):
     """The handle components talk to; owns the trace rings.
 
-    Attach with :meth:`repro.sim.Simulator.set_tracer`; the kernel then
-    reports event scheduling/firing into the dedicated kernel rings,
-    and every instrumented model (MACs, DMA, capture pipelines, OFLOPS
-    runner) records milestones through :meth:`instant`.
+    Arm with :meth:`arm` (``Tracer().arm(sim)``, or
+    :func:`repro.obs.observe_simulators` for simulators built inside
+    scenario code); the kernel then reports event scheduling/firing
+    into the dedicated kernel rings, and every instrumented model
+    (MACs, DMA, capture pipelines, OFLOPS runner) records milestones
+    through :meth:`instant`.
     """
 
     __slots__ = (
         "buffer",
         "_sched_ring",
         "_fire_ring",
-        "_sim",
+        "_scheduled",
+        "_fired",
         "_base_scheduled",
         "_base_fired",
     )
+    _SLOT = "tracer"
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.buffer = TraceBuffer(capacity)
         self._sched_ring: deque = deque(maxlen=capacity)
         self._fire_ring: deque = deque(maxlen=capacity)
         self._sim = None
+        #: Kernel records made while armed on earlier simulators.
+        self._scheduled = 0
+        self._fired = 0
+        #: The armed simulator's event counters when it was armed.
         self._base_scheduled = 0
         self._base_fired = 0
 
@@ -116,36 +126,36 @@ class Tracer:
         buffer.recorded += 1
         buffer._events.append((time_ps, category, name, detail))
 
-    def attach_kernel(self, sim: Any) -> Tuple[Any, Any]:
-        """Give the kernel its two hot-path appenders.
-
-        Called by :meth:`repro.sim.Simulator.set_tracer`. Returns the
-        raw ``deque.append`` bound methods for the schedule ring (fed
-        ``(now_ps, Event)`` pairs) and the fire ring (fed ``Event``
-        objects) — no Python frame is entered per record. Totals are
-        reconstructed from the kernel's event counters relative to the
-        baselines captured here.
-        """
-        self._sim = sim
+    def _attach(self, sim: Any) -> None:
+        # The kernel's hooks are the rings' raw ``deque.append`` bound
+        # methods (fed ``(now_ps, Event)`` pairs and fired ``Event``s),
+        # so no Python frame is entered per record.
         self._base_scheduled = sim.events_scheduled
         self._base_fired = sim.events_processed
-        return self._sched_ring.append, self._fire_ring.append
+        sim._tracer = self
+        sim._trace_sched = self._sched_ring.append
+        sim._trace_fire = self._fire_ring.append
+
+    def _detach(self, sim: Any) -> None:
+        self._scheduled = self.kernel_scheduled_recorded
+        self._fired = self.kernel_fired_recorded
+        sim._tracer = sim._trace_sched = sim._trace_fire = None
 
     # -- accounting --------------------------------------------------------
 
     @property
     def kernel_scheduled_recorded(self) -> int:
         """Schedule records ever made (retained or evicted)."""
-        if self._sim is not None:
-            return self._sim.events_scheduled - self._base_scheduled
-        return len(self._sched_ring)
+        if self._sim is None:
+            return self._scheduled
+        return self._scheduled + self._sim.events_scheduled - self._base_scheduled
 
     @property
     def kernel_fired_recorded(self) -> int:
         """Fire records ever made (retained or evicted)."""
-        if self._sim is not None:
-            return self._sim.events_processed - self._base_fired
-        return len(self._fire_ring)
+        if self._sim is None:
+            return self._fired
+        return self._fired + self._sim.events_processed - self._base_fired
 
     @property
     def recorded(self) -> int:
@@ -187,6 +197,7 @@ class Tracer:
         self.buffer.clear()
         self._sched_ring.clear()
         self._fire_ring.clear()
+        self._scheduled = self._fired = 0
         if self._sim is not None:
             self._base_scheduled = self._sim.events_scheduled
             self._base_fired = self._sim.events_processed
@@ -233,8 +244,3 @@ def _detail_args(detail: Any) -> Dict[str, Any]:
             ),
         }
     return {"detail": repr(detail)}
-
-
-def resolve_tracer(sim) -> Optional[Tracer]:
-    """The tracer attached to a simulator, if any (for instrumentation)."""
-    return getattr(sim, "tracer", None)

@@ -17,8 +17,9 @@ scenarios in :mod:`repro.runner.scenarios`:
 Both accept anything :meth:`~repro.osnt.generator.trafficspec
 .TrafficModelSpec.from_any` does for their ``traffic`` argument and
 report the spec's fingerprint, so sweep rows are self-describing.
-Both compose with :mod:`repro.faults` (``impairments``) and
-:mod:`repro.obs` (``observe``) without perturbing a single timestamp.
+Both compose with :mod:`repro.faults` (``impairments``) and with
+recorders armed through :func:`repro.obs.observe_simulators` without
+perturbing a single timestamp.
 """
 
 from __future__ import annotations
@@ -51,14 +52,6 @@ DEFAULT_TRAFFIC: Dict[str, Any] = {
     "model": "burst_train",
     "params": {"frames_per_burst": 32, "inter_burst_gap": "40us"},
 }
-
-
-def _arm_obs(sim: Simulator, observe: bool) -> None:
-    """Optionally arm packet-lifecycle spans (pure observation point)."""
-    if observe:
-        from ..obs import SpanRecorder
-
-        SpanRecorder().arm(sim)
 
 
 def _arm_waves(sim: Simulator, waveforms: bool):
@@ -143,7 +136,6 @@ def syn_flood_flowmod_point(
     impairments=None,
     seed: int = 0,
     deadline_ps: Optional[int] = None,
-    observe: bool = False,
     telemetry: bool = False,
     waveforms: bool = False,
 ) -> Tuple[SynFloodRow, Extras]:
@@ -160,7 +152,6 @@ def syn_flood_flowmod_point(
     from ..faults import FaultInjector, ImpairmentSpec
 
     sim = Simulator()
-    _arm_obs(sim, observe)
     waves = _arm_waves(sim, waveforms)
     spec = _traffic_spec(traffic)
     profile = SwitchProfile(
@@ -328,7 +319,6 @@ def incast_burst_point(
     switch_kwargs: Optional[dict] = None,
     seed: int = 0,
     switch_seed: int = 1,
-    observe: bool = False,
     telemetry: bool = False,
     waveforms: bool = False,
 ) -> Tuple[IncastRow, Extras]:
@@ -347,7 +337,6 @@ def incast_burst_point(
     if not 1 <= senders <= len(_SENDER_PORTS):
         raise ConfigError(f"senders must be 1..{len(_SENDER_PORTS)}")
     sim = Simulator()
-    _arm_obs(sim, observe)
     waves = _arm_waves(sim, waveforms)
     spec = _traffic_spec(traffic)
     kwargs = dict(switch_kwargs or {})

@@ -9,6 +9,7 @@ and datapaths is checked for every scenario in ``tests/test_invariance.py``.
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs import SpanRecorder, observe_simulators
 from repro.osnt.generator.trafficspec import TrafficModelSpec
 from repro.runner import get_scenario
 from repro.testbed.attacks import incast_burst_point, syn_flood_flowmod_point
@@ -86,8 +87,11 @@ class TestSynFloodPoint:
 
     def test_observation_does_not_perturb(self):
         plain, __ = self._point()
-        observed, __ = self._point(observe=True)
+        spans = SpanRecorder()
+        with observe_simulators(spans=spans):
+            observed, __ = self._point()
         assert observed == plain
+        assert spans.started > 0
 
     def test_composes_with_faults(self):
         impairments = [
@@ -172,5 +176,8 @@ class TestIncastPoint:
 
     def test_observation_does_not_perturb(self):
         plain, __ = self._point(senders=2)
-        observed, __ = self._point(senders=2, observe=True)
+        spans = SpanRecorder()
+        with observe_simulators(spans=spans):
+            observed, __ = self._point(senders=2)
         assert observed == plain
+        assert spans.started > 0

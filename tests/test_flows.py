@@ -28,6 +28,7 @@ from repro.flows import (
     throughput_under_bursty_corruption_point,
 )
 from repro.hw import connect
+from repro.obs import SpanRecorder, observe_simulators
 from repro.osnt import OSNT
 from repro.sim import Simulator
 from repro.topology import Topology
@@ -344,9 +345,10 @@ class TestScenarioPoints:
     def test_observe_is_byte_identical(self):
         """Arming repro.obs spans must not perturb a single timestamp."""
         plain = fct_vs_loss_point(corrupt_rate=1e-3, protected=True, seed=6, n_flows=16)
-        observed = fct_vs_loss_point(
-            corrupt_rate=1e-3, protected=True, seed=6, n_flows=16, observe=True
-        )
+        with observe_simulators(spans=SpanRecorder()):
+            observed = fct_vs_loss_point(
+                corrupt_rate=1e-3, protected=True, seed=6, n_flows=16
+            )
         assert json.dumps(plain, sort_keys=True) == json.dumps(observed, sort_keys=True)
 
     def test_effective_loss_vs_speed(self):

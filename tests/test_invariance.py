@@ -87,7 +87,7 @@ SMOKE = {
     ),
     # -- closed-loop flows
     "fct_vs_loss": (
-        {"n_flows": 4, "flow_bytes": 10_000, "observe": True},
+        {"n_flows": 4, "flow_bytes": 10_000},
         {"protected": [False, True]},
     ),
     "effective_loss_vs_speed": (

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.hw import connect
+from repro.hw.burst import BurstLane
 from repro.net.builder import build_udp
 from repro.obs import (
     FlightTailer,
@@ -28,12 +30,14 @@ from repro.obs import (
     read_heartbeats,
     render_progress,
 )
+from repro.osnt import OSNT
 from repro.runner import ExperimentSpec, SweepRunner
 from repro.runner.execution import run_shard
 from repro.sim import Simulator, add_creation_hook, current_simulator, remove_creation_hook
 from repro.telemetry import (
     MetricsRegistry,
     Tracer,
+    WaveformRecorder,
     chrome_trace,
     chrome_trace_json,
     metric_name,
@@ -242,7 +246,7 @@ class TestChromeExport:
     def test_nested_in_tracer_document(self):
         sim = Simulator()
         tracer = Tracer()
-        sim.set_tracer(tracer)
+        tracer.arm(sim)
         spans = SpanRecorder().arm(sim)
         packet = build_udp(frame_size=64)
         spans.begin(0, packet, "g")
@@ -365,12 +369,12 @@ class TestDeterminismGuard:
 class TestSimProfiler:
     def test_attribution_and_speedometer(self):
         sim = Simulator()
-        profiler = SimProfiler().attach(sim)
+        profiler = SimProfiler().arm(sim)
         fired = []
         for i in range(5):
             sim.call_at(us(i + 1), fired.append, i)
         sim.run()
-        profiler.detach()
+        profiler.disarm()
         assert fired == list(range(5))
         assert profiler.events == 5
         assert profiler.sim_ps_advanced() == sim.now
@@ -383,10 +387,10 @@ class TestSimProfiler:
 
     def test_detach_stops_counting(self):
         sim = Simulator()
-        profiler = SimProfiler().attach(sim)
+        profiler = SimProfiler().arm(sim)
         sim.call_at(us(1), lambda: None)
         sim.run()
-        profiler.detach()
+        profiler.disarm()
         assert sim.profiler is None
         sim.call_at(us(2), lambda: None)
         sim.run()
@@ -396,25 +400,25 @@ class TestSimProfiler:
         profiler = SimProfiler()
         for _ in range(2):
             sim = Simulator()
-            profiler.attach(sim)
+            profiler.arm(sim)
             sim.call_at(us(1), lambda: None)
             sim.run()
-            profiler.detach()
+            profiler.disarm()
         assert profiler.events == 2
         assert profiler.sim_ps_advanced() == 2 * us(1)
 
     def test_format_report(self):
         sim = Simulator()
-        profiler = SimProfiler().attach(sim)
+        profiler = SimProfiler().arm(sim)
         sim.call_at(us(1), lambda: None)
         sim.run()
-        profiler.detach()
+        profiler.disarm()
         text = profiler.format_report()
         assert "sim speedometer" in text and "handler" in text
 
     def test_profiler_exception_still_billed(self):
         sim = Simulator()
-        profiler = SimProfiler().attach(sim)
+        profiler = SimProfiler().arm(sim)
 
         def boom():
             raise RuntimeError("kaput")
@@ -451,7 +455,7 @@ class TestCreationHooks:
             sim = Simulator()
             assert sim.spans is spans
             assert sim.profiler is profiler
-        assert not spans.armed and not profiler.attached
+        assert not spans.armed and not profiler.armed
         outside = Simulator()
         assert outside.spans is None and outside.profiler is None
 
@@ -469,6 +473,167 @@ class TestCreationHooks:
             with observe_simulators(spans=spans):
                 raise RuntimeError("boom")
         assert Simulator().spans is None
+
+
+def _loopback(sim, frames):
+    """A port 0 -> port 1 generator on ``sim``, loaded but not started."""
+    tester = OSNT(sim)
+    connect(tester.port(0), tester.port(1))
+    generator = tester.generator(0)
+    generator.load_template(udp_template(64), count=frames)
+    return generator
+
+
+def _send(sim, frames):
+    _loopback(sim, frames).start()
+    sim.run()
+
+
+def _chain(sim, events):
+    remaining = [events]
+
+    def tick():
+        remaining[0] -= 1
+        if remaining[0]:
+            sim.call_after(100, tick)
+
+    sim.call_after(100, tick)
+    sim.run()
+
+
+#: Every recorder under one arming protocol: its class, the simulator
+#: slot it owns, and the deterministic totals it has counted so far.
+RECORDERS = {
+    "tracer": (
+        Tracer,
+        lambda sim: sim.tracer,
+        lambda t: (t.kernel_scheduled_recorded, t.kernel_fired_recorded, t.buffer.recorded),
+    ),
+    "spans": (SpanRecorder, lambda sim: sim.spans, lambda s: (s.started,)),
+    "profiler": (
+        SimProfiler,
+        lambda sim: sim.profiler,
+        lambda p: (p.events, p.sim_ps_advanced()),
+    ),
+    "waves": (
+        WaveformRecorder,
+        lambda sim: sim.waves,
+        lambda w: (w.counts()["recorded"],),
+    ),
+}
+
+
+def _slots(sim):
+    return (sim.tracer, sim.spans, sim.profiler, sim.waves)
+
+
+def _add(*totals):
+    return tuple(map(sum, zip(*totals)))
+
+
+class TestArmingProtocol:
+    @pytest.mark.parametrize("name", sorted(RECORDERS))
+    def test_contract(self, name):
+        make, slot, totals = RECORDERS[name]
+
+        def reference(*frame_counts):
+            """Totals of a fresh recorder armed once on one simulator."""
+            recorder, sim = make(), Simulator()
+            recorder.arm(sim)
+            for frames in frame_counts:
+                _send(sim, frames)
+            return totals(recorder)
+
+        def counted(recorder):
+            """The recorder's totals; a tracer's must also add up."""
+            if name == "tracer":
+                assert recorder.recorded == len(recorder) + recorder.evicted
+                assert recorder.evicted >= 0
+            return totals(recorder)
+
+        one_sim, other_sim = reference(3, 2), reference(4)
+        assert all(one_sim) and all(other_sim)
+
+        first, second = Simulator(), Simulator()
+        recorder = make()
+        assert not recorder.armed
+        assert recorder.arm(first) is recorder
+        assert slot(first) is recorder and recorder.armed
+        _send(first, 3)
+        assert recorder.arm(first) is recorder
+        assert slot(first) is recorder
+        _send(first, 2)
+        assert counted(recorder) == one_sim  # re-arming lost nothing
+
+        recorder.arm(second)
+        assert slot(first) is None and slot(second) is recorder
+        assert counted(recorder) == one_sim
+        _send(second, 4)
+        assert counted(recorder) == _add(one_sim, other_sim)
+
+        assert recorder.disarm() is recorder
+        assert slot(second) is None and not recorder.armed
+        _send(second, 1)
+        assert counted(recorder) == _add(one_sim, other_sim)
+
+        recorder = make()
+        with observe_simulators(**{name: recorder}):
+            inside = [Simulator()]
+            _send(inside[0], 3)
+            _send(inside[0], 2)
+            inside.append(Simulator())
+            _send(inside[1], 4)
+        assert not recorder.armed
+        for sim in inside:
+            assert _slots(sim) == (None, None, None, None)
+        assert counted(recorder) == _add(one_sim, other_sim)
+
+    def test_arming_displaces_the_slot_occupant(self):
+        sim = Simulator()
+        old = SpanRecorder().arm(sim)
+        new = SpanRecorder().arm(sim)
+        assert sim.spans is new and not old.armed
+        old.disarm()
+        assert sim.spans is new
+
+    def test_slots_are_read_only(self):
+        sim = Simulator()
+        with pytest.raises(AttributeError):
+            sim.tracer = Tracer()
+        with pytest.raises(AttributeError):
+            sim.profiler = SimProfiler()
+
+    @pytest.mark.parametrize("name", ["spans", "tracer"])
+    def test_generator_built_inside_observe_runs_burst_after_exit(
+        self, name, monkeypatch
+    ):
+        """The two recorders the burst audit refuses must not outlive
+        the block on the simulators it built."""
+        monkeypatch.setenv("REPRO_DATAPATH", "burst")
+        audits = []
+        audit = BurstLane._audit
+
+        def recorded_audit(lane):
+            audits.append(audit(lane))
+            return audits[-1]
+
+        monkeypatch.setattr(BurstLane, "_audit", recorded_audit)
+        with observe_simulators(**{name: RECORDERS[name][0]()}):
+            sim = Simulator()
+            generator = _loopback(sim, 8)
+        generator.start()
+        sim.run()
+        assert audits == [True]
+        assert generator.stats.sent == 8
+
+    def test_tracer_moved_between_simulators_counts_both(self):
+        tracer = Tracer()
+        with observe_simulators(tracer=tracer):
+            _chain(Simulator(), 100)
+            _chain(Simulator(), 50)
+        other = chrome_trace(tracer)["otherData"]
+        assert other["recorded"] == 2 * (100 + 50)
+        assert other["evicted"] == 0
 
 
 class TestHeartbeatWriter:
@@ -851,7 +1016,8 @@ class TestOflopsObservability:
 
         context = OflopsContext()
         spans, profiler = SpanRecorder(), SimProfiler()
-        context.arm_observability(spans=spans, profiler=profiler)
+        spans.arm(context.sim)
+        profiler.arm(context.sim)
         assert context.sim.spans is spans
         assert context.sim.profiler is profiler
         families = parse_openmetrics(context.snapshot_openmetrics())

@@ -156,7 +156,7 @@ class TestReplayedKernelTrace:
         def workload(impl):
             sim = Simulator(event_queue=impl)
             tracer = Tracer(capacity=1 << 15)
-            sim.set_tracer(tracer)
+            tracer.arm(sim)
             rng = random.Random(5)
 
             def tick(depth):

@@ -144,7 +144,7 @@ class TestTraceBuffer:
     def test_kernel_hooks_record_schedule_and_fire(self):
         sim = Simulator()
         tracer = Tracer()
-        sim.set_tracer(tracer)
+        tracer.arm(sim)
         sim.call_after(100, lambda: None)
         sim.run()
         names = [record[2] for record in tracer.records()]
@@ -155,7 +155,7 @@ class TestTraceBuffer:
     def test_kernel_rings_are_bounded(self):
         sim = Simulator()
         tracer = Tracer(capacity=8)
-        sim.set_tracer(tracer)
+        tracer.arm(sim)
 
         def chain(remaining):
             if remaining:
@@ -177,7 +177,7 @@ class TestTraceBuffer:
     def test_chrome_json_round_trip(self, tmp_path):
         sim = Simulator()
         tracer = Tracer()
-        sim.set_tracer(tracer)
+        tracer.arm(sim)
 
         def chain(remaining):
             if remaining:
@@ -391,7 +391,7 @@ class TestOflopsTelemetry:
         from repro.oflops.modules.echo_latency import EchoLatencyModule
 
         runner = ModuleRunner()
-        runner.ctx.sim.set_tracer(Tracer())
+        Tracer().arm(runner.ctx.sim)
         runner.run(EchoLatencyModule(count=3))
         snapshot = runner.ctx.metrics.snapshot()
         assert snapshot["oflops.module.runs"] == 1

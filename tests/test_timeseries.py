@@ -4,7 +4,7 @@ Covers the Waveform/RateWaveform primitives (state-change suppression,
 min/max/last decimation envelopes, bounded eviction, closed-form run
 recording vs the per-sample loop), the WaveformRecorder exports (CSV,
 JSONL, Chrome counter tracks, OpenMetrics gauges, SHA-256 digests), the
-arming surfaces (``observe_simulators``, ``arm_observability``), the
+arming protocol (``arm``/``disarm`` and ``observe_simulators``), the
 incast acceptance path (egress-queue waveform peak == the scenario's
 hardware queue-peak counter), sweep-wide digest folding, and the
 interaction between decimated waveform export and HistogramBank
@@ -309,12 +309,12 @@ class TestArming:
         assert sim.waves is None
         assert not rec.armed
 
-    def test_oflops_arm_observability(self):
+    def test_oflops_context_sim_arms(self):
         from repro.oflops import OflopsContext
 
         ctx = OflopsContext()
         rec = WaveformRecorder()
-        ctx.arm_observability(waves=rec)
+        rec.arm(ctx.sim)
         assert ctx.sim.waves is rec
 
     def test_rearm_moves_recorder(self):
