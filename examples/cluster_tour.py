@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
-"""Tour of repro.cluster: cached, distributed sweeps on one machine.
+"""Tour of repro.cluster: cached sweeps on the forked worker pool.
 
-Walks the whole cluster layer end to end, loopback-only:
+Walks the cluster layer end to end on one machine:
 
-1. run a small ``line_rate`` sweep through a
-   :class:`~repro.cluster.SocketScheduler` with two spawned
-   ``osnt-worker`` processes, publishing every shard result into a
-   content-addressed :class:`~repro.cluster.ResultStore`;
-2. aggregate the per-worker telemetry snapshots into one OpenMetrics
-   exposition with a ``worker`` label per sample;
-3. rerun the sweep warm — every shard is served from the store, none
+1. run a small ``line_rate`` sweep on a pool of two forked workers,
+   publishing every shard result into a content-addressed
+   :class:`~repro.cluster.ResultStore`;
+2. rerun the sweep warm — every shard is served from the store, none
    execute, and the merged document is byte-identical;
-4. *extend* the sweep with a new axis value — only the new operating
-   points execute, the overlap is cache hits;
-5. inspect and garbage-collect the store.
+3. *extend* the sweep with a new axis value — only the new operating
+   point executes, the overlap is cache hits;
+4. inspect and garbage-collect the store.
 
 Run:  python examples/cluster_tour.py
 """
@@ -21,7 +18,7 @@ Run:  python examples/cluster_tour.py
 import tempfile
 from pathlib import Path
 
-from repro.cluster import ResultStore, SocketScheduler, workers_openmetrics
+from repro.cluster import ResultStore
 from repro.runner import ExperimentSpec, SweepRunner
 
 
@@ -40,50 +37,38 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="cluster-tour-") as tmp:
         store_dir = Path(tmp) / "store"
 
-        # -- 1. cold distributed run ------------------------------------
-        print("=== cold run: 2 remote workers, result store armed ===")
+        # -- 1. cold run ------------------------------------------------
+        print("=== cold run: 2 forked workers, result store armed ===")
         spec = spec_for([64, 256, 512, 1024, 1518])
-        report = SweepRunner(
-            spec,
-            scheduler=SocketScheduler(spawn_workers=2, heartbeat_s=0.1),
-            cache_dir=store_dir,
-        ).run()
+        report = SweepRunner(spec, workers=2, cache_dir=store_dir).run()
         report.require_ok()
         print(report.summary())
         stats = report.scheduler_stats
         print(f"backend={stats['backend']} executed={stats['executed']} "
-              f"per_worker={stats['per_worker']}")
+              f"retried={stats['retried']}")
         cold_merged = report.merged_json()
 
-        # -- 2. fleet telemetry -----------------------------------------
-        print("\n=== per-worker OpenMetrics exposition ===")
-        print(workers_openmetrics(report.worker_telemetry), end="")
-
-        # -- 3. warm rerun ----------------------------------------------
+        # -- 2. warm rerun ----------------------------------------------
         print("\n=== warm rerun: same sweep, same store ===")
-        warm = SweepRunner(
-            spec,
-            scheduler=SocketScheduler(spawn_workers=2, heartbeat_s=0.1),
-            cache_dir=store_dir,
-        ).run()
+        warm = SweepRunner(spec, workers=2, cache_dir=store_dir).run()
         warm.require_ok()
         print(f"cache hits: {len(warm.from_cache)}/{len(warm.shards)}, "
               f"executed: {warm.scheduler_stats.get('executed', 0)}")
         assert warm.merged_json() == cold_merged, "cache changed the results!"
         print("merged document byte-identical to the cold run")
 
-        # -- 4. overlapping sweep ---------------------------------------
+        # -- 3. overlapping sweep ---------------------------------------
         print("\n=== extended sweep: one new frame size ===")
         extended = SweepRunner(
             spec_for([64, 256, 512, 1024, 1518, 1280]),
-            workers=2,  # the local pool shares the same store
+            workers=2,
             cache_dir=store_dir,
         ).run()
         extended.require_ok()
         print(f"cache hits: {len(extended.from_cache)}/"
               f"{len(extended.shards)} — only the 1280-byte point ran")
 
-        # -- 5. store maintenance ---------------------------------------
+        # -- 4. store maintenance ---------------------------------------
         print("\n=== store stats and gc ===")
         store = ResultStore(store_dir)
         print(store.stats().summary())

@@ -1,7 +1,4 @@
-"""Sweep distribution: content-addressed result caching + remote workers.
-
-``repro.cluster`` turns the sharded sweep runner into a system that
-scales past one process and one lifetime:
+"""The sweep runner's content-addressed result store and worker pool.
 
 * **never compute the same shard twice** — :class:`ResultStore` is a
   shared on-disk content-addressed store of shard results keyed by
@@ -9,63 +6,33 @@ scales past one process and one lifetime:
   version). Overlapping sweeps execute only their new shards; a warm
   rerun executes none. Cache-served results are byte-identical to a
   cold run by construction.
-* **run shards wherever there are cores** — the :class:`Scheduler`
-  interface abstracts the runner's execution topology:
-  :class:`LocalScheduler` is the classic forked pool,
-  :class:`SocketScheduler` dispatches to remote ``osnt-worker``
-  processes over TCP with pull-based work stealing, heartbeat-timeout
-  dead-worker reassignment and graceful drain.
-* **observe the whole fleet** — remote heartbeats feed the existing
-  flight recorder, and :func:`workers_openmetrics` folds per-worker
-  telemetry snapshots into one OpenMetrics exposition with a
-  ``worker`` label.
+* **use every core of the host** — :class:`LocalScheduler` is the
+  forked worker pool behind ``SweepRunner(workers=N)``: one process per
+  shard attempt, wall-clock timeouts and bounded retry.
 
 The invariant everything here preserves: a merged sweep report is
-**bit-identical** across {cold, warm cache} x {local, socket} x any
-worker count x any kill/resume/reassignment history.
+**bit-identical** across {cold, warm cache} x any worker count x any
+kill/resume history.
 
-    from repro.cluster import ResultStore, SocketScheduler
     from repro.runner import ExperimentSpec, SweepRunner
 
-    spec = ExperimentSpec(name="fleet", scenario="line_rate",
+    spec = ExperimentSpec(name="e1", scenario="line_rate",
                           axes={"frame_size": [64, 512, 1518]})
-    scheduler = SocketScheduler(spawn_workers=4)
-    report = SweepRunner(spec, scheduler=scheduler,
+    report = SweepRunner(spec, workers=4,
                          cache_dir="~/.cache/osnt-results").run()
 """
 
-from .aggregate import WORKER_PREFIX, workers_openmetrics
-from .protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    FrameDecoder,
-    encode_frame,
-    recv_frame,
-    send_frame,
-)
-from .scheduler import LocalScheduler, Scheduler, SocketScheduler
+from .scheduler import LocalScheduler
 from .store import ResultStore, StoreStats, parse_age_s, result_digest, shard_cache_key
 from .version import code_version, source_digest
-from .worker import serve as worker_serve
 
 __all__ = [
-    "FrameDecoder",
     "LocalScheduler",
-    "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
     "ResultStore",
-    "Scheduler",
-    "SocketScheduler",
     "StoreStats",
-    "WORKER_PREFIX",
     "code_version",
-    "encode_frame",
     "parse_age_s",
-    "recv_frame",
     "result_digest",
-    "send_frame",
     "shard_cache_key",
     "source_digest",
-    "worker_serve",
-    "workers_openmetrics",
 ]

@@ -1,104 +1,43 @@
-"""Pluggable shard schedulers: one contract, local and remote backends.
+"""The forked worker pool that runs a sweep's shards.
 
-The :class:`~repro.runner.SweepRunner` used to *be* its worker pool.
-This module lifts that loop behind a small interface so the execution
-topology is a choice, not an architecture:
-
-* :class:`LocalScheduler` — the original forked worker pool, verbatim:
-  per-attempt subprocesses, wall-clock timeouts, bounded retry.
-* :class:`SocketScheduler` — dispatches shards to remote worker
-  processes (``osnt-worker``) over a length-prefixed JSON protocol
-  (:mod:`repro.cluster.protocol`): pull-based work stealing (idle
-  workers request shards, so fast hosts naturally take more), per-shard
-  heartbeats in the flight-recorder format (a live
-  :class:`~repro.obs.FlightTailer` shows remote progress exactly like
-  local), heartbeat-timeout dead-worker detection with shard
-  reassignment bounded by the spec's retry budget, and graceful drain.
-
-Both backends report terminal :class:`~repro.runner.ShardResult`\\ s
-through one ``on_record`` callback and never influence shard *content*
-— a result depends only on ``(spec, shard)`` — so merged reports are
-bit-identical across backends, worker counts and failure histories.
+:class:`LocalScheduler` starts one subprocess per shard attempt (forked
+unless another start method is asked for), enforces the spec's
+per-attempt wall-clock timeout, retries failed, hung or dead
+attempts within the spec's retry budget, and reports every shard's
+terminal :class:`~repro.runner.ShardResult` through one ``on_record``
+callback. It never influences shard *content* — a result depends only
+on ``(spec, shard)`` — so merged reports are bit-identical at any
+worker count and across failure histories.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import selectors
-import socket
-import subprocess
-import sys
 import tempfile
 import time
-from abc import ABC, abstractmethod
 from collections import deque
-from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from ..errors import SweepError
-from ..obs.flight import DEFAULT_HEARTBEAT_S, DEFAULT_STALL_FACTOR, heartbeat_path
+from ..obs.flight import DEFAULT_HEARTBEAT_S, heartbeat_path
 from ..runner.report import STATUS_FAILED, STATUS_OK, ShardResult
 from ..runner.spec import ExperimentSpec, Shard
-from .protocol import FrameDecoder, encode_frame
 
-#: How often schedulers poll for progress, seconds.
+#: How often the pool polls its workers, seconds.
 POLL_S = 0.01
-#: Default wall-clock budget for the first worker to connect.
-DEFAULT_CONNECT_TIMEOUT_S = 30.0
-#: Grace given to draining workers before their sockets are closed.
-DEFAULT_DRAIN_TIMEOUT_S = 5.0
 
 OnRecord = Callable[[ShardResult], None]
 OnCycle = Optional[Callable[[Dict[int, Dict[str, Any]]], None]]
 
 
-class Scheduler(ABC):
-    """Drives every shard in ``todo`` to a terminal :class:`ShardResult`.
+class LocalScheduler:
+    """The forked worker pool.
 
-    Contract: call ``on_record`` exactly once per shard with a terminal
-    record (ok or failed), honor ``spec.timeout_s`` per attempt and
-    ``spec.retries`` as the total retry budget (attempts =
-    ``retries + 1``, however attempts end — failure, timeout or worker
-    death), and never alter what a shard computes. ``tailer``, when
-    given, is fed per-attempt heartbeat files for stall detection;
-    ``on_cycle`` is invoked every poll cycle with the tailer's status
-    map (empty when untailed) for live progress rendering.
-    """
-
-    name = "scheduler"
-
-    @abstractmethod
-    def run(
-        self,
-        spec: ExperimentSpec,
-        todo: List[Shard],
-        *,
-        on_record: OnRecord,
-        tailer=None,
-        on_cycle: OnCycle = None,
-    ) -> None:
-        """Execute ``todo`` (in any order/topology) to completion."""
-
-    def stats(self) -> Dict[str, Any]:
-        """Operational counters from the most recent :meth:`run`."""
-        return {"backend": self.name}
-
-    def telemetry_snapshots(self) -> Dict[str, Dict[str, Any]]:
-        """Per-worker telemetry from the most recent :meth:`run`."""
-        return {}
-
-
-class LocalScheduler(Scheduler):
-    """The forked worker pool (the pre-cluster behavior, unchanged).
-
-    Workers are forked per attempt from this process, write their
-    outcome file atomically and exit; the parent polls, enforces
+    Workers are started per attempt from this process (forked by
+    default), write their outcome file atomically and exit; the parent polls, enforces
     timeouts, retries and collects. See
     :mod:`repro.runner.execution` for the worker entry point.
     """
-
-    name = "local"
 
     def __init__(
         self,
@@ -128,6 +67,17 @@ class LocalScheduler(Scheduler):
         tailer=None,
         on_cycle: OnCycle = None,
     ) -> None:
+        """Drive every shard in ``todo`` to a terminal :class:`ShardResult`.
+
+        Calls ``on_record`` exactly once per shard with a terminal
+        record (ok or failed), honors ``spec.timeout_s`` per attempt
+        and ``spec.retries`` as the total retry budget (attempts =
+        ``retries + 1``, however attempts end — failure, timeout or
+        worker death). ``tailer``, when given, is fed per-attempt
+        heartbeat files for stall detection; ``on_cycle`` is invoked
+        every poll cycle with the tailer's status map (empty when
+        untailed) for live progress rendering.
+        """
         from ..runner.execution import _Attempt
 
         self._executed = 0
@@ -219,505 +169,10 @@ class LocalScheduler(Scheduler):
                     attempt.terminate()
 
     def stats(self) -> Dict[str, Any]:
+        """Operational counters from the most recent :meth:`run`."""
         return {
-            "backend": self.name,
+            "backend": "local",
             "workers": self.workers,
             "executed": self._executed,
             "retried": self._retried,
         }
-
-
-class _WorkerConn:
-    """Parent-side state for one connected remote worker."""
-
-    __slots__ = (
-        "sock",
-        "addr",
-        "decoder",
-        "name",
-        "welcomed",
-        "idle",
-        "assigned",
-        "last_seen",
-        "executed",
-        "telemetry",
-        "draining",
-    )
-
-    def __init__(self, sock: socket.socket, addr) -> None:
-        self.sock = sock
-        self.addr = addr
-        self.decoder = FrameDecoder()
-        self.name: Optional[str] = None
-        self.welcomed = False
-        self.idle = False
-        self.assigned: Optional[Dict[str, Any]] = None
-        self.last_seen = time.monotonic()
-        self.executed = 0
-        self.telemetry: Optional[Dict[str, Any]] = None
-        self.draining = False
-
-    @property
-    def label(self) -> str:
-        return self.name or f"{self.addr[0]}:{self.addr[1]}"
-
-
-class SocketScheduler(Scheduler):
-    """Dispatch shards to remote ``osnt-worker`` processes over TCP.
-
-    The scheduler listens (``host:port``, port 0 = ephemeral — read
-    :attr:`address` after construction); workers connect, handshake
-    and then *pull*: an idle worker requests a shard, which is
-    work stealing without any balancing logic — fast or idle hosts
-    simply ask more often. Failure semantics:
-
-    * **no heartbeat** from a busy worker within
-      ``heartbeat_timeout_s`` → the worker is declared dead, its
-      connection closed and its shard reassigned (the attempt counts
-      against ``spec.retries``, so a shard that kills workers cannot
-      loop forever);
-    * **connection loss** (EOF, reset, send failure) → same
-      reassignment path, immediately;
-    * **per-shard timeout** (``spec.timeout_s``) → the attempt fails
-      exactly like a local hung worker and the stuck worker is
-      disconnected;
-    * **drain** — once every shard is terminal, workers receive
-      ``drain``, answer with a telemetry snapshot and ``bye``, and the
-      per-worker snapshots are exposed via
-      :meth:`telemetry_snapshots` for OpenMetrics aggregation.
-
-    ``spawn_workers=N`` forks N loopback ``osnt-worker`` subprocesses
-    at run start (convenience for CI/single-host use); any externally
-    started worker may connect as well, at any time during the run.
-    """
-
-    name = "socket"
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        spawn_workers: int = 0,
-        heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-        heartbeat_timeout_s: Optional[float] = None,
-        connect_timeout_s: float = DEFAULT_CONNECT_TIMEOUT_S,
-        drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S,
-    ) -> None:
-        if heartbeat_s <= 0:
-            raise SweepError(f"heartbeat_s must be > 0, got {heartbeat_s}")
-        self.heartbeat_s = heartbeat_s
-        self.heartbeat_timeout_s = (
-            heartbeat_timeout_s
-            if heartbeat_timeout_s is not None
-            else DEFAULT_STALL_FACTOR * heartbeat_s
-        )
-        if self.heartbeat_timeout_s <= 0:
-            raise SweepError(
-                f"heartbeat_timeout_s must be > 0, got {self.heartbeat_timeout_s}"
-            )
-        self.spawn_workers = spawn_workers
-        self.connect_timeout_s = connect_timeout_s
-        self.drain_timeout_s = drain_timeout_s
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(64)
-        #: The (host, port) workers should connect to.
-        self.address = self._listener.getsockname()[:2]
-        self.spawned: List[subprocess.Popen] = []
-        self._conns: List[_WorkerConn] = []
-        self._deaths = 0
-        self._reassigned = 0
-        self._executed = 0
-        self._per_worker: Dict[str, int] = {}
-        self._telemetry: Dict[str, Dict[str, Any]] = {}
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def _spawn(self, count: int) -> None:
-        import repro
-
-        host, port = self.address
-        env = dict(os.environ)
-        src_root = str(Path(repro.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = src_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        for i in range(count):
-            self.spawned.append(
-                subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-c",
-                        # not `-m repro.cluster.worker`: the package
-                        # __init__ imports .worker, and runpy warns when
-                        # re-executing an already-imported module.
-                        "from repro.cluster.worker import main; "
-                        "import sys; sys.exit(main(sys.argv[1:]))",
-                        "--connect",
-                        f"{host}:{port}",
-                        "--name",
-                        f"spawn-{i}",
-                    ],
-                    env=env,
-                    stdout=subprocess.DEVNULL,
-                )
-            )
-
-    def close(self) -> None:
-        """Close the listener and every connection; reap spawned workers."""
-        for conn in self._conns:
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
-        self._conns = []
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        for proc in self.spawned:
-            try:
-                proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-        self.spawned = []
-
-    # -- the event loop ------------------------------------------------------
-
-    def run(
-        self,
-        spec: ExperimentSpec,
-        todo: List[Shard],
-        *,
-        on_record: OnRecord,
-        tailer=None,
-        on_cycle: OnCycle = None,
-    ) -> None:
-        self._deaths = 0
-        self._reassigned = 0
-        self._executed = 0
-        self._per_worker = {}
-        self._telemetry = {}
-        if not todo:
-            return
-        if self.spawn_workers and not self.spawned:
-            self._spawn(self.spawn_workers)
-        pending: Deque[Shard] = deque(todo)
-        attempts_used: Dict[int, int] = {s.index: 0 for s in todo}
-        started_at: Dict[int, float] = {}
-        outstanding = {s.index for s in todo}
-        shards_by_index = {s.index: s for s in todo}
-        selector = selectors.DefaultSelector()
-        selector.register(self._listener, selectors.EVENT_READ, None)
-        started = time.monotonic()
-        ever_connected = False
-        last_alive = started
-
-        def finalize(shard: Shard, payload: Dict[str, Any], worker: str) -> None:
-            """Terminal-or-retry decision for one finished attempt."""
-            self._executed += 1
-            if tailer is not None:
-                tailer.untrack(shard.index)
-            if payload["status"] == STATUS_OK:
-                outstanding.discard(shard.index)
-                on_record(
-                    ShardResult(
-                        index=shard.index,
-                        params=shard.params,
-                        seed=shard.seed,
-                        status=STATUS_OK,
-                        result=payload.get("result"),
-                        attempts=attempts_used[shard.index],
-                        elapsed_s=time.monotonic() - started_at[shard.index],
-                        worker=worker,
-                    )
-                )
-            elif attempts_used[shard.index] <= spec.retries:
-                self._reassigned += 1
-                pending.append(shard)
-            else:
-                outstanding.discard(shard.index)
-                on_record(
-                    ShardResult(
-                        index=shard.index,
-                        params=shard.params,
-                        seed=shard.seed,
-                        status=STATUS_FAILED,
-                        error=payload.get("error", "unknown failure"),
-                        attempts=attempts_used[shard.index],
-                        elapsed_s=time.monotonic() - started_at[shard.index],
-                        worker=worker,
-                    )
-                )
-
-        def disconnect(conn: _WorkerConn, reason: str) -> None:
-            """Drop a worker; its in-flight shard goes back to the queue."""
-            if conn not in self._conns:
-                return
-            self._conns.remove(conn)
-            try:
-                selector.unregister(conn.sock)
-            except (KeyError, ValueError):
-                pass
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
-            assignment = conn.assigned
-            conn.assigned = None
-            if assignment is not None:
-                self._deaths += 1
-                shard = assignment["shard"]
-                finalize(
-                    shard,
-                    {
-                        "status": STATUS_FAILED,
-                        "error": f"worker {conn.label} died: {reason}",
-                    },
-                    conn.label,
-                )
-
-        def send(conn: _WorkerConn, message: Dict[str, Any]) -> bool:
-            try:
-                conn.sock.sendall(encode_frame(message))
-                return True
-            except OSError as exc:
-                disconnect(conn, f"send failed ({exc})")
-                return False
-
-        def handle(conn: _WorkerConn, msg: Dict[str, Any]) -> None:
-            conn.last_seen = time.monotonic()
-            kind = msg.get("type")
-            if kind == "hello":
-                conn.name = str(msg.get("worker") or conn.label)
-                conn.welcomed = send(
-                    conn,
-                    {
-                        "type": "welcome",
-                        "spec": spec.to_dict(),
-                        "heartbeat_s": self.heartbeat_s,
-                    },
-                )
-            elif kind == "request":
-                conn.idle = True
-            elif kind == "beat":
-                line = msg.get("line")
-                if tailer is not None and isinstance(line, dict):
-                    path = heartbeat_path(
-                        tailer.directory,
-                        int(line.get("shard", -1)),
-                        int(line.get("attempt", 1)),
-                    )
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    with open(path, "a") as handle_:
-                        handle_.write(json.dumps(line, sort_keys=True) + "\n")
-            elif kind == "result":
-                assignment = conn.assigned
-                if (
-                    assignment is None
-                    or assignment["shard"].index != msg.get("shard")
-                    or assignment["attempt"] != msg.get("attempt")
-                ):
-                    return  # stale result from a reassigned shard: ignore
-                conn.assigned = None
-                conn.executed += 1
-                self._per_worker[conn.label] = self._per_worker.get(conn.label, 0) + 1
-                finalize(assignment["shard"], msg.get("payload") or {}, conn.label)
-            elif kind == "telemetry":
-                snapshot = msg.get("snapshot")
-                if isinstance(snapshot, dict):
-                    conn.telemetry = snapshot
-                    self._telemetry[conn.label] = snapshot
-            elif kind == "bye":
-                conn.assigned = None
-                disconnect(conn, "bye")
-
-        try:
-            while outstanding:
-                for key, _ in selector.select(timeout=POLL_S):
-                    if key.data is None:  # the listener
-                        try:
-                            sock, addr = self._listener.accept()
-                        except OSError:
-                            continue
-                        conn = _WorkerConn(sock, addr)
-                        selector.register(sock, selectors.EVENT_READ, conn)
-                        self._conns.append(conn)
-                        ever_connected = True
-                        continue
-                    conn = key.data
-                    try:
-                        data = conn.sock.recv(1 << 16)
-                    except OSError as exc:
-                        disconnect(conn, f"recv failed ({exc})")
-                        continue
-                    if not data:
-                        disconnect(conn, "connection closed")
-                        continue
-                    try:
-                        messages = conn.decoder.feed(data)
-                    except (SweepError, ValueError) as exc:
-                        disconnect(conn, f"protocol error ({exc})")
-                        continue
-                    for msg in messages:
-                        handle(conn, msg)
-                        if conn not in self._conns:
-                            break
-
-                now = time.monotonic()
-                # Dead-worker detection: a busy worker must beat.
-                for conn in list(self._conns):
-                    assignment = conn.assigned
-                    if assignment is None:
-                        continue
-                    if now - conn.last_seen > self.heartbeat_timeout_s:
-                        disconnect(
-                            conn,
-                            f"no heartbeat within {self.heartbeat_timeout_s:.1f}s",
-                        )
-                        continue
-                    if (
-                        spec.timeout_s is not None
-                        and now - assignment["started"] > spec.timeout_s
-                    ):
-                        shard = assignment["shard"]
-                        conn.assigned = None  # consume before disconnecting
-                        finalize(
-                            shard,
-                            {
-                                "status": STATUS_FAILED,
-                                "error": (
-                                    f"shard timed out after {spec.timeout_s}s "
-                                    f"(worker {conn.label} disconnected)"
-                                ),
-                            },
-                            conn.label,
-                        )
-                        disconnect(conn, "shard timeout")
-
-                # Pull-based dispatch: serve parked requests.
-                for conn in list(self._conns):
-                    if not pending:
-                        break
-                    if not (conn.idle and conn.welcomed and conn.assigned is None):
-                        continue
-                    shard = pending.popleft()
-                    started_at.setdefault(shard.index, now)
-                    attempts_used[shard.index] += 1
-                    attempt = attempts_used[shard.index]
-                    if tailer is not None:
-                        tailer.track(shard.index, attempt)
-                    if not send(
-                        conn,
-                        {
-                            "type": "shard",
-                            "shard": shard.to_dict(),
-                            "attempt": attempt,
-                        },
-                    ):
-                        # send() disconnected the worker but the shard was
-                        # never assigned to it — requeue without burning
-                        # the attempt.
-                        attempts_used[shard.index] -= 1
-                        if tailer is not None:
-                            tailer.untrack(shard.index)
-                        pending.appendleft(shard)
-                        continue
-                    conn.idle = False
-                    conn.assigned = {
-                        "shard": shard,
-                        "attempt": attempt,
-                        "started": now,
-                    }
-
-                if self._conns:
-                    last_alive = now
-                elif outstanding:
-                    window = self.connect_timeout_s
-                    since = now - (last_alive if ever_connected else started)
-                    if since > window:
-                        raise SweepError(
-                            f"socket scheduler: no live worker for {since:.1f}s "
-                            f"(listening on {self.address[0]}:{self.address[1]}, "
-                            f"{len(outstanding)} shard(s) outstanding)"
-                        )
-
-                if on_cycle is not None:
-                    on_cycle(tailer.poll() if tailer is not None else {})
-                elif tailer is not None:
-                    tailer.poll()
-
-            self._drain(selector)
-        finally:
-            try:
-                selector.close()
-            except Exception:
-                pass
-            self.close()
-
-    def _drain(self, selector) -> None:
-        """Tell every worker the sweep is over; collect telemetry/byes."""
-        for conn in list(self._conns):
-            conn.draining = True
-            try:
-                conn.sock.sendall(encode_frame({"type": "drain"}))
-            except OSError:
-                pass
-        deadline = time.monotonic() + self.drain_timeout_s
-        while self._conns and time.monotonic() < deadline:
-            for key, _ in selector.select(timeout=POLL_S):
-                conn = key.data
-                if conn is None:
-                    continue
-                try:
-                    data = conn.sock.recv(1 << 16)
-                except OSError:
-                    data = b""
-                if not data:
-                    self._drop(selector, conn)
-                    continue
-                try:
-                    messages = conn.decoder.feed(data)
-                except (SweepError, ValueError):
-                    messages = []
-                for msg in messages:
-                    if msg.get("type") == "telemetry" and isinstance(
-                        msg.get("snapshot"), dict
-                    ):
-                        self._telemetry[conn.label] = msg["snapshot"]
-                    elif msg.get("type") == "bye":
-                        self._drop(selector, conn)
-                        break
-
-    def _drop(self, selector, conn: _WorkerConn) -> None:
-        conn.assigned = None
-        if conn in self._conns:
-            self._conns.remove(conn)
-        try:
-            selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
-
-    # -- reporting -----------------------------------------------------------
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "backend": self.name,
-            "executed": self._executed,
-            "deaths": self._deaths,
-            "reassigned": self._reassigned,
-            "per_worker": dict(self._per_worker),
-        }
-
-    def telemetry_snapshots(self) -> Dict[str, Dict[str, Any]]:
-        return dict(self._telemetry)

@@ -31,6 +31,7 @@ re-verifies it and treats any corrupt or truncated entry as a miss
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import time
@@ -55,13 +56,19 @@ _AGE_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
 def parse_age_s(text: Union[str, int, float]) -> float:
     """A human age ('90s', '15m', '12h', '7d', '2w') in seconds."""
     if isinstance(text, (int, float)):
-        return float(text)
-    match = _AGE_RE.match(text)
-    if match is None:
-        raise SweepError(
-            f"bad age {text!r} (expected e.g. '90s', '15m', '12h', '7d')"
-        )
-    return float(match.group(1)) * _AGE_UNITS[match.group(2) or "s"]
+        seconds = float(text)
+    else:
+        match = _AGE_RE.match(text)
+        if match is None:
+            raise SweepError(
+                f"bad age {text!r} (expected e.g. '90s', '15m', '12h', '7d')"
+            )
+        seconds = float(match.group(1)) * _AGE_UNITS[match.group(2) or "s"]
+    # A negative age would put the gc cutoff in the future and delete
+    # every entry, however new.
+    if not math.isfinite(seconds) or seconds < 0:
+        raise SweepError(f"bad age {text!r} (want a finite age >= 0)")
+    return seconds
 
 
 def result_digest(result: Dict[str, Any]) -> str:
@@ -214,7 +221,7 @@ class ResultStore:
             self._quarantine(path)
             self.misses += 1
             return None
-        result = entry.get("result")
+        result = entry.get("result") if isinstance(entry, dict) else None
         if (
             not isinstance(result, dict)
             or entry.get("key") != key
@@ -247,7 +254,7 @@ class ResultStore:
                 entry = json.loads(path.read_text())
                 created = float(entry["created_s"])
                 scenario = str(entry.get("scenario", ""))
-            except (json.JSONDecodeError, KeyError, ValueError, OSError):
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError):
                 stats.corrupt += 1
                 continue
             stats.entries += 1
@@ -275,7 +282,7 @@ class ResultStore:
             try:
                 entry = json.loads(path.read_text())
                 created = float(entry["created_s"])
-            except (json.JSONDecodeError, KeyError, ValueError, OSError):
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError):
                 removed.append(path.stem)
                 if not dry_run:
                     path.unlink(missing_ok=True)

@@ -5,7 +5,8 @@ black box between launch and report. The flight recorder opens it up
 with plain append-only JSONL files, one per shard attempt:
 
 * **worker side** — :class:`HeartbeatWriter` runs a daemon thread in the
-  worker process that appends a beat line every ``interval_s`` wall
+  process running the shard (a forked pool worker, or the caller in
+  inline mode) that appends a beat line every ``interval_s`` wall
   seconds: shard, attempt, sequence number, wall time, and a sample of
   the live simulation (``sim_ps``, ``events``, plus deltas since the
   previous beat) taken via :func:`repro.sim.current_simulator` — no
@@ -49,25 +50,18 @@ def heartbeat_path(directory: Union[str, Path], shard_index: int, attempt: int) 
 class HeartbeatWriter:
     """Appends periodic beat lines for one shard attempt (worker side).
 
-    Beats normally append to a JSONL file at ``path``; a custom
-    ``sink`` callable receives each beat dict instead (the socket
-    scheduler's remote workers stream beats over their connection this
-    way, in the same format). With a sink, ``path`` may be None.
+    Each beat is one JSON line appended to the file at ``path``.
     """
 
     def __init__(
         self,
-        path: Optional[Union[str, Path]],
+        path: Union[str, Path],
         shard_index: int,
         attempt: int = 1,
         interval_s: float = DEFAULT_HEARTBEAT_S,
         clock=time.monotonic,
-        sink=None,
     ) -> None:
-        if path is None and sink is None:
-            raise ValueError("HeartbeatWriter needs a path or a sink")
-        self.path = Path(path) if path is not None else None
-        self.sink = sink
+        self.path = Path(path)
         self.shard_index = shard_index
         self.attempt = attempt
         self.interval_s = interval_s
@@ -84,8 +78,7 @@ class HeartbeatWriter:
 
     def start(self) -> "HeartbeatWriter":
         """Write the ``start`` beat and launch the ticker thread."""
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._started_at = self.clock()
         self.beat("start")
         self._thread = threading.Thread(
@@ -137,15 +130,9 @@ class HeartbeatWriter:
                 line["d_events"] = events - self._last_events
             self._last_sim_ps = sim_ps
             self._last_events = events
-            if self.sink is not None:
-                try:
-                    self.sink(line)
-                except Exception:
-                    pass  # a dead sink must never kill the shard
-            else:
-                with open(self.path, "a") as handle:
-                    handle.write(json.dumps(line, sort_keys=True) + "\n")
-                    handle.flush()
+            with open(self.path, "a") as handle:
+                handle.write(json.dumps(line, sort_keys=True) + "\n")
+                handle.flush()
             return line
 
 

@@ -2,10 +2,9 @@
 
 Subcommands:
 
-* ``run SPEC.json`` — execute (or resume) a sweep across workers;
-  ``--cache DIR`` serves/stores shards in a shared result store and
-  ``--scheduler socket`` dispatches to remote ``osnt-worker``
-  processes instead of the local pool.
+* ``run SPEC.json`` — execute (or resume) a sweep across the forked
+  worker pool; ``--cache DIR`` serves/stores shards in a shared result
+  store.
 * ``expand SPEC.json`` — show the shard expansion without running it.
 * ``scenarios`` — list every registered scenario.
 * ``example`` — print a ready-to-edit spec.
@@ -89,25 +88,6 @@ def _cmd_run(args) -> int:
         def on_progress(line: str) -> None:
             print(line, file=sys.stderr, flush=True)
 
-    scheduler = None
-    if args.scheduler == "socket":
-        from ..cluster import SocketScheduler
-
-        host, _, port = args.listen.rpartition(":")
-        scheduler = SocketScheduler(
-            host=host or "127.0.0.1",
-            port=int(port),
-            spawn_workers=args.spawn_workers,
-            heartbeat_s=args.heartbeat_s,
-            heartbeat_timeout_s=args.worker_timeout_s,
-        )
-        print(
-            f"socket scheduler listening on "
-            f"{scheduler.address[0]}:{scheduler.address[1]} "
-            f"(connect workers with: osnt-worker --connect "
-            f"{scheduler.address[0]}:{scheduler.address[1]})",
-            file=sys.stderr,
-        )
     runner = SweepRunner(
         spec,
         workers=args.workers,
@@ -116,7 +96,6 @@ def _cmd_run(args) -> int:
         heartbeat_s=args.heartbeat_s,
         stall_after_s=args.stall_after_s,
         on_progress=on_progress,
-        scheduler=scheduler,
         cache_dir=args.cache,
     )
     report = runner.run(resume=not args.no_resume, max_shards=args.max_shards)
@@ -260,27 +239,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--cache", metavar="DIR", default=None,
         help="content-addressed result store: serve already-computed "
         "shards from here and store fresh results for future sweeps",
-    )
-    run_p.add_argument(
-        "--scheduler", choices=("local", "socket"), default="local",
-        help="execution backend: the local forked pool (default) or a "
-        "socket listener dispatching to remote osnt-worker processes",
-    )
-    run_p.add_argument(
-        "--listen", metavar="HOST:PORT", default="127.0.0.1:0",
-        help="socket scheduler bind address (default 127.0.0.1:0 = "
-        "loopback, ephemeral port printed on stderr)",
-    )
-    run_p.add_argument(
-        "--spawn-workers", type=int, default=0, metavar="N",
-        help="socket scheduler: fork N loopback osnt-worker processes "
-        "at start (external workers may still connect)",
-    )
-    run_p.add_argument(
-        "--worker-timeout-s", type=float, default=None, metavar="S",
-        help="socket scheduler: declare a busy worker dead after this "
-        "many seconds without a heartbeat and reassign its shard "
-        "(default 10x the heartbeat interval)",
     )
     run_p.set_defaults(func=_cmd_run)
 

@@ -4,19 +4,14 @@ The :class:`SweepRunner` expands a spec into shards and drives them to
 completion:
 
 * ``workers >= 1`` — each shard attempt runs in its own forked worker
-  process, which writes its outcome to a result file and exits. The
-  parent polls the fleet, enforces the per-attempt wall-clock timeout
-  (terminating hung workers), retries failed/hung shards up to the
-  spec's budget and records exhausted shards as *failed* without
-  aborting the sweep.
+  process (:class:`~repro.cluster.LocalScheduler`), which writes its
+  outcome to a result file and exits. The parent polls the pool,
+  enforces the per-attempt wall-clock timeout (terminating hung
+  workers), retries failed/hung/dead shards up to the spec's budget and
+  records exhausted shards as *failed* without aborting the sweep.
 * ``workers == 0`` — inline execution in this process (no isolation,
   no timeout enforcement): the debugging mode, and the way to run a
   sweep from library code without forking.
-* ``scheduler=...`` — any :class:`repro.cluster.Scheduler` backend;
-  the forked pool above is just the default
-  (:class:`~repro.cluster.LocalScheduler`), and
-  :class:`~repro.cluster.SocketScheduler` runs the same shards on
-  remote ``osnt-worker`` processes instead.
 * ``cache_dir=...`` — a shared content-addressed
   :class:`~repro.cluster.ResultStore`: shards whose key (scenario,
   params, seed, code version) already has a stored result are served
@@ -25,12 +20,12 @@ completion:
 
 Determinism: a shard's result depends only on ``(spec, shard)`` — the
 seed is derived from the spec, never from the schedule — so merged
-reports are bit-identical at any worker count, on any scheduler
-backend, and whether shards were executed, resumed from checkpoints or
-served from the cache. Completed shards are checkpointed as
-``shard-NNNNN.json`` files; a rerun against the same checkpoint
-directory (guarded by the spec fingerprint *and* the code version)
-skips them, which is all resume-after-interruption is.
+reports are bit-identical at any worker count and whether shards were
+executed, resumed from checkpoints or served from the cache. Completed
+shards are checkpointed as ``shard-NNNNN.json`` files; a rerun against
+the same checkpoint directory (guarded by the spec fingerprint *and*
+the code version) skips them, which is all resume-after-interruption
+is.
 """
 
 from __future__ import annotations
@@ -226,13 +221,9 @@ class SweepRunner:
     ``workers=0`` executes inline (no subprocesses, no timeouts) — the
     way to run a sweep from library code without forking.
 
-    ``scheduler`` accepts any :class:`repro.cluster.Scheduler`
-    (overriding ``workers``/``start_method``); by default a
-    :class:`~repro.cluster.LocalScheduler` wraps the classic forked
-    pool. ``cache_dir`` (a path or a ready
-    :class:`~repro.cluster.ResultStore`) arms the content-addressed
-    result cache: known shards are served without executing and fresh
-    results are stored for future sweeps.
+    ``cache_dir`` (a path or a ready :class:`~repro.cluster.ResultStore`)
+    arms the content-addressed result cache: known shards are served
+    without executing and fresh results are stored for future sweeps.
 
     ``flight_dir`` arms the flight recorder (:mod:`repro.obs.flight`):
     workers write heartbeat files there, the parent tails them into a
@@ -253,7 +244,6 @@ class SweepRunner:
         stall_after_s: Optional[float] = None,
         on_progress=None,
         progress_interval_s: float = 1.0,
-        scheduler=None,
         cache_dir=None,
     ) -> None:
         if workers < 0:
@@ -273,7 +263,6 @@ class SweepRunner:
         self.on_progress = on_progress
         self.progress_interval_s = progress_interval_s
         self.start_method = start_method
-        self.scheduler = scheduler
         self.store = None
         if cache_dir is not None:
             from ..cluster.store import ResultStore
@@ -320,6 +309,8 @@ class SweepRunner:
                 recorded = json.loads(spec_path.read_text())
             except json.JSONDecodeError:
                 recorded = {}
+            if not isinstance(recorded, dict):
+                recorded = {}
             recorded_fp = recorded.get("fingerprint")
             recorded_code = recorded.get("code_version")
             if recorded_fp != fingerprint:
@@ -364,7 +355,11 @@ class SweepRunner:
                     payload = json.loads(path.read_text())
                 except json.JSONDecodeError:
                     continue  # torn write from a killed run: redo the shard
-                if payload.get("status") == STATUS_OK and "index" in payload:
+                if (
+                    isinstance(payload, dict)
+                    and payload.get("status") == STATUS_OK
+                    and "index" in payload
+                ):
                     completed[payload["index"]] = payload
         return completed
 
@@ -418,19 +413,14 @@ class SweepRunner:
         skipped = todo[budget:]
         todo = todo[:budget]
 
-        scheduler_stats: Dict[str, Any] = {}
-        worker_telemetry: Dict[str, Dict[str, Any]] = {}
-        if self.workers == 0 and self.scheduler is None:
+        if self.workers == 0:
             for shard in todo:
                 record = self._run_inline(shard)
                 records[shard.index] = record
                 self._store_put(record)
             scheduler_stats = {"backend": "inline", "executed": len(todo)}
         else:
-            scheduler = self._make_scheduler()
-            self._run_scheduled(scheduler, todo, records)
-            scheduler_stats = scheduler.stats()
-            worker_telemetry = scheduler.telemetry_snapshots()
+            scheduler_stats = self._run_pool(todo, records)
 
         for shard in skipped:
             records[shard.index] = ShardResult(
@@ -442,7 +432,6 @@ class SweepRunner:
         report = SweepReport(
             spec=self.spec,
             shards=[records[shard.index] for shard in shards],
-            worker_telemetry=worker_telemetry,
             scheduler_stats=scheduler_stats,
         )
         return report
@@ -497,24 +486,19 @@ class SweepRunner:
             scenario=self.spec.scenario,
         )
 
-    # -- scheduler dispatch --------------------------------------------------
+    # -- the worker pool -----------------------------------------------------
 
-    def _make_scheduler(self):
-        """The configured scheduler, or a LocalScheduler over the pool."""
-        if self.scheduler is not None:
-            return self.scheduler
+    def _run_pool(
+        self, todo: List[Shard], records: Dict[int, ShardResult]
+    ) -> Dict[str, Any]:
+        """Drive ``todo`` through the forked pool; returns its stats."""
         from ..cluster.scheduler import LocalScheduler
 
-        return LocalScheduler(
-            workers=max(self.workers, 1),
+        scheduler = LocalScheduler(
+            workers=self.workers,
             start_method=self.start_method,
             heartbeat_s=self.heartbeat_s,
         )
-
-    def _run_scheduled(
-        self, scheduler, todo: List[Shard], records: Dict[int, ShardResult]
-    ) -> None:
-        """Drive ``todo`` through a scheduler backend, resumably."""
         tailer: Optional[FlightTailer] = None
         if self.flight_dir is not None:
             self.flight_dir.mkdir(parents=True, exist_ok=True)
@@ -563,6 +547,7 @@ class SweepRunner:
                 record = records.get(index)
                 if record is not None:
                     record.stalled = True
+        return scheduler.stats()
 
     def _run_inline(self, shard: Shard) -> ShardResult:
         record = ShardResult(index=shard.index, params=shard.params, seed=shard.seed)
@@ -602,7 +587,6 @@ def run_spec(
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = True,
     max_shards: Optional[int] = None,
-    scheduler=None,
     cache_dir=None,
 ) -> SweepReport:
     """One-call convenience: build a :class:`SweepRunner` and run it."""
@@ -610,7 +594,6 @@ def run_spec(
         spec,
         workers=workers,
         checkpoint_dir=checkpoint_dir,
-        scheduler=scheduler,
         cache_dir=cache_dir,
     )
     return runner.run(resume=resume, max_shards=max_shards)

@@ -45,9 +45,6 @@ class ShardResult:
     #: executed (operational — a cache hit holds the same bytes a cold
     #: run would produce, so the merged document is unaffected).
     cached: bool = False
-    #: Which remote worker executed the shard (socket scheduler only;
-    #: operational — placement must never influence results).
-    worker: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -88,12 +85,8 @@ class SweepReport:
 
     spec: ExperimentSpec
     shards: List[ShardResult] = field(default_factory=list)
-    #: Per-worker telemetry snapshots from a remote (socket) scheduler,
-    #: keyed by worker name. Operational: excluded from the merged
-    #: document; feed it to :func:`repro.cluster.workers_openmetrics`.
-    worker_telemetry: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: Operational counters from the scheduler backend that ran the
-    #: sweep (backend name, executed/reassigned counts, ...).
+    #: Operational counters from whatever ran the sweep (``backend`` is
+    #: ``inline`` or ``local``; executed and retried counts).
     scheduler_stats: Dict[str, Any] = field(default_factory=dict)
 
     # -- selections ---------------------------------------------------------
@@ -226,8 +219,6 @@ class SweepReport:
                 note = "from cache"
             elif s.from_checkpoint:
                 note = "from checkpoint"
-            if s.worker:
-                note = f"{note} [{s.worker}]".strip()
             if s.stalled:
                 note = f"{note} [stalled]".strip()
             rows.append(
@@ -264,12 +255,10 @@ class SweepReport:
                     "elapsed_s": s.elapsed_s,
                     "stalled": s.stalled,
                     "cached": s.cached,
-                    "worker": s.worker,
                 }
                 for s in self.shards
             ],
             "scheduler": self.scheduler_stats,
-            "worker_telemetry": self.worker_telemetry,
         }
         with open(path, "w") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)

@@ -20,7 +20,7 @@ scenarios used by the runner's own tests.
 Every scenario registered here needs a small spec in the ``SMOKE``
 table of ``tests/test_invariance.py``, which checks that its merged
 sweep report is the same across workers, datapaths, event queues,
-observability, resume, the result cache and the socket scheduler.
+observability, resume, the result cache and a spawned interpreter.
 """
 
 from __future__ import annotations

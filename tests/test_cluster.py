@@ -1,33 +1,22 @@
-"""Tests for repro.cluster: result store, schedulers, protocol, workers."""
+"""Tests for repro.cluster: the result store and the forked pool."""
 
 import json
-import os
-import signal
-import socket
 import time
 
 import pytest
 
 from repro.cluster import (
-    FrameDecoder,
     LocalScheduler,
     ResultStore,
-    SocketScheduler,
     code_version,
-    encode_frame,
     parse_age_s,
-    recv_frame,
     result_digest,
-    send_frame,
     shard_cache_key,
     source_digest,
-    workers_openmetrics,
 )
-from repro.cluster.worker import _parse_endpoint, main as worker_main
 from repro.errors import SweepError
-from repro.runner import ExperimentSpec, SweepRunner, run_spec
+from repro.runner import ExperimentSpec, run_spec
 from repro.runner.spec import Shard
-from repro.telemetry import parse_openmetrics
 
 
 def echo_spec(**overrides):
@@ -60,7 +49,10 @@ class TestParseAge:
         assert parse_age_s(1.5) == 1.5
 
     def test_bad_age_raises(self):
-        for bad in ("", "h", "12x", "-5s", "1.2.3m"):
+        for bad in (
+            "", "h", "12x", "-5s", "1.2.3m", "9" * 400,
+            -1, -0.5, float("inf"), float("nan"),
+        ):
             with pytest.raises(SweepError):
                 parse_age_s(bad)
 
@@ -160,9 +152,14 @@ class TestResultStore:
         key = "34" * 32
         store.put(key, {"v": 1})
         path = store._entry_path(key)
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
-        assert store.get(key) is None
-        assert path.with_suffix(".corrupt").exists()
+        whole = path.read_text()
+        # A torn write, and JSON that parses but is not an entry object.
+        for body in (whole[: len(whole) // 2], "[1, 2]", "null"):
+            path.write_text(body)
+            assert store.get(key) is None
+            assert path.with_suffix(".corrupt").exists()
+            path.with_suffix(".corrupt").unlink()
+        assert store.misses == 3
 
     def test_stats(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -208,8 +205,20 @@ class TestResultStore:
         path.write_text("not json")
         assert store.get(key) is None
         assert path.with_suffix(".corrupt").exists()
+        # Entries that parse but are not valid are corrupt too, whether
+        # or not a get() has quarantined them yet.
+        listed, undated = store._entry_path("78" * 32), store._entry_path("9a" * 32)
+        store.put("78" * 32, {"v": 2})
+        store.put("9a" * 32, {"v": 3})
+        listed.write_text("[1, 2]")
+        entry = json.loads(undated.read_text())
+        entry["created_s"] = None
+        undated.write_text(json.dumps(entry))
+        assert store.stats().corrupt == 2
+        assert store.stats().entries == 0
         store.gc("52w")  # nothing is that old, but quarantine goes
         assert not path.with_suffix(".corrupt").exists()
+        assert not listed.exists() and not undated.exists()
 
 
 # -- cache-served sweeps ------------------------------------------------------
@@ -299,67 +308,20 @@ class TestCheckpointHygiene:
         fresh = json.loads(spec_path.read_text())
         assert fresh["code_version"] == code_version()
 
+    def test_non_object_spec_json_is_a_fingerprint_mismatch(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        run_spec(echo_spec(), workers=0, checkpoint_dir=ckpt)
+        (ckpt / "spec.json").write_text("[]")
+        with pytest.raises(SweepError, match="different spec"):
+            run_spec(echo_spec(), workers=0, checkpoint_dir=ckpt)
 
-# -- framing ------------------------------------------------------------------
-
-
-class TestProtocol:
-    def test_roundtrip_over_socketpair(self):
-        a, b = socket.socketpair()
-        try:
-            send_frame(a, {"type": "hello", "worker": "w0"})
-            message = recv_frame(b)
-            assert message["type"] == "hello"
-            assert message["worker"] == "w0"
-            assert message["v"] == 1
-        finally:
-            a.close()
-            b.close()
-
-    def test_clean_eof_returns_none(self):
-        a, b = socket.socketpair()
-        a.close()
-        try:
-            assert recv_frame(b) is None
-        finally:
-            b.close()
-
-    def test_mid_frame_eof_raises(self):
-        a, b = socket.socketpair()
-        try:
-            frame = encode_frame({"type": "hello"})
-            a.sendall(frame[: len(frame) - 3])
-            a.close()
-            with pytest.raises(SweepError, match="mid-frame"):
-                recv_frame(b)
-        finally:
-            b.close()
-
-    def test_decoder_handles_fragmented_input(self):
-        wire = encode_frame({"n": 1}) + encode_frame({"n": 2}) + encode_frame({"n": 3})
-        decoder = FrameDecoder()
-        messages = []
-        for i in range(0, len(wire), 5):  # drip-feed 5 bytes at a time
-            messages.extend(decoder.feed(wire[i : i + 5]))
-        assert [m["n"] for m in messages] == [1, 2, 3]
-
-    def test_decoder_rejects_oversized_frames(self):
-        import struct
-
-        decoder = FrameDecoder()
-        with pytest.raises(SweepError, match="exceeds"):
-            decoder.feed(struct.pack(">I", 1 << 31))
-
-    def test_parse_endpoint(self):
-        assert _parse_endpoint("host:80") == ("host", 80)
-        assert _parse_endpoint("::1:9000") == ("::1", 9000)
-        for bad in ("nope", ":80", "host:"):
-            with pytest.raises(SweepError):
-                _parse_endpoint(bad)
-
-    def test_worker_cli_rejects_bad_endpoint(self, capsys):
-        assert worker_main(["--connect", "nope"]) == 1
-        assert "osnt-worker" in capsys.readouterr().err
+    def test_non_object_shard_checkpoint_reruns(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        first = run_spec(echo_spec(), workers=0, checkpoint_dir=ckpt)
+        (ckpt / "shard-00000.json").write_text("[]")
+        again = run_spec(echo_spec(), workers=0, checkpoint_dir=ckpt)
+        assert [s.from_checkpoint for s in again.shards] == [False, True, True, True]
+        assert again.merged_json() == first.merged_json()
 
 
 # -- schedulers ---------------------------------------------------------------
@@ -376,258 +338,3 @@ class TestLocalScheduler:
     def test_rejects_zero_workers(self):
         with pytest.raises(SweepError):
             LocalScheduler(workers=0)
-
-
-def _socket_scheduler(**overrides):
-    options = dict(spawn_workers=2, heartbeat_s=0.1)
-    options.update(overrides)
-    return SocketScheduler(**options)
-
-
-class TestSocketScheduler:
-    def test_merged_report_matches_inline(self, tmp_path):
-        spec = echo_spec()
-        baseline = run_spec(spec, workers=0)
-        runner = SweepRunner(
-            spec, scheduler=_socket_scheduler(), flight_dir=tmp_path / "flight"
-        )
-        report = runner.run()
-        assert report.require_ok().complete
-        assert report.merged_json() == baseline.merged_json()
-        stats = report.scheduler_stats
-        assert stats["backend"] == "socket"
-        assert stats["executed"] == len(spec.expand())
-        assert sum(stats["per_worker"].values()) == stats["executed"]
-        assert all(s.worker for s in report.shards)
-
-    def test_remote_heartbeats_feed_the_flight_recorder(self, tmp_path):
-        spec = echo_spec(
-            scenario="sleep",
-            params={"duration_s": 0.6},
-            axes={"x": [1]},
-        )
-        flight = tmp_path / "flight"
-        runner = SweepRunner(
-            spec, scheduler=_socket_scheduler(spawn_workers=1), flight_dir=flight
-        )
-        runner.run().require_ok()
-        beats = []
-        for path in flight.glob("*.hb.jsonl"):
-            beats.extend(
-                json.loads(line) for line in path.read_text().splitlines()
-            )
-        assert beats, "remote heartbeats should land in the flight directory"
-        assert all("worker" in beat for beat in beats)
-
-    def test_pull_based_work_stealing(self):
-        # One 1.5s shard and six fast ones: whichever worker draws the
-        # slow shard is busy while the other pulls everything else.
-        spec = echo_spec(
-            scenario="sleep",
-            params={},
-            axes={"duration_s": [1.5, 0.02, 0.02, 0.02, 0.02, 0.02, 0.02]},
-            retries=0,
-        )
-        runner = SweepRunner(spec, scheduler=_socket_scheduler())
-        report = runner.run().require_ok()
-        per_worker = report.scheduler_stats["per_worker"]
-        assert len(per_worker) == 2
-        assert sum(per_worker.values()) == 7
-        assert max(per_worker.values()) >= 4
-
-    def test_per_worker_telemetry_is_collected(self):
-        spec = echo_spec()
-        runner = SweepRunner(spec, scheduler=_socket_scheduler())
-        report = runner.run().require_ok()
-        assert report.worker_telemetry
-        assert sum(
-            snap.get("shards_ok", 0) for snap in report.worker_telemetry.values()
-        ) == len(spec.expand())
-        text = workers_openmetrics(report.worker_telemetry)
-        families = parse_openmetrics(text)
-        assert "osnt_worker_shards_ok" in families
-
-    def test_no_worker_ever_connects_raises(self):
-        scheduler = SocketScheduler(
-            spawn_workers=0, connect_timeout_s=0.3, heartbeat_s=0.1
-        )
-        runner = SweepRunner(echo_spec(), scheduler=scheduler)
-        with pytest.raises(SweepError, match="no live worker"):
-            runner.run()
-
-    def test_warm_cache_spawns_nothing(self, tmp_path):
-        spec = echo_spec()
-        store_dir = tmp_path / "store"
-        run_spec(spec, workers=0, cache_dir=store_dir)
-        scheduler = _socket_scheduler()
-        report = SweepRunner(spec, scheduler=scheduler, cache_dir=store_dir).run()
-        assert len(report.from_cache) == len(spec.expand())
-        assert not scheduler.spawned  # an empty todo never forks workers
-
-    def test_kill_and_resume_determinism(self, tmp_path):
-        spec = echo_spec()
-        baseline = run_spec(spec, workers=1)
-        ckpt = tmp_path / "ckpt"
-        partial = SweepRunner(
-            spec, scheduler=_socket_scheduler(), checkpoint_dir=ckpt
-        ).run(max_shards=2)
-        assert partial.pending  # the "interrupted" half of the campaign
-        resumed = SweepRunner(
-            spec, scheduler=_socket_scheduler(), checkpoint_dir=ckpt
-        ).run()
-        assert resumed.require_ok().complete
-        assert resumed.merged_json() == baseline.merged_json()
-        assert sum(1 for s in resumed.shards if s.from_checkpoint) == 2
-
-
-def _write_scenario_module(tmp_path, monkeypatch, module, name, signal_name):
-    """A scenario module (importable by spawned workers) that stops or
-    kills its own worker process on the first attempt."""
-    (tmp_path / f"{module}.py").write_text(
-        "import os, signal\n"
-        "from repro.runner.registry import scenario\n"
-        f"@scenario({name!r})\n"
-        "def _scen(params, seed):\n"
-        "    marker = params['marker']\n"
-        "    if not os.path.exists(marker):\n"
-        "        with open(marker, 'w') as handle:\n"
-        "            handle.write('attempted\\n')\n"
-        f"        os.kill(os.getpid(), signal.{signal_name})\n"
-        "    return {'recovered': True, 'seed': seed}\n"
-    )
-    existing = os.environ.get("PYTHONPATH", "")
-    monkeypatch.setenv(
-        "PYTHONPATH",
-        str(tmp_path) + (os.pathsep + existing if existing else ""),
-    )
-
-
-class TestWorkerDeath:
-    def test_dead_worker_shard_is_reassigned(self, tmp_path, monkeypatch):
-        """SIGKILL closes the socket: the EOF path reassigns at once."""
-        _write_scenario_module(
-            tmp_path, monkeypatch, "scen_die", "die_once", "SIGKILL"
-        )
-        spec = ExperimentSpec(
-            name="die",
-            scenario="die_once",
-            params={"marker": str(tmp_path / "marker")},
-            imports=["scen_die"],
-            retries=1,
-            timeout_s=30.0,
-        )
-        scheduler = _socket_scheduler()
-        report = SweepRunner(spec, scheduler=scheduler).run()
-        assert report.require_ok().complete
-        assert report.shards[0].result == {
-            "recovered": True,
-            "seed": spec.expand()[0].seed,
-        }
-        stats = report.scheduler_stats
-        assert stats["deaths"] >= 1
-        assert stats["reassigned"] >= 1
-
-    def test_heartbeat_timeout_declares_worker_dead(self, tmp_path, monkeypatch):
-        """SIGSTOP keeps the socket open but silences heartbeats: only
-        the heartbeat-timeout path can reclaim the shard."""
-        _write_scenario_module(
-            tmp_path, monkeypatch, "scen_stop", "stop_once", "SIGSTOP"
-        )
-        spec = ExperimentSpec(
-            name="stall",
-            scenario="stop_once",
-            params={"marker": str(tmp_path / "marker")},
-            imports=["scen_stop"],
-            retries=1,
-            timeout_s=60.0,  # far beyond the heartbeat timeout
-        )
-        scheduler = _socket_scheduler(heartbeat_timeout_s=1.5)
-        report = SweepRunner(spec, scheduler=scheduler).run()
-        assert report.require_ok().complete
-        assert report.shards[0].result == {
-            "recovered": True,
-            "seed": spec.expand()[0].seed,
-        }
-        stats = report.scheduler_stats
-        assert stats["deaths"] >= 1
-        assert stats["reassigned"] >= 1
-
-    def test_retry_budget_bounds_reassignment(self, tmp_path, monkeypatch):
-        """A shard that always kills its worker fails after the budget
-        instead of looping forever."""
-        (tmp_path / "scen_always.py").write_text(
-            "import os, signal\n"
-            "from repro.runner.registry import scenario\n"
-            "@scenario('always_die')\n"
-            "def _scen(params, seed):\n"
-            "    os.kill(os.getpid(), signal.SIGKILL)\n"
-        )
-        existing = os.environ.get("PYTHONPATH", "")
-        monkeypatch.setenv(
-            "PYTHONPATH",
-            str(tmp_path) + (os.pathsep + existing if existing else ""),
-        )
-        spec = ExperimentSpec(
-            name="always",
-            scenario="always_die",
-            imports=["scen_always"],
-            retries=1,
-            timeout_s=30.0,
-        )
-        scheduler = _socket_scheduler()
-        report = SweepRunner(spec, scheduler=scheduler).run()
-        assert len(report.failed) == 1
-        assert report.failed[0].attempts == 2  # retries + 1, then give up
-        assert "died" in report.failed[0].error
-        assert report.scheduler_stats["deaths"] == 2
-
-
-# -- openmetrics aggregation --------------------------------------------------
-
-
-class TestWorkersOpenmetrics:
-    def test_gauges_grouped_per_family_with_worker_labels(self):
-        text = workers_openmetrics(
-            {
-                "w1": {"shards_ok": 3, "beats": 10},
-                "w0": {"shards_ok": 1, "note": "skipped: not numeric"},
-            }
-        )
-        families = parse_openmetrics(text)
-        samples = families["osnt_worker_shards_ok"]["samples"]
-        assert [(labels["worker"], value) for _, labels, value in samples] == [
-            ("w0", 1.0),
-            ("w1", 3.0),
-        ]
-        assert "note" not in text
-
-    def test_summaries_get_quantile_and_worker_labels(self):
-        text = workers_openmetrics(
-            {"w0": {"lat_us": {"count": 4, "mean": 2.0, "p50": 1.5, "p99": 3.0}}}
-        )
-        families = parse_openmetrics(text)
-        family = families["osnt_worker_lat_us"]
-        assert family["type"] == "summary"
-        names = [name for name, _, _ in family["samples"]]
-        assert "osnt_worker_lat_us_count" in names
-        assert "osnt_worker_lat_us_sum" in names
-        quantiles = [
-            labels["quantile"]
-            for _, labels, _ in family["samples"]
-            if "quantile" in labels
-        ]
-        assert quantiles == ["0.5", "0.99"]
-
-    def test_sanitization_collision_raises(self):
-        with pytest.raises(ValueError, match="sanitize"):
-            workers_openmetrics({"w0": {"a.b": 1, "a_b": 2}})
-
-    def test_empty_fleet_is_still_valid(self):
-        assert parse_openmetrics(workers_openmetrics({})) == {}
-
-    def test_hostile_worker_names_are_escaped(self):
-        text = workers_openmetrics({'evil"name\nhost': {"shards_ok": 1}})
-        families = parse_openmetrics(text)
-        (_, labels, _) = families["osnt_worker_shards_ok"]["samples"][0]
-        assert '"' not in labels["worker"]
-        assert "\n" not in labels["worker"]

@@ -15,8 +15,12 @@ JSON byte for byte:
 * ``resume`` — stopped after one shard, then resumed with two workers;
 * ``warm_cache`` — a cold run fills a result store and a warm rerun is
   served from it entirely;
-* ``socket_scheduler`` — one spawned remote worker behind the socket
-  scheduler.
+* ``spawned`` — a pool of two workers started as fresh interpreters,
+  which inherit no module state and hash strings with a new seed, so a
+  result that depends on either differs from the forked baseline.
+
+Scenarios that accept ``telemetry`` run with it on, so the card's
+metrics snapshot in each result is compared along every axis too.
 
 Every scenario needs a ``SMOKE`` entry: small base params plus exactly
 one sweep axis with two values, so resume has a shard to skip. A
@@ -28,9 +32,8 @@ from functools import lru_cache
 
 import pytest
 
-from repro.cluster import SocketScheduler
 from repro.obs import SimProfiler, SpanRecorder, observe_simulators
-from repro.runner import ExperimentSpec, list_scenarios, run_spec
+from repro.runner import ExperimentSpec, SweepRunner, list_scenarios, run_spec
 from repro.telemetry import WaveformRecorder
 
 #: The registry as it stands once the test modules are imported.
@@ -48,13 +51,16 @@ SMOKE = {
     "echo": ({"tag": "smoke"}, {"x": [1, 2]}),
     "sleep": ({}, {"duration_s": [0.0, 0.01]}),
     # -- paper experiments
-    "line_rate": ({"duration": "20us"}, {"frame_size": [64, 1518]}),
+    "line_rate": ({"duration": "20us", "telemetry": True}, {"frame_size": [64, 1518]}),
     "idt_precision": (
         {"target_gap_ps": "1us", "packet_count": 50},
         {"kind": ["osnt", "software"]},
     ),
     "clock_error": ({"horizon_s": 2}, {"mode": ["free-running", "gps-disciplined"]}),
-    "legacy_latency": ({"frame_size": 256, "duration": "50us"}, {"load": [0.2, 0.9]}),
+    "legacy_latency": (
+        {"frame_size": 256, "duration": "50us", "telemetry": True},
+        {"load": [0.2, 0.9]},
+    ),
     "capture_path": ({"duration": "50us"}, {"load": [0.3, 1.0]}),
     "timestamp_placement": ({"duration": "50us"}, {"load": [0.3, 0.9]}),
     "router_latency": ({"fib_fill": 50, "duration": "50us"}, {"prefix_len": [8, 24]}),
@@ -65,14 +71,29 @@ SMOKE = {
         {"barrier_mode": ["spec", "eager"]},
     ),
     "rfc2544": ({"duration": "50us", "resolution": 0.1}, {"frame_size": [64, 512]}),
-    "oflops": ({"n_rules": 4}, {"module": ["echo_latency", "flow_mod_latency"]}),
+    "oflops": (
+        {"n_rules": 4, "telemetry": True},
+        {"module": ["echo_latency", "flow_mod_latency"]},
+    ),
     # -- attack workloads
     "syn_flood_flowmod": (
-        {"n_flows": 16, "duration": "200us", "deadline": "50ms", "waveforms": True},
+        {
+            "n_flows": 16,
+            "duration": "200us",
+            "deadline": "50ms",
+            "waveforms": True,
+            "telemetry": True,
+        },
         {"n_rules": [2, 4]},
     ),
     "incast_burst": (
-        {"senders": 2, "frame_size": 256, "duration": "100us", "waveforms": True},
+        {
+            "senders": 2,
+            "frame_size": 256,
+            "duration": "100us",
+            "waveforms": True,
+            "telemetry": True,
+        },
         {"traffic": [CBR, BURST_TRAIN]},
     ),
     # -- fault injection
@@ -172,8 +193,8 @@ def warm_cache(spec, tmp_path, monkeypatch):
     return warm
 
 
-def socket_scheduler(spec, tmp_path, monkeypatch):
-    return run_spec(spec, scheduler=SocketScheduler(spawn_workers=1))
+def spawned(spec, tmp_path, monkeypatch):
+    return SweepRunner(spec, workers=2, start_method="spawn").run()
 
 
 AXES = {
@@ -185,7 +206,7 @@ AXES = {
         observed,
         resume,
         warm_cache,
-        socket_scheduler,
+        spawned,
     )
 }
 

@@ -1,7 +1,10 @@
 """Tests for repro.runner: specs, sharding, pool execution, resume."""
 
+import contextlib
 import copy
 import json
+import os
+import signal
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.runner import (
     run_spec,
     shard_seed,
 )
+from repro.runner import registry
 from repro.runner.cli import main as sweep_main
 from repro.units import us
 
@@ -33,6 +37,17 @@ def echo_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+@contextlib.contextmanager
+def registered(name, fn):
+    """Register a scenario for one test only, so that
+    tests/test_invariance.py never sees it."""
+    register_scenario(name, fn)
+    try:
+        yield
+    finally:
+        registry._SCENARIOS.pop(name, None)
 
 
 class TestSpecValidation:
@@ -195,17 +210,12 @@ class TestRegistry:
         def doubler(params, seed):
             return {"twice": params["n"] * 2}
 
-        register_scenario("test_doubler", doubler)
-        try:
-            spec = ExperimentSpec(
-                name="d", scenario="test_doubler", axes={"n": [3]}, retries=0
-            )
+        spec = ExperimentSpec(
+            name="d", scenario="test_doubler", axes={"n": [3]}, retries=0
+        )
+        with registered("test_doubler", doubler):
             report = run_spec(spec)
-            assert report.results() == [{"twice": 6}]
-        finally:
-            from repro.runner import registry
-
-            registry._SCENARIOS.pop("test_doubler", None)
+        assert report.results() == [{"twice": 6}]
 
 
 class TestDeterminism:
@@ -292,6 +302,43 @@ class TestFaultTolerance:
         spec = echo_spec()
         attempt = _Attempt(Context(), spec, spec.expand()[0], str(out))
         assert attempt.outcome(timeout_s=None) == {"status": "ok", "result": {}}
+
+    def test_killed_worker_is_retried(self, tmp_path):
+        """A worker killed mid-shard leaves no outcome file: the pool
+        counts a death and runs the shard again."""
+
+        def die_once(params, seed):
+            if not os.path.exists(params["marker"]):
+                open(params["marker"], "w").close()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return {"recovered": True}
+
+        spec = ExperimentSpec(
+            name="die-once",
+            scenario="test_die_once",
+            params={"marker": str(tmp_path / "marker")},
+            retries=1,
+            timeout_s=30.0,
+        )
+        with registered("test_die_once", die_once):
+            report = run_spec(spec, workers=1)
+        assert report.shards[0].status == "ok"
+        assert report.shards[0].attempts == 2
+        assert report.scheduler_stats["retried"] == 1
+        assert report.results() == [{"recovered": True}]
+
+    def test_worker_that_always_dies_fails_after_budget(self):
+        def always_die(params, seed):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        spec = ExperimentSpec(
+            name="always-die", scenario="test_always_die", retries=1, timeout_s=30.0
+        )
+        with registered("test_always_die", always_die):
+            report = run_spec(spec, workers=1)
+        (failed,) = report.failed
+        assert failed.attempts == spec.retries + 1
+        assert "worker died without a result" in failed.error
 
     def test_retry_budget_exhaustion_does_not_abort(self, tmp_path):
         # Shard 0 fails forever (marker path is an unwritable directory

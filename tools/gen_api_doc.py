@@ -44,7 +44,7 @@ SECTION_TITLES = {
     "repro.flows": "Closed-Loop Flows",
     "repro.telemetry": "Telemetry & Tracing",
     "repro.obs": "Causal Observability",
-    "repro.cluster": "Sweep Distribution & Caching",
+    "repro.cluster": "Result Store & Worker Pool",
 }
 
 
