@@ -8,8 +8,9 @@ channel needed), with the full telemetry stack armed:
 
 * per-port counters, rates and latency histograms in one ``snapshot()``,
 * the in-band latency distribution as p50/p90/p99 and bucket rows,
-* an event trace of the whole run exported as Chrome ``trace_event``
-  JSON — open it at chrome://tracing or https://ui.perfetto.dev.
+* an event trace of the whole run (kernel events plus one span track
+  per packet) exported as Chrome ``trace_event`` JSON — open it at
+  chrome://tracing or https://ui.perfetto.dev.
 
 Run:  python examples/telemetry_tour.py
 """
@@ -21,6 +22,7 @@ import tempfile
 from repro.analysis import print_table
 from repro.hw import connect
 from repro.net import PcapRecord, build_udp, write_pcap
+from repro.obs import SpanRecorder
 from repro.osnt import OSNT
 from repro.sim import Simulator
 from repro.telemetry import Tracer, write_chrome_trace, write_snapshot_json
@@ -50,8 +52,10 @@ def main() -> None:
     print(f"synthesized {count} packets -> {pcap_path}")
 
     sim = Simulator()
-    # Kernel + datapath events from the first tick.
+    # Kernel events from the first tick; the spans record each packet's
+    # hops (MAC TX/RX, capture, host delivery) for the same trace file.
     tracer = Tracer(capacity=1 << 15).arm(sim)
+    spans = SpanRecorder().arm(sim)
 
     tester = OSNT(sim)
     connect(tester.port(0), tester.port(1))
@@ -114,7 +118,7 @@ def main() -> None:
     snapshot_path = os.path.join(workdir, "snapshot.json")
     trace_path = os.path.join(workdir, "trace.json")
     write_snapshot_json(snapshot_path, snapshot)
-    written = write_chrome_trace(trace_path, tracer)
+    written = write_chrome_trace(trace_path, tracer, span_recorder=spans)
     with open(trace_path) as handle:
         document = json.load(handle)
     print(f"wrote {len(snapshot)} metrics -> {snapshot_path}")

@@ -22,7 +22,7 @@ because nothing else in the simulation shares those streams.
 Telemetry: every recorded fault action increments
 ``faults.<name>.<action>`` in the bound
 :class:`~repro.telemetry.MetricsRegistry` and, when a tracer is
-attached to the simulator, emits a ``"fault"``-category instant event.
+armed on the simulator, emits a ``"fault"``-category instant event.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class FaultInjector:
         packet = detail.pop("packet", None)
         now = self.sim.now
         if packet is not None:
-            spans = getattr(self.sim, "spans", None)
+            spans = self.sim.spans
             if spans is not None:
                 spans.fault(now, packet, fault_name, action, detail or None)
         self.events_recorded += 1
@@ -148,7 +148,7 @@ class FaultInjector:
         self._digest.update(payload.encode())
         if self.registry is not None:
             self.registry.counter(f"faults.{fault_name}.{action}").inc()
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.sim.tracer
         if tracer is not None:
             tracer.instant(now, "fault", f"{fault_name}.{action}", detail or None)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..errors import FaultError
+from ..errors import ConfigError, FaultError
 from ..spec import Spec
 from ..units import duration_ps
 
@@ -46,10 +46,11 @@ class FaultSpec(Spec):
 
     _FIELDS = ("name", "model", "target", "params", "start", "stop")
     _REQUIRED = ("name", "model")
+    _STRINGS = ("name", "model", "target")
     _ERROR = FaultError
     _LABEL = "fault"
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.name:
             raise FaultError("fault needs a non-empty name")
         if not self.model:
@@ -59,7 +60,11 @@ class FaultSpec(Spec):
                 f"fault {self.name!r}: params must be a dict, "
                 f"got {type(self.params).__name__}"
             )
-        if self.stop is not None and self.stop_ps <= self.start_ps:
+        try:
+            start_ps, stop_ps = self.start_ps, self.stop_ps
+        except ConfigError as exc:
+            raise FaultError(f"fault {self.name!r}: {exc}") from None
+        if stop_ps is not None and stop_ps <= start_ps:
             raise FaultError(
                 f"fault {self.name!r}: stop ({self.stop!r}) must be after "
                 f"start ({self.start!r})"
@@ -82,10 +87,11 @@ class ImpairmentSpec(Spec):
     name: str = "impairments"
 
     _FIELDS = ("name", "faults")
+    _STRINGS = ("name",)
     _ERROR = FaultError
     _LABEL = "impairment spec"
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not isinstance(self.faults, (list, tuple)):
             raise FaultError(
                 f"faults must be a list, got {type(self.faults).__name__}"

@@ -13,13 +13,15 @@ generator scheduling, TX-MAC serialization, link delay and RX delivery
 arithmetically, touching the kernel only where ordering is observable.
 Full :class:`~repro.net.packet.Packet` objects are never materialized on
 an eligible lane; observation points that need them (capture buffers,
-spans, tracers, filters, fault hooks) make a lane ineligible and it
-falls back to the stock per-packet path, so results stay bit-identical
-by construction (proven by tests/test_datapath_equivalence.py). The one
-observation plane that stays on the fast path is the waveform recorder
-(``sim.waves``): it needs only scalar state, so eligible lanes feed it
-closed-form runs that reproduce the per-packet probes' sample streams
-bit-identically (also proven by the equivalence tests).
+spans, filters, fault hooks) make a lane ineligible and it falls back
+to the stock per-packet path, so results stay bit-identical by
+construction (proven by tests/test_datapath_equivalence.py). Two
+observation planes stay on the fast path. The tracer (``sim.tracer``)
+reads no packets, so it records the controller events an eligible lane
+actually runs. The waveform recorder (``sim.waves``) needs only scalar
+state, so eligible lanes feed it closed-form runs that reproduce the
+per-packet probes' sample streams bit-identically (also proven by the
+equivalence tests).
 
 Selection follows the ``REPRO_EVENT_QUEUE`` precedent: the
 ``REPRO_DATAPATH`` environment variable or the ``datapath=`` argument
@@ -184,9 +186,9 @@ class BurstLane:
 
         An armed :class:`repro.telemetry.WaveformRecorder` (``sim.waves``)
         deliberately does NOT appear in the eligibility audit: unlike
-        spans and tracers it needs no materialized packets, so the lane
-        stays on the closed-form path and reconstructs the exact
-        per-packet sample streams from parked scalar state below.
+        spans it needs no materialized packets, so the lane stays on the
+        closed-form path and reconstructs the exact per-packet sample
+        streams from parked scalar state below.
         """
         waves = self.sim.waves
         if waves is None:
@@ -221,7 +223,6 @@ class BurstLane:
             )
         ok = (
             sim.spans is None
-            and sim.tracer is None
             # Closed-loop sources (repro.flows transports) react to
             # every delivery; batched window advancement is unsafe
             # anywhere in the same simulation.
@@ -337,7 +338,6 @@ class BurstLane:
         pipeline = self.pipeline
         ok = (
             sim.spans is None
-            and sim.tracer is None
             and not getattr(sim, "_closed_loop_sources", 0)
             and not self.link._impairments
             and self.link.bit_error_rate == 0
@@ -362,7 +362,7 @@ class BurstLane:
         if not ok:
             raise SimulationError(
                 f"generator {engine.name!r}: observation point armed while a "
-                "burst-datapath lane is active (spans/tracer/capture/faults/"
+                "burst-datapath lane is active (spans/capture/faults/"
                 "flow transports must be configured before start, or run "
                 "with REPRO_DATAPATH=packet)"
             )

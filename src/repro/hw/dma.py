@@ -129,12 +129,6 @@ class DmaEngine:
             nbytes = self._transfer_bytes(packet)
             self.stats.dropped += 1
             self.stats.dropped_bytes += nbytes
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.instant(
-                    self.sim.now, "packet", "drop",
-                    {"dma": self.name, "reason": "ring_full", "bytes": nbytes},
-                )
             spans = self.sim.spans
             if spans is not None:
                 spans.close(
@@ -188,12 +182,6 @@ class DmaEngine:
                 self._wave_ring(waves)
                 cache = self._waves_cache
             cache[1](self.sim.now, len(self._ring))
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(
-                self.sim.now, "packet", "host",
-                {"dma": self.name, "bytes": nbytes},
-            )
         spans = self.sim.spans
         if spans is not None:
             spans.close(

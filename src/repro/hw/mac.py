@@ -171,9 +171,6 @@ class TxMac:
                 cache = self._wave_series(waves)
             cache[1](now, self.fifo.occupancy_bytes)
             cache[2](now, wire_bytes)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(now, "packet", "tx", {"mac": self.name, "bytes": frame_len})
         spans = self.sim.spans
         if spans is not None:
             spans.hop(now, packet, "mac_tx", {"mac": self.name, "bytes": frame_len})
@@ -212,13 +209,8 @@ class RxMac:
                     waves.rate_series(f"{self.name}.wire_bytes", unit="bytes").record,
                 )
             cache[1](now, frame_wire_bytes(packet.frame_length))
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(
-                self.sim.now, "packet", "rx", {"mac": self.name, "bytes": packet.frame_length}
-            )
         spans = self.sim.spans
         if spans is not None:
-            spans.hop(self.sim.now, packet, "mac_rx", {"mac": self.name})
+            spans.hop(now, packet, "mac_rx", {"mac": self.name})
         for sink in self._sinks:
             sink(packet)

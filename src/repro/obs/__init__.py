@@ -6,7 +6,8 @@ answers *causal* and *operational* questions:
 * :class:`SpanRecorder` — per-packet lifecycle spans (generator → TX
   stamp → MACs → DUT → capture → host, including fault actions),
   correlated across the device under test by the in-band TX stamp,
-  exportable as Chrome trace JSON and a JSONL "packet story" table;
+  exportable as Chrome trace JSON and a JSONL "packet story" table.
+  Spans are the simulator's one per-packet record;
 * :class:`SimProfiler` — wall-clock attribution of kernel dispatch and
   the "sim speedometer" (sim-ps advanced per wall second);
 * :class:`HeartbeatWriter` / :class:`FlightTailer` — the sweep flight

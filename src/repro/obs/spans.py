@@ -34,9 +34,11 @@ story" table (:meth:`SpanRecorder.stories_jsonl`).
 from __future__ import annotations
 
 import json
+from collections import deque
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..errors import ConfigError
 from ..net.packet import Packet
 from ..sim.kernel import _Recorder
 
@@ -121,6 +123,8 @@ class SpanRecorder(_Recorder):
     ``sample_one_in=N`` keeps every Nth generated packet (a deterministic
     modulo counter, never RNG — sampling must not perturb seeded
     streams). Capacity is bounded; the oldest span is evicted when full.
+    Both indexes (packet id and raw TX stamp) map straight to the span,
+    so recording a hop costs one dict lookup.
     """
 
     _SLOT = "spans"
@@ -132,15 +136,17 @@ class SpanRecorder(_Recorder):
         stamp_offset: int = DEFAULT_STAMP_OFFSET,
     ) -> None:
         if capacity < 1:
-            raise ValueError(f"span capacity must be >= 1, got {capacity}")
+            raise ConfigError(f"span capacity must be >= 1, got {capacity}")
         if sample_one_in < 1:
-            raise ValueError(f"sample_one_in must be >= 1, got {sample_one_in}")
+            raise ConfigError(f"sample_one_in must be >= 1, got {sample_one_in}")
+        if stamp_offset < 0:
+            raise ConfigError(f"stamp_offset must be >= 0, got {stamp_offset}")
         self.capacity = capacity
         self.sample_one_in = sample_one_in
         self.stamp_offset = stamp_offset
-        self._spans: Dict[int, PacketSpan] = {}  # span_id -> span, insertion order
-        self._by_packet: Dict[int, int] = {}  # packet_id -> span_id
-        self._by_stamp: Dict[int, int] = {}  # raw TX stamp -> span_id
+        self._spans: deque = deque()  # live spans, oldest first
+        self._by_packet: Dict[int, PacketSpan] = {}
+        self._by_stamp: Dict[int, PacketSpan] = {}  # raw TX stamp -> span
         self._next_span = 0
         self._sample_tick = 0
         self.started = 0
@@ -160,21 +166,19 @@ class SpanRecorder(_Recorder):
         span = PacketSpan(self._next_span, packet.packet_id, origin, time_ps)
         if len(self._spans) >= self.capacity:
             self._evict_oldest()
-        self._spans[span.span_id] = span
-        self._by_packet[packet.packet_id] = span.span_id
+        self._spans.append(span)
+        self._by_packet[packet.packet_id] = span
         self.started += 1
         span.hops.append((time_ps, "generator", {"origin": origin}))
         return span
 
     def _evict_oldest(self) -> None:
-        oldest_id = next(iter(self._spans))
-        oldest = self._spans.pop(oldest_id)
+        oldest = self._spans.popleft()
         for packet_id in oldest.packet_ids:
-            if self._by_packet.get(packet_id) == oldest_id:
+            if self._by_packet.get(packet_id) is oldest:
                 del self._by_packet[packet_id]
-        if oldest.tx_stamp_raw is not None:
-            if self._by_stamp.get(oldest.tx_stamp_raw) == oldest_id:
-                del self._by_stamp[oldest.tx_stamp_raw]
+        if self._by_stamp.get(oldest.tx_stamp_raw) is oldest:
+            del self._by_stamp[oldest.tx_stamp_raw]
         self.evicted += 1
 
     def lookup(self, packet: Packet) -> Optional[PacketSpan]:
@@ -185,20 +189,18 @@ class SpanRecorder(_Recorder):
         key that survives the DUT re-emitting a fresh frame object —
         and alias this ``packet_id`` onto the matched span.
         """
-        span_id = self._by_packet.get(packet.packet_id)
-        if span_id is None and self._by_stamp:
+        span = self._by_packet.get(packet.packet_id)
+        if span is None and self._by_stamp:
             data = packet.data
             offset = self.stamp_offset
             if offset + _STAMP_BYTES <= len(data):
                 raw = int.from_bytes(data[offset : offset + _STAMP_BYTES], "big")
-                span_id = self._by_stamp.get(raw)
-                if span_id is not None:
-                    self._by_packet[packet.packet_id] = span_id
-                    self._spans[span_id].packet_ids.append(packet.packet_id)
+                span = self._by_stamp.get(raw)
+                if span is not None:
+                    self._by_packet[packet.packet_id] = span
+                    span.packet_ids.append(packet.packet_id)
                     self.stamp_matches += 1
-        if span_id is None:
-            return None
-        return self._spans.get(span_id)
+        return span
 
     def hop(
         self, time_ps: int, packet: Packet, name: str, detail: Optional[dict] = None
@@ -216,14 +218,11 @@ class SpanRecorder(_Recorder):
         — the exact value later extracted at capture, so the index hit
         is exact (the ps→raw conversion is lossy, the raw value is not).
         """
-        span_id = self._by_packet.get(packet.packet_id)
-        if span_id is None:
-            return
-        span = self._spans.get(span_id)
+        span = self._by_packet.get(packet.packet_id)
         if span is None or span.closed:
             return
         span.tx_stamp_raw = raw
-        self._by_stamp[raw] = span_id
+        self._by_stamp[raw] = span
         span.hops.append((time_ps, "tx_stamp", {"raw": raw}))
 
     def transfer(
@@ -244,7 +243,7 @@ class SpanRecorder(_Recorder):
         if span is None or span.closed:
             return
         span.hops.append((time_ps, name, detail))
-        self._by_packet[clone.packet_id] = span.span_id
+        self._by_packet[clone.packet_id] = span
         span.packet_ids.append(clone.packet_id)
 
     def close(
@@ -287,20 +286,19 @@ class SpanRecorder(_Recorder):
 
     def spans(self) -> List[PacketSpan]:
         """Recorded spans in start order (evicted ones excluded)."""
-        return list(self._spans.values())
+        return list(self._spans)
 
     def __len__(self) -> int:
         return len(self._spans)
 
     def find_by_stamp(self, raw: int) -> Optional[PacketSpan]:
-        span_id = self._by_stamp.get(raw)
-        return None if span_id is None else self._spans.get(span_id)
+        return self._by_stamp.get(raw)
 
     # -- export: packet stories --------------------------------------------
 
     def stories(self) -> List[Dict[str, Any]]:
         """All spans as plain-JSON story rows, in start order."""
-        return [span.as_story() for span in self._spans.values()]
+        return [span.as_story() for span in self._spans]
 
     def stories_jsonl(self) -> str:
         """The story table as JSON Lines (one packet per line)."""
@@ -324,7 +322,7 @@ class SpanRecorder(_Recorder):
         collapsible track next to the kernel tracer's events.
         """
         events: List[Dict[str, Any]] = []
-        for span in self._spans.values():
+        for span in self._spans:
             tid = span.span_id
             outcome = span.outcome if span.outcome is not None else "open"
             start_us = span.born_ps / 1e6

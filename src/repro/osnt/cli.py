@@ -238,7 +238,9 @@ def telemetry_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--csv", metavar="FILE", help="also write a flat metric,value CSV")
     parser.add_argument(
-        "--trace", metavar="FILE", help="record and write a Chrome trace_event file"
+        "--trace", metavar="FILE",
+        help="record and write a Chrome trace_event file (kernel events "
+        "plus one span track per packet)",
     )
     parser.add_argument(
         "--trace-capacity", type=int, default=1 << 16, help="trace ring-buffer slots"
@@ -258,6 +260,7 @@ def telemetry_main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    from ..obs import SpanRecorder
     from ..telemetry import (
         Tracer,
         registry_histograms_to_dict,
@@ -268,9 +271,10 @@ def telemetry_main(argv: Optional[List[str]] = None) -> int:
     )
 
     sim = Simulator()
-    tracer = None
+    tracer = spans = None
     if args.trace:
         tracer = Tracer(capacity=args.trace_capacity).arm(sim)
+        spans = SpanRecorder().arm(sim)
     tester = OSNT(sim)
     connect(tester.port(0), tester.port(1))
     tester.start_telemetry()
@@ -309,7 +313,9 @@ def telemetry_main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote metrics CSV to {args.csv}", file=sys.stderr)
     if tracer is not None:
         registry = tester.metrics if args.trace_counters else None
-        written = write_chrome_trace(args.trace, tracer, registry=registry)
+        written = write_chrome_trace(
+            args.trace, tracer, span_recorder=spans, registry=registry
+        )
         print(
             f"wrote {written} trace events to {args.trace} "
             f"({tracer.evicted} evicted)",

@@ -265,10 +265,11 @@ class TrafficModelSpec(Spec):
 
     _FIELDS = ("model", "params", "name")
     _REQUIRED = ("model",)
+    _STRINGS = ("model", "name")
     _ERROR = ConfigError
     _LABEL = "traffic spec"
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.model:
             raise ConfigError("traffic model spec needs a model kind")
         if not isinstance(self.params, dict):

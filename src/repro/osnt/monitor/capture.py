@@ -263,12 +263,6 @@ class CapturePipeline:
                 )
             return
         self.cutter.apply(packet)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(
-                self.sim.now, "packet", "captured",
-                {"monitor": self.name, "bytes": packet.frame_length},
-            )
         if not self.dma.enqueue(packet):
             self.dma_drops_at_port += 1
 

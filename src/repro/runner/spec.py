@@ -111,12 +111,13 @@ class ExperimentSpec(Spec):
         "imports",
     )
     _REQUIRED = ("name", "scenario")
+    _STRINGS = ("name", "scenario")
     _ERROR = SweepError
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         for name in ("name", "scenario"):
             value = getattr(self, name)
-            if not value or not isinstance(value, str):
+            if not value:
                 raise SweepError(f"{name} must be a non-empty string, got {value!r}")
         if self.collect is not None and not _is_str_list(self.collect):
             raise SweepError(

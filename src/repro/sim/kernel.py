@@ -14,7 +14,9 @@ Observability hooks in: a simulator has one slot per recorder kind
 (``tracer``, ``profiler``, ``spans``, ``waves``), and only the
 recorders' ``arm(sim)`` / ``disarm()`` fill or clear them (the protocol
 is :class:`_Recorder`). An empty slot costs each hook site one ``None``
-check.
+check. Only ``spans`` records packets, one record per hop, so it is
+the one armed slot that moves burst-datapath lanes onto the per-packet
+path (see :mod:`repro.hw.burst`).
 """
 
 from __future__ import annotations
@@ -149,8 +151,8 @@ class Simulator:
         #: hooks it supplies: raw C-level ``deque.append`` methods, so
         #: an armed trace costs one append per fired event and one
         #: small tuple per scheduled event — cheap enough to stay on
-        #: under line-rate workloads. Unarmed, each hot path pays one
-        #: None check.
+        #: under line-rate workloads, where burst lanes stay eligible.
+        #: Unarmed, each hot path pays one None check.
         self._tracer: Optional[Any] = None
         self._trace_sched: Optional[Callable[[Any], None]] = None
         self._trace_fire: Optional[Callable[[Any], None]] = None
@@ -160,7 +162,7 @@ class Simulator:
         self.spans: Optional[Any] = None
         #: Armed :class:`repro.telemetry.WaveformRecorder`, or None.
         #: Same pattern as ``spans``: probe sites read ``sim.waves`` and
-        #: skip on None. Unlike spans/tracers, an armed recorder keeps
+        #: skip on None. Unlike spans, an armed recorder keeps
         #: burst-datapath lanes eligible — burst lanes feed the same
         #: series closed-form (see :mod:`repro.hw.burst`).
         self.waves: Optional[Any] = None

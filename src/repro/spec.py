@@ -14,10 +14,11 @@ module holds the one implementation of each of those:
 * :func:`digest` — SHA-256 hex of a value's canonical JSON, the hash
   behind fingerprints, result-store keys and timeline digests;
 * :class:`Spec` — a mixin giving a class ``to_dict``/``from_dict``
-  (field-checked against ``_FIELDS``/``_REQUIRED``), ``to_json``/
-  ``from_json`` and ``fingerprint()``, raising the class's own
-  ``_ERROR`` type. Each spec class keeps only its fields, its
-  validation and any nested conversion.
+  (field-checked against ``_FIELDS``/``_REQUIRED``), a type check of
+  its declared string fields (``_STRINGS``), ``to_json``/``from_json``
+  and ``fingerprint()``, raising the class's own ``_ERROR`` type. Each
+  spec class keeps only its fields, its validation and any nested
+  conversion.
 
 Fingerprints and digests are part of the on-disk contract (checkpoint
 guards and result-store keys compare them across runs);
@@ -52,15 +53,38 @@ class Spec:
     """Dict/JSON round-trip and fingerprinting for a declarative spec.
 
     Subclasses set ``_FIELDS`` (serialization order), ``_REQUIRED``
-    (fields :meth:`from_dict` insists on), ``_ERROR`` (the exception
-    type raised for malformed input) and ``_LABEL`` (how messages name
-    the spec). Classes with nested specs override :meth:`to_dict`.
+    (fields :meth:`from_dict` insists on), ``_STRINGS`` (fields that
+    must hold a string, or ``None`` where ``None`` is the declared
+    default), ``_ERROR`` (the exception type raised for malformed
+    input) and ``_LABEL`` (how messages name the spec). Classes with
+    nested specs override :meth:`to_dict`. Dataclass specs put their
+    own checks in :meth:`_validate`, which runs after the string check;
+    other specs call :meth:`_check_strings` from ``__init__``.
     """
 
     _FIELDS: ClassVar[Tuple[str, ...]] = ()
     _REQUIRED: ClassVar[Tuple[str, ...]] = ()
+    _STRINGS: ClassVar[Tuple[str, ...]] = ()
     _ERROR: ClassVar[Type[Exception]] = ValueError
     _LABEL: ClassVar[str] = "spec"
+
+    def __post_init__(self) -> None:
+        self._check_strings()
+        self._validate()
+
+    def _check_strings(self) -> None:
+        """Raise ``_ERROR`` for a declared string field of another type."""
+        for name in self._STRINGS:
+            value = getattr(self, name)
+            optional = value is None and getattr(type(self), name, "") is None
+            if not isinstance(value, str) and not optional:
+                raise self._ERROR(
+                    f"{self._LABEL} field {name!r} must be a string, "
+                    f"got {type(value).__name__}"
+                )
+
+    def _validate(self) -> None:
+        """Check field values; the string fields' types are checked."""
 
     def to_dict(self) -> Dict[str, Any]:
         return {name: copy.deepcopy(getattr(self, name)) for name in self._FIELDS}

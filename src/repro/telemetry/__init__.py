@@ -6,9 +6,10 @@ CLI, benchmarks and OFLOPS modules:
 * :class:`LogLinearHistogram` — hardware-style latency/size histograms
   fed in-band by the capture and TX paths (O(1) record, mergeable,
   bounded-error percentiles), after P4TG's data-plane RTT histograms;
-* :class:`Tracer` / :class:`TraceBuffer` — bounded ring of simulation
-  trace records (kernel event scheduling/firing, per-packet datapath
-  milestones), exportable as Chrome ``trace_event`` JSON;
+* :class:`Tracer` — bounded rings of simulation trace records (kernel
+  event scheduling/firing, fault and OFLOPS instants), exportable as
+  Chrome ``trace_event`` JSON; per-packet hops are recorded once, by
+  :class:`repro.obs.SpanRecorder`, so an armed tracer keeps burst lanes;
 * :class:`MetricsRegistry` — named counters/gauges/histograms with
   deterministic ``snapshot()`` semantics; one call reads the whole card;
 * :class:`WaveformRecorder` — deterministic sim-time waveforms (queue
@@ -59,7 +60,7 @@ from .timeseries import (
     Waveform,
     WaveformRecorder,
 )
-from .trace import DEFAULT_CAPACITY, TraceBuffer, Tracer
+from .trace import DEFAULT_CAPACITY, Tracer
 
 __all__ = [
     "Counter",
@@ -74,7 +75,6 @@ __all__ = [
     "LogLinearHistogram",
     "MetricsRegistry",
     "RateWaveform",
-    "TraceBuffer",
     "Tracer",
     "Waveform",
     "WaveformRecorder",

@@ -3,7 +3,7 @@
 Everything here turns in-memory telemetry objects into the formats the
 OSNT tooling ships: ``snapshot`` dicts (from
 :meth:`~.metrics.MetricsRegistry.snapshot`) to JSON documents or flat
-``name,value`` CSV, and :class:`~.trace.Tracer` buffers to Chrome
+``name,value`` CSV, and :class:`~.trace.Tracer` rings to Chrome
 ``trace_event`` JSON that loads directly in ``chrome://tracing`` /
 Perfetto.
 """
@@ -78,7 +78,7 @@ def registry_histograms_to_dict(registry: MetricsRegistry) -> Dict[str, Any]:
 def chrome_trace(
     tracer: Tracer, span_recorder=None, waves=None, registry=None
 ) -> Dict[str, Any]:
-    """The tracer's buffer as a Chrome trace document (object form).
+    """The tracer's rings as a Chrome trace document (object form).
 
     The object form (``{"traceEvents": [...]}``) is what the trace
     viewers accept alongside the bare-array form, and it leaves room
@@ -86,8 +86,10 @@ def chrome_trace(
 
     ``span_recorder`` (a :class:`repro.obs.SpanRecorder`) nests its
     packet-lifecycle spans into the same document: each span renders as
-    its own begin/end track beside the tracer's instants, so causal
-    packet stories and kernel events load in one Perfetto view.
+    its own begin/end track beside the tracer's kernel events, so causal
+    packet stories and kernel events load in one Perfetto view. The
+    tracer records no packet events, so the spans are a trace's only
+    per-packet tracks.
 
     ``waves`` (a :class:`repro.telemetry.WaveformRecorder`) merges its
     sim-time waveforms as counter ("C"-phase) tracks — queue depths and

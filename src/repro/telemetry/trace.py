@@ -1,7 +1,7 @@
 """Event tracing: bounded ring buffers of simulation trace records.
 
-The datapath models emit *instant* records — ``(time_ps, category,
-name, detail)`` tuples — into a :class:`TraceBuffer` via
+Fault injectors and the OFLOPS runner emit *instant* records —
+``(time_ps, category, name, detail)`` tuples — through
 :meth:`Tracer.instant`. The sim kernel is hotter (two records per
 event), so it bypasses Python entirely: :meth:`Tracer.arm` hands it the
 raw C-level ``deque.append`` of two dedicated rings — one holding
@@ -14,7 +14,12 @@ schedule/fire path, *above* the event queue, so they cost the same one
 C-level append per event under both queue implementations (timing
 wheel and binary heap — see :mod:`repro.sim.wheel`).
 
-The buffer renders as Chrome ``trace_event`` JSON (load it at
+The tracer reads no packets. Each packet hop is recorded once, on the
+packet's span (:class:`repro.obs.SpanRecorder`), so an armed tracer
+leaves burst-datapath lanes on their closed-form path and records the
+kernel events a lane actually ran.
+
+The rings render as Chrome ``trace_event`` JSON (load it at
 ``chrome://tracing`` or https://ui.perfetto.dev) with simulated
 picoseconds mapped onto the trace timebase's microseconds, so one
 simulated µs reads as one trace µs.
@@ -22,8 +27,7 @@ simulated µs reads as one trace µs.
 Categories used by the built-in instrumentation:
 
 * ``kernel`` — event ``schedule`` / ``fire`` (detail: the Event),
-* ``packet`` — ``tx``, ``rx``, ``captured``, ``dma``, ``drop``,
-  ``host`` (detail: a small dict),
+* ``fault`` — fault-model actions (detail: a small dict),
 * ``oflops`` — measurement-module lifecycle.
 """
 
@@ -43,57 +47,20 @@ DEFAULT_CAPACITY = 1 << 16
 TraceRecord = Tuple[int, str, str, Any]
 
 
-class TraceBuffer:
-    """Bounded ring of :data:`TraceRecord`; oldest entries are evicted.
-
-    ``_events`` and ``recorded`` are written directly by
-    :meth:`Tracer.instant` (hot-path inlining); go through
-    :meth:`append` everywhere else.
-    """
-
-    __slots__ = ("capacity", "recorded", "_events")
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ConfigError("trace buffer needs at least one slot")
-        self.capacity = capacity
-        self.recorded = 0  # total ever appended, evicted or not
-        self._events: deque = deque(maxlen=capacity)
-
-    def append(self, record: TraceRecord) -> None:
-        self.recorded += 1
-        self._events.append(record)
-
-    @property
-    def evicted(self) -> int:
-        """Records pushed out of the ring by later arrivals."""
-        return self.recorded - len(self._events)
-
-    def records(self) -> List[TraceRecord]:
-        """The retained records, oldest first."""
-        return list(self._events)
-
-    def clear(self) -> None:
-        self._events.clear()
-        self.recorded = 0
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-
 class Tracer(_Recorder):
     """The handle components talk to; owns the trace rings.
 
     Arm with :meth:`arm` (``Tracer().arm(sim)``, or
     :func:`repro.obs.observe_simulators` for simulators built inside
     scenario code); the kernel then reports event scheduling/firing
-    into the dedicated kernel rings, and every instrumented model
-    (MACs, DMA, capture pipelines, OFLOPS runner) records milestones
-    through :meth:`instant`.
+    into the dedicated kernel rings, and fault injectors and the OFLOPS
+    runner record instants through :meth:`instant`. Each of the three
+    rings keeps the newest ``capacity`` records.
     """
 
     __slots__ = (
-        "buffer",
+        "_instants",
+        "_instants_recorded",
         "_sched_ring",
         "_fire_ring",
         "_scheduled",
@@ -104,7 +71,10 @@ class Tracer(_Recorder):
     _SLOT = "tracer"
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self.buffer = TraceBuffer(capacity)
+        if capacity < 1:
+            raise ConfigError(f"trace capacity must be >= 1, got {capacity}")
+        self._instants: deque = deque(maxlen=capacity)
+        self._instants_recorded = 0
         self._sched_ring: deque = deque(maxlen=capacity)
         self._fire_ring: deque = deque(maxlen=capacity)
         self._sim = None
@@ -116,15 +86,9 @@ class Tracer(_Recorder):
         self._base_fired = 0
 
     def instant(self, time_ps: int, category: str, name: str, detail: Any = None) -> None:
-        """Record one instant event; the per-call cost the budget guards.
-
-        Deliberately inlines :meth:`TraceBuffer.append` — this runs
-        once per datapath milestone, so one saved method call is a
-        measurable share of the overhead budget.
-        """
-        buffer = self.buffer
-        buffer.recorded += 1
-        buffer._events.append((time_ps, category, name, detail))
+        """Record one instant event."""
+        self._instants_recorded += 1
+        self._instants.append((time_ps, category, name, detail))
 
     def _attach(self, sim: Any) -> None:
         # The kernel's hooks are the rings' raw ``deque.append`` bound
@@ -161,7 +125,7 @@ class Tracer(_Recorder):
     def recorded(self) -> int:
         """Total records ever made across all rings."""
         return (
-            self.buffer.recorded
+            self._instants_recorded
             + self.kernel_scheduled_recorded
             + self.kernel_fired_recorded
         )
@@ -173,7 +137,7 @@ class Tracer(_Recorder):
 
     @property
     def capacity(self) -> int:
-        return self.buffer.capacity
+        return self._instants.maxlen
 
     def records(self) -> List[TraceRecord]:
         """All retained records as uniform tuples, ordered by time.
@@ -182,7 +146,7 @@ class Tracer(_Recorder):
         ``(time_ps, category, name, detail)`` shape here, at export
         time, so the hot path never builds them.
         """
-        merged: List[TraceRecord] = list(self.buffer.records())
+        merged: List[TraceRecord] = list(self._instants)
         merged.extend(
             (now_ps, "kernel", "schedule", event)
             for now_ps, event in self._sched_ring
@@ -192,15 +156,6 @@ class Tracer(_Recorder):
         )
         merged.sort(key=lambda record: record[0])
         return merged
-
-    def clear(self) -> None:
-        self.buffer.clear()
-        self._sched_ring.clear()
-        self._fire_ring.clear()
-        self._scheduled = self._fired = 0
-        if self._sim is not None:
-            self._base_scheduled = self._sim.events_scheduled
-            self._base_fired = self._sim.events_processed
 
     # -- export ------------------------------------------------------------
 
@@ -225,7 +180,7 @@ class Tracer(_Recorder):
         return events
 
     def __len__(self) -> int:
-        return len(self.buffer) + len(self._sched_ring) + len(self._fire_ring)
+        return len(self._instants) + len(self._sched_ring) + len(self._fire_ring)
 
 
 def _detail_args(detail: Any) -> Dict[str, Any]:

@@ -75,10 +75,11 @@ class NodeSpec(Spec):
 
     _FIELDS = ("name", "kind", "params")
     _REQUIRED = ("name", "kind")
+    _STRINGS = ("name", "kind")
     _ERROR = TopologyError
     _LABEL = "node"
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.name:
             raise TopologyError("node needs a non-empty name")
         if ":" in self.name:
@@ -109,13 +110,16 @@ class LinkSpec(Spec):
 
     _FIELDS = ("a", "b", "delay", "rate", "bit_error_rate")
     _REQUIRED = ("a", "b")
+    _STRINGS = ("a", "b")
     _ERROR = TopologyError
     _LABEL = "link"
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.a or not self.b:
             raise TopologyError("link needs two endpoint references")
-        if not 0.0 <= self.bit_error_rate < 1.0:
+        ber = self.bit_error_rate
+        numeric = isinstance(ber, (int, float)) and not isinstance(ber, bool)
+        if not (numeric and 0.0 <= ber < 1.0):
             raise TopologyError(
                 f"link {self.a!r}–{self.b!r}: bit_error_rate must be in [0, 1)"
             )
@@ -143,6 +147,7 @@ class Topology(Spec):
     """Chainable builder of a :class:`NodeSpec`/:class:`LinkSpec` plan."""
 
     _FIELDS = ("name", "nodes", "links")
+    _STRINGS = ("name",)
     _ERROR = TopologyError
     _LABEL = "topology"
 
@@ -153,6 +158,12 @@ class Topology(Spec):
         links: Sequence[Union[LinkSpec, dict]] = (),
     ) -> None:
         self.name = name
+        self._check_strings()
+        for field, entries in (("nodes", nodes), ("links", links)):
+            if not isinstance(entries, (list, tuple)):
+                raise TopologyError(
+                    f"topology {field} must be a list, got {type(entries).__name__}"
+                )
         self.nodes: List[NodeSpec] = []
         self.links: List[LinkSpec] = []
         for node in nodes:

@@ -6,10 +6,11 @@ same telemetry snapshots, same final simulated time on every workload —
 including mid-run counter reads, `stop()` drains, FIFO-saturating
 schedules and latency measurement. Workloads that arm an observation
 point (spans, capture, faults on the loopback link) must transparently
-fall back to the per-packet path and still agree. These tests run the
-same workload under both `REPRO_DATAPATH` settings and assert the full
-observable state matches exactly — the same pattern
-tests/test_sim_queue_equivalence.py applies to the event queues.
+fall back to the per-packet path and still agree; an armed tracer reads
+no packets and keeps the burst path. These tests run the same workload
+under both `REPRO_DATAPATH` settings and assert the full observable
+state matches exactly — the same pattern tests/test_sim_queue_equivalence.py
+applies to the event queues.
 """
 
 import dataclasses
@@ -20,12 +21,14 @@ import pytest
 from repro.errors import ConfigError
 from repro.faults import FaultInjector
 from repro.hw import EthernetPort, TimestampUnit, connect
+from repro.hw.burst import BurstLane
 from repro.net import Packet
 from repro.obs import SpanRecorder
 from repro.osnt import OSNT
 from repro.osnt.generator import PortGenerator, TemplateSource
 from repro.osnt.generator.schedule import PoissonGaps
 from repro.sim import Simulator
+from repro.telemetry import Tracer
 from repro.testbed.rfc2544 import rfc2544_point
 from repro.testbed.scenarios import legacy_latency_point, line_rate_point
 from repro.testbed.workloads import udp_template
@@ -338,6 +341,39 @@ class TestObservationPointFallback:
 
         state, __ = _assert_equivalent(workload, monkeypatch)
         assert state["p1.rx"][0] < state["g0.stats"][0]  # losses happened
+
+    def test_tracer_armed_keeps_the_burst_lane(self, monkeypatch):
+        """The tracer reads no packets: an armed one leaves the lane on
+        the burst path, every counter still matches the per-packet path,
+        and the tracer records the fewer kernel events the lane ran."""
+        audits = []
+        audit = BurstLane._audit
+
+        def recorded_audit(lane):
+            audits.append(audit(lane))
+            return audits[-1]
+
+        monkeypatch.setattr(BurstLane, "_audit", recorded_audit)
+
+        def workload():
+            sim = Simulator()
+            tracer = Tracer().arm(sim)
+            tester = OSNT(sim)
+            connect(tester.port(0), tester.port(1))
+            generator = tester.generator(0)
+            generator.load_template(udp_template(256))
+            generator.set_load(0.5).for_duration(us(100))
+            generator.start()
+            sim.run()
+            return _osnt_state(sim, tester), tracer.kernel_fired_recorded
+
+        packet_state, packet_fired = _run("packet", workload, monkeypatch)
+        assert audits == []
+        burst_state, burst_fired = _run("burst", workload, monkeypatch)
+        assert audits == [True]
+        assert burst_state == packet_state
+        assert burst_state["g0.stats"][0] > 0
+        assert 0 < burst_fired < packet_fired
 
 
 # -- full scenarios across seeds ----------------------------------------

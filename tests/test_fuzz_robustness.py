@@ -11,12 +11,23 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import OpenFlowError, PcapError, ReproError, SweepError
+from repro.errors import (
+    ConfigError,
+    FaultError,
+    OpenFlowError,
+    PcapError,
+    ReproError,
+    SweepError,
+    TopologyError,
+)
+from repro.faults import FaultSpec, ImpairmentSpec
 from repro.net import PcapReader, decode
 from repro.net.packet import Packet
 from repro.openflow import MessageBuffer, parse_message
 from repro.openflow.match import Match
+from repro.osnt.generator.trafficspec import TrafficModelSpec
 from repro.runner import ExperimentSpec
+from repro.topology import LinkSpec, NodeSpec, Topology
 
 #: Arbitrary JSON values (what a hand-written spec file can contain).
 _JSON = st.recursive(
@@ -109,6 +120,21 @@ class TestPcapFuzz:
             list(PcapReader(io.BytesIO(header + record)))
 
 
+#: Every Spec subclass: the smallest document it accepts, its string
+#: fields and its family's error.
+SPECS = {
+    ExperimentSpec: ({"name": "x", "scenario": "echo"}, ("name", "scenario"), SweepError),
+    FaultSpec: ({"name": "l", "model": "link_loss"}, ("name", "model", "target"), FaultError),
+    ImpairmentSpec: ({}, ("name",), FaultError),
+    LinkSpec: ({"a": "h1", "b": "h2"}, ("a", "b"), TopologyError),
+    NodeSpec: ({"name": "h1", "kind": "host"}, ("name", "kind"), TopologyError),
+    Topology: ({}, ("name",), TopologyError),
+    TrafficModelSpec: ({"model": "cbr"}, ("model", "name"), ConfigError),
+}
+#: String fields that also take ``None``.
+OPTIONAL_STRINGS = {(FaultSpec, "target")}
+
+
 class TestSpecFuzz:
     @settings(max_examples=300)
     @given(
@@ -137,6 +163,44 @@ class TestSpecFuzz:
         assert spec.shard_count >= 1
         assert len(spec.fingerprint()) == 16
         assert all(isinstance(module, str) for module in spec.imports)
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_every_spec_raises_only_its_family_error(self, data):
+        """Any JSON value in any field of any spec: the spec builds and
+        fingerprints, or it raises its family's error; a declared string
+        field given another type always raises."""
+        cls = data.draw(st.sampled_from(sorted(SPECS, key=lambda c: c.__name__)))
+        base, strings, error = SPECS[cls]
+        field = data.draw(st.sampled_from(cls._FIELDS))
+        value = data.draw(_JSON)
+        document = dict(base, **{field: value})
+        wrong_string = (
+            field in strings
+            and not isinstance(value, str)
+            and not (value is None and (cls, field) in OPTIONAL_STRINGS)
+        )
+        try:
+            spec = cls.from_dict(document)
+        except error:
+            return
+        assert not wrong_string, f"{cls.__name__}.{field} accepted {value!r}"
+        assert len(spec.fingerprint()) == 16
+
+    @pytest.mark.parametrize(
+        "cls, document, error",
+        [
+            (NodeSpec, {"name": 3, "kind": "host"}, TopologyError),
+            (LinkSpec, {"a": 1, "b": "x"}, TopologyError),
+            (LinkSpec, {"a": "h1", "b": "h2", "bit_error_rate": None}, TopologyError),
+            (Topology, {"nodes": None}, TopologyError),
+            (FaultSpec, {"name": 5, "model": "link_loss"}, FaultError),
+            (FaultSpec, {"name": "f", "model": "link_loss", "stop": [1]}, FaultError),
+        ],
+    )
+    def test_wrong_types_raise_the_family_error(self, cls, document, error):
+        with pytest.raises(error):
+            cls.from_dict(document)
 
 
 class TestErrorHierarchy:

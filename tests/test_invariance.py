@@ -10,8 +10,8 @@ JSON byte for byte:
 * ``workers2`` — a forked pool of two workers;
 * ``packet_datapath`` — ``REPRO_DATAPATH=packet``;
 * ``heap_queue`` — ``REPRO_EVENT_QUEUE=heap``;
-* ``observed`` — spans, the sim profiler and a waveform recorder armed
-  on every simulator the shards build;
+* ``observed`` — spans, the sim profiler, a waveform recorder and a
+  tracer armed on every simulator the shards build;
 * ``resume`` — stopped after one shard, then resumed with two workers;
 * ``warm_cache`` — a cold run fills a result store and a warm rerun is
   served from it entirely;
@@ -34,7 +34,7 @@ import pytest
 
 from repro.obs import SimProfiler, SpanRecorder, observe_simulators
 from repro.runner import ExperimentSpec, SweepRunner, list_scenarios, run_spec
-from repro.telemetry import WaveformRecorder
+from repro.telemetry import Tracer, WaveformRecorder
 
 #: The registry as it stands once the test modules are imported.
 #: Scenarios that other tests register while they run stay out of it.
@@ -172,7 +172,10 @@ def heap_queue(spec, tmp_path, monkeypatch):
 
 def observed(spec, tmp_path, monkeypatch):
     with observe_simulators(
-        spans=SpanRecorder(), profiler=SimProfiler(), waves=WaveformRecorder()
+        spans=SpanRecorder(),
+        profiler=SimProfiler(),
+        waves=WaveformRecorder(),
+        tracer=Tracer(),
     ):
         return run_spec(spec)
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.hw import connect
 from repro.hw.burst import BurstLane
 from repro.net.builder import build_udp
@@ -56,10 +57,10 @@ def canonical(result) -> str:
 
 class TestSpanRecorderUnit:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SpanRecorder(capacity=0)
-        with pytest.raises(ValueError):
-            SpanRecorder(sample_one_in=0)
+        # ConfigError, like the other recorders; it is also a ValueError.
+        for kwargs in ({"capacity": 0}, {"sample_one_in": 0}, {"stamp_offset": -8}):
+            with pytest.raises(ConfigError):
+                SpanRecorder(**kwargs)
 
     def test_arm_disarm(self):
         sim = Simulator()
@@ -507,7 +508,7 @@ RECORDERS = {
     "tracer": (
         Tracer,
         lambda sim: sim.tracer,
-        lambda t: (t.kernel_scheduled_recorded, t.kernel_fired_recorded, t.buffer.recorded),
+        lambda t: (t.kernel_scheduled_recorded, t.kernel_fired_recorded, t.recorded),
     ),
     "spans": (SpanRecorder, lambda sim: sim.spans, lambda s: (s.started,)),
     "profiler": (
@@ -607,8 +608,8 @@ class TestArmingProtocol:
     def test_generator_built_inside_observe_runs_burst_after_exit(
         self, name, monkeypatch
     ):
-        """The two recorders the burst audit refuses must not outlive
-        the block on the simulators it built."""
+        """Recorders armed in the block must not outlive it: a generator
+        built inside and started after exit runs burst."""
         monkeypatch.setenv("REPRO_DATAPATH", "burst")
         audits = []
         audit = BurstLane._audit

@@ -21,7 +21,6 @@ from repro.telemetry import (
     Gauge,
     LogLinearHistogram,
     MetricsRegistry,
-    TraceBuffer,
     Tracer,
     chrome_trace,
     chrome_trace_json,
@@ -128,18 +127,20 @@ class TestLogLinearHistogram:
 
 
 class TestTraceBuffer:
+    """The tracer's bounded rings."""
+
     def test_overflow_keeps_newest(self):
-        buffer = TraceBuffer(capacity=8)
+        tracer = Tracer(capacity=8)
         for index in range(20):
-            buffer.append((index, "kernel", "fire", None))
-        assert len(buffer) == 8
-        assert buffer.recorded == 20
-        assert buffer.evicted == 12
-        assert [record[0] for record in buffer.records()] == list(range(12, 20))
+            tracer.instant(index, "fault", "loss.drop")
+        assert len(tracer) == 8
+        assert tracer.recorded == 20
+        assert tracer.evicted == 12
+        assert [record[0] for record in tracer.records()] == list(range(12, 20))
 
     def test_capacity_validated(self):
         with pytest.raises(ConfigError):
-            TraceBuffer(capacity=0)
+            Tracer(capacity=0)
 
     def test_kernel_hooks_record_schedule_and_fire(self):
         sim = Simulator()
@@ -375,6 +376,11 @@ class TestTelemetryCli:
         assert csv_path.read_text().startswith("metric,value")
         trace = json.loads(trace_path.read_text())
         assert isinstance(trace["traceEvents"], list) and trace["traceEvents"]
+        events = trace["traceEvents"]
+        assert any(event["cat"] == "span" for event in events)
+        hops = {event["name"] for event in events if event["cat"] == "span.hop"}
+        assert hops >= {"mac_tx", "mac_rx", "rx_capture", "host"}
+        assert trace["otherData"]["spans"]["started"] > 0
 
 
 class TestOflopsTelemetry:
