@@ -9,7 +9,7 @@ and −25 ppm oscillators), measured across clock domains, with GPS on
 and off.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.testbed.multicard import measure_one_way_latency
@@ -17,7 +17,7 @@ from repro.testbed.multicard import measure_one_way_latency
 SAMPLE_TIMES_S = [1, 5, 10]
 
 
-def test_a1_one_way_latency_across_cards(benchmark):
+def test_a1_one_way_latency_across_cards():
     def sweep():
         rows = []
         for gps in (False, True):
@@ -26,7 +26,7 @@ def test_a1_one_way_latency_across_cards(benchmark):
             )
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     emit(
         format_table(
             ["GPS", "after s", "true ns", "measured ns", "error ns"],

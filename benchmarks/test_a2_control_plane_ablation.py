@@ -9,7 +9,7 @@ the switch-firmware knobs DESIGN.md calls out:
   CPU) plus expiry-scan coarseness.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.devices import SwitchProfile
@@ -26,7 +26,7 @@ DELAY_SPLITS = [
 ]
 
 
-def test_a2a_delay_split_ablation(benchmark):
+def test_a2a_delay_split_ablation():
     def sweep():
         results = []
         for label, firmware, write in DELAY_SPLITS:
@@ -39,7 +39,7 @@ def test_a2a_delay_split_ablation(benchmark):
             results.append((label, firmware, write, result))
         return results
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
     emit(
         format_table(
             ["firmware profile", "fw us/msg", "write us/rule", "all rules live us", "us per rule"],
@@ -68,14 +68,14 @@ def test_a2a_delay_split_ablation(benchmark):
     assert slow_slow >= max(fast_slow, slow_fast) - us(50)
 
 
-def test_a2b_packet_in_interference(benchmark):
+def test_a2b_packet_in_interference():
     def run():
         profile = SwitchProfile(firmware_delay_ps=us(30), table_write_ps=us(20))
         return ModuleRunner(OflopsContext(profile=profile)).run(
             ControlInteractionModule()
         )
 
-    result = run_once(benchmark, run)
+    result = run()
     emit(
         format_table(
             ["condition", "install latency us"],
@@ -92,11 +92,8 @@ def test_a2b_packet_in_interference(benchmark):
     assert result["inflation"] > 2.0
 
 
-def test_a2c_expiry_scan_coarseness(benchmark):
-    result = run_once(
-        benchmark,
-        lambda: ModuleRunner().run(FlowExpiryModule(timeouts_s=[1, 2, 3])),
-    )
+def test_a2c_expiry_scan_coarseness():
+    result = ModuleRunner().run(FlowExpiryModule(timeouts_s=[1, 2, 3]))
     emit(
         format_table(
             ["configured s", "observed s", "lateness ms"],

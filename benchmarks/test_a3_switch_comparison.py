@@ -7,7 +7,7 @@ module against the four modelled switch classes and prints the
 comparison table the framework exists to produce.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.devices import PROFILES
@@ -16,7 +16,7 @@ from repro.oflops import FlowModLatencyModule, ModuleRunner, OflopsContext
 N_RULES = 16
 
 
-def test_a3_switch_class_comparison(benchmark):
+def test_a3_switch_class_comparison():
     def sweep():
         results = {}
         for name in sorted(PROFILES):
@@ -24,7 +24,7 @@ def test_a3_switch_class_comparison(benchmark):
             results[name] = runner.run(FlowModLatencyModule(n_rules=N_RULES))
         return results
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
     emit(
         format_table(
             ["DUT class", "barrier us", "all rules live us", "us/rule", "barrier honest?"],

@@ -7,7 +7,7 @@ ports, against 10GbE theoretical line rate. Runs as a declarative
 reachable from the shell via ``osnt-sweep``.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.runner import ExperimentSpec, run_spec
@@ -27,8 +27,8 @@ def _line_rate_sweep(sizes, ports=1):
     return [shard.result for shard in report.ok]
 
 
-def test_e1_line_rate_one_port(benchmark):
-    rows = run_once(benchmark, lambda: _line_rate_sweep(RFC2544_SIZES))
+def test_e1_line_rate_one_port():
+    rows = _line_rate_sweep(RFC2544_SIZES)
     emit(
         format_table(
             ["frame B", "theory Mpps", "achieved Mpps", "theory Gbps", "achieved Gbps", "efficiency"],
@@ -52,9 +52,9 @@ def test_e1_line_rate_one_port(benchmark):
     assert abs(rows[0]["achieved_pps"] - 14_880_952) < 20_000
 
 
-def test_e1_line_rate_four_ports(benchmark):
+def test_e1_line_rate_four_ports():
     sizes = [64, 512, 1518]
-    rows = run_once(benchmark, lambda: _line_rate_sweep(sizes, ports=4))
+    rows = _line_rate_sweep(sizes, ports=4)
     emit(
         format_table(
             ["frame B", "ports", "achieved Gbps", "theory Gbps", "efficiency"],

@@ -7,7 +7,7 @@ generator; (b) clock error over time, free-running vs GPS-disciplined;
 (c) the timestamp quantisation table.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.hw import TICK_PS, TimestampUnit
@@ -16,14 +16,11 @@ from repro.testbed import clock_error_point, idt_precision_point
 from repro.units import us
 
 
-def test_e2a_idt_precision_vs_software(benchmark):
-    rows = run_once(
-        benchmark,
-        lambda: [
-            idt_precision_point(kind, us(20), packet_count=500)[0]
-            for kind in ("osnt", "software")
-        ],
-    )
+def test_e2a_idt_precision_vs_software():
+    rows = [
+        idt_precision_point(kind, us(20), packet_count=500)[0]
+        for kind in ("osnt", "software")
+    ]
     emit(
         format_table(
             ["generator", "target ns", "mean gap ns", "gap stddev ns", "worst error ns"],
@@ -47,15 +44,12 @@ def test_e2a_idt_precision_vs_software(benchmark):
     assert software.worst_error_ns > 1_000  # and multi-µs excursions
 
 
-def test_e2b_gps_discipline(benchmark):
-    rows = run_once(
-        benchmark,
-        lambda: [
-            row
-            for mode in ("free-running", "gps-disciplined")
-            for row in clock_error_point(mode, horizon_s=10)[0]
-        ],
-    )
+def test_e2b_gps_discipline():
+    rows = [
+        row
+        for mode in ("free-running", "gps-disciplined")
+        for row in clock_error_point(mode, horizon_s=10)[0]
+    ]
     table = {}
     for row in rows:
         table.setdefault(row.after_seconds, {})[row.mode] = row.abs_error_ns
@@ -74,7 +68,7 @@ def test_e2b_gps_discipline(benchmark):
     assert final["gps-disciplined"] < 1_000  # the paper's sub-µs claim
 
 
-def test_e2c_timestamp_quantisation(benchmark):
+def test_e2c_timestamp_quantisation():
     def quantisation_rows():
         sim = Simulator()
         unit = TimestampUnit(sim)
@@ -87,7 +81,7 @@ def test_e2c_timestamp_quantisation(benchmark):
             rows.append((true_ps, stamped, true_ps - stamped))
         return rows
 
-    rows = run_once(benchmark, quantisation_rows)
+    rows = quantisation_rows()
     emit(
         format_table(
             ["true time ps", "stamped ps", "quantisation error ps"],

@@ -5,7 +5,7 @@ Regenerates: latency/jitter vs offered load and frame size through the
 simulated commercial L2 switch, measured with embedded TX timestamps.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.testbed import imix_latency_point, legacy_latency_point
@@ -15,15 +15,12 @@ LOADS = [0.25, 0.5, 0.75, 0.95, 1.1]
 SIZES = [64, 512, 1518]
 
 
-def test_e3_latency_vs_load(benchmark):
-    rows = run_once(
-        benchmark,
-        lambda: [
-            legacy_latency_point(size, load, duration_ps=ms(2))[0]
-            for size in SIZES
-            for load in LOADS
-        ],
-    )
+def test_e3_latency_vs_load():
+    rows = [
+        legacy_latency_point(size, load, duration_ps=ms(2))[0]
+        for size in SIZES
+        for load in LOADS
+    ]
     emit(
         format_table(
             ["frame B", "load", "probes", "mean us", "p50 us", "p99 us", "max us", "jitter us", "drops"],
@@ -57,12 +54,10 @@ def test_e3_latency_vs_load(benchmark):
     assert light[64] < light[512] < light[1518]
 
 
-def test_e3b_imix_per_size_breakdown(benchmark):
+def test_e3b_imix_per_size_breakdown():
     """One IMIX run yields the full per-size latency table — the style of
     measurement per-packet hardware timestamps make possible."""
-    rows, _ = run_once(
-        benchmark, lambda: imix_latency_point(load=0.5, duration_ps=ms(2))
-    )
+    rows, _ = imix_latency_point(load=0.5, duration_ps=ms(2))
     emit(
         format_table(
             ["frame B", "packets", "mean us", "p99 us"],

@@ -6,7 +6,7 @@ Regenerates: barrier-reported vs data-plane-observed install latency,
 per burst size, for a spec-honest and an eager (lying) switch firmware.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.testbed import measure_flowmod_latency
@@ -14,7 +14,7 @@ from repro.testbed import measure_flowmod_latency
 RULE_COUNTS = [8, 32, 64]
 
 
-def test_e4_control_vs_data_plane(benchmark):
+def test_e4_control_vs_data_plane():
     def sweep():
         results = []
         for mode in ("spec", "eager"):
@@ -22,7 +22,7 @@ def test_e4_control_vs_data_plane(benchmark):
                 results.append(measure_flowmod_latency(n_rules=n_rules, barrier_mode=mode))
         return results
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
     emit(
         format_table(
             ["firmware", "rules", "barrier us", "first rule us", "all rules us", "barrier error us"],
@@ -61,10 +61,8 @@ def test_e4_control_vs_data_plane(benchmark):
     assert eager_errors == sorted(eager_errors)
 
 
-def test_e4_per_rule_activation_series(benchmark):
-    result = run_once(
-        benchmark, lambda: measure_flowmod_latency(n_rules=16, barrier_mode="spec")
-    )
+def test_e4_per_rule_activation_series():
+    result = measure_flowmod_latency(n_rules=16, barrier_mode="spec")
     activations_us = [a / 1e6 for a in result.rule_activation_ps]
     steps = [b - a for a, b in zip(activations_us, activations_us[1:])]
     emit(

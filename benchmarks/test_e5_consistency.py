@@ -5,7 +5,7 @@ Regenerates: packets delivered to the *old* destination during/after a
 burst rewrite of the table, per firmware and burst size.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.testbed import measure_forwarding_consistency
@@ -13,7 +13,7 @@ from repro.testbed import measure_forwarding_consistency
 RULE_COUNTS = [8, 32]
 
 
-def test_e5_forwarding_consistency(benchmark):
+def test_e5_forwarding_consistency():
     def sweep():
         results = []
         for mode in ("spec", "eager"):
@@ -23,7 +23,7 @@ def test_e5_forwarding_consistency(benchmark):
                 )
         return results
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
     emit(
         format_table(
             ["firmware", "rules", "barrier us", "stale in update", "stale after barrier", "transition us"],

@@ -6,7 +6,7 @@ Regenerates: host capture completeness vs offered load, for the plain
 path and each hardware reducer (cut / thin / cut+thin).
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.testbed import CAPTURE_VARIANTS, capture_path_point
@@ -15,15 +15,12 @@ from repro.units import ms
 LOADS = [0.1, 0.3, 0.6, 0.9]
 
 
-def test_e6_capture_loss_vs_reducers(benchmark):
-    rows = run_once(
-        benchmark,
-        lambda: [
-            capture_path_point(load, variant=variant, duration_ps=ms(2))[0]
-            for load in LOADS
-            for variant in CAPTURE_VARIANTS
-        ],
-    )
+def test_e6_capture_loss_vs_reducers():
+    rows = [
+        capture_path_point(load, variant=variant, duration_ps=ms(2))[0]
+        for load in LOADS
+        for variant in CAPTURE_VARIANTS
+    ]
     emit(
         format_table(
             ["load", "variant", "offered", "captured", "dropped", "capture %"],

@@ -7,7 +7,7 @@ behind the DMA path. The hardware numbers stay clean under capture
 load; the host numbers absorb the capture path's queueing.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.testbed import timestamp_placement_point
@@ -16,13 +16,10 @@ from repro.units import ms
 LOADS = [0.2, 0.5, 0.8]
 
 
-def test_e7_mac_vs_host_timestamps(benchmark):
-    rows = run_once(
-        benchmark,
-        lambda: [
-            timestamp_placement_point(load, duration_ps=ms(2))[0] for load in LOADS
-        ],
-    )
+def test_e7_mac_vs_host_timestamps():
+    rows = [
+        timestamp_placement_point(load, duration_ps=ms(2))[0] for load in LOADS
+    ]
     emit(
         format_table(
             ["load", "HW mean us", "HW std us", "host mean us", "host std us", "host noise ×"],

@@ -6,7 +6,7 @@ non-blocking DUT and two oversubscribed-fabric DUTs, as declarative
 ``rfc2544`` sweeps through :mod:`repro.runner`.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.runner import ExperimentSpec, run_spec
@@ -19,7 +19,7 @@ DUTS = [
 ]
 
 
-def test_e8_achievable_bandwidth_and_latency(benchmark):
+def test_e8_achievable_bandwidth_and_latency():
     def sweep():
         spec = ExperimentSpec(
             name="e8-dut-comparison",
@@ -34,7 +34,7 @@ def test_e8_achievable_bandwidth_and_latency(benchmark):
             (label, shard.result) for (label, __), shard in zip(DUTS, report.ok)
         ]
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
     emit(
         format_table(
             ["DUT", "zero-loss load", "throughput Gbps", "latency mean us", "latency p99 us", "trials"],
@@ -69,7 +69,7 @@ def test_e8_achievable_bandwidth_and_latency(benchmark):
     )
 
 
-def test_e8b_frame_size_sweep(benchmark):
+def test_e8b_frame_size_sweep():
     """The canonical RFC 2544 table: throughput per frame size (6G fabric).
 
     The fabric forwards ~6 Gbps of frame bytes regardless of size, so the
@@ -93,7 +93,7 @@ def test_e8b_frame_size_sweep(benchmark):
         report.require_ok()
         return [shard.result for shard in report.ok]
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
     emit(
         format_table(
             ["frame B", "zero-loss load", "throughput Gbps", "kpps at rate"],

@@ -7,7 +7,7 @@ per-prefix-length latency staircase is far below software timestamping
 noise (E2 measured µs-scale), yet trivially visible to the tester.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.testbed import router_latency_point
@@ -15,14 +15,11 @@ from repro.testbed import router_latency_point
 PREFIX_LENS = [0, 8, 16, 24, 32]
 
 
-def test_e9_lpm_depth_staircase(benchmark):
-    rows = run_once(
-        benchmark,
-        lambda: [
-            router_latency_point(prefix_len, fib_fill=500)[0]
-            for prefix_len in PREFIX_LENS
-        ],
-    )
+def test_e9_lpm_depth_staircase():
+    rows = [
+        router_latency_point(prefix_len, fib_fill=500)[0]
+        for prefix_len in PREFIX_LENS
+    ]
     emit(
         format_table(
             ["matched prefix", "FIB routes", "probes", "mean us", "p99 us"],

@@ -168,7 +168,7 @@ class FlightTailer:
         stall_after_s: float,
         clock=time.monotonic,
     ) -> None:
-        if stall_after_s <= 0:
+        if not stall_after_s > 0:  # NaN compares false, so it is rejected too
             raise ValueError(f"stall_after_s must be > 0, got {stall_after_s}")
         self.directory = Path(directory)
         self.stall_after_s = stall_after_s

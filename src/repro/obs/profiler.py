@@ -11,7 +11,8 @@ handler's qualified name.
 The headline number is the **speedometer**: simulated picoseconds
 advanced per wall-clock second. The breakdown is the top-N hottest
 handlers by cumulative wall time. Disarmed cost is one None check per
-dispatched event (benchmarked in ``benchmarks/test_perf_obs.py``).
+dispatched event (budgeted by the ``profiler-disarmed/chained`` row of
+``benchmarks/test_perf.py``).
 """
 
 from __future__ import annotations

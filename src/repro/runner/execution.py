@@ -33,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
+import math
 import os
 import time
 import traceback
@@ -248,8 +249,13 @@ class SweepRunner:
     ) -> None:
         if workers < 0:
             raise SweepError(f"workers must be >= 0, got {workers}")
-        if heartbeat_s <= 0:
-            raise SweepError(f"heartbeat_s must be > 0, got {heartbeat_s}")
+        if not (heartbeat_s > 0 and math.isfinite(heartbeat_s)):
+            raise SweepError(
+                f"heartbeat_s must be a finite number > 0, got {heartbeat_s}"
+            )
+        # ``not > 0`` so that NaN, which compares false, is rejected too.
+        if stall_after_s is not None and not stall_after_s > 0:
+            raise SweepError(f"stall_after_s must be > 0, got {stall_after_s}")
         self.spec = spec
         self.workers = workers
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None

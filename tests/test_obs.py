@@ -718,6 +718,8 @@ class TestFlightTailer:
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             FlightTailer(tmp_path, stall_after_s=0)
+        with pytest.raises(ValueError):
+            FlightTailer(tmp_path, stall_after_s=float("nan"))
 
     def test_render_progress(self):
         statuses = {

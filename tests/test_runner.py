@@ -519,6 +519,25 @@ class TestSweepRunnerConfig:
         with pytest.raises(SweepError):
             SweepRunner(echo_spec(), workers=-1)
 
+    @pytest.mark.parametrize("heartbeat_s", [float("nan"), float("inf")])
+    def test_non_finite_heartbeat_rejected(self, heartbeat_s):
+        with pytest.raises(SweepError, match="heartbeat_s"):
+            SweepRunner(echo_spec(), heartbeat_s=heartbeat_s)
+
+    @pytest.mark.parametrize("stall_after_s", [0, -1.0, float("nan")])
+    def test_non_positive_stall_after_rejected(self, stall_after_s):
+        with pytest.raises(SweepError, match="stall_after_s"):
+            SweepRunner(echo_spec(), stall_after_s=stall_after_s)
+
+    def test_cli_rejects_nan_stall_after(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(echo_spec().to_json())
+        argv = ["run", str(path), "--flight", str(tmp_path / "flight")]
+        assert sweep_main(argv + ["--stall-after-s", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert "stall_after_s must be > 0" in err
+        assert "Traceback" not in err
+
     def test_max_shards_zero_runs_nothing(self):
         report = run_spec(echo_spec(), max_shards=0)
         assert len(report.pending) == 6 and not report.ok

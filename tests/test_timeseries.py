@@ -136,6 +136,13 @@ class TestWaveform:
             assert a.points() == b.points(), (cap, k, n, t0, stride, hi)
             assert a.recorded == b.recorded
             assert a.last == b.last
+        # The wire-rate shape at length: 10k toggles, every 4th point kept.
+        a, b = Waveform("a", keep_every=4), Waveform("b", keep_every=4)
+        a.record_toggle_run(0, 10_000, 100, 512, 0)
+        for i in range(10_000):
+            b.record(i * 100, 512)
+            b.record(i * 100, 0)
+        assert a.points() == b.points()
 
     def test_toggle_run_rejects_equal_levels(self):
         with pytest.raises(ConfigError):
