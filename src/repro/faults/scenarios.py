@@ -174,7 +174,6 @@ def flowmod_under_flap_point(
     flap_period: int = ms(10),
     flap_down: int = ms(6),
     deadline_ps: int = ms(30),
-    barrier_retries: int = 3,
     barrier_mode: str = "spec",
     seed: int = 0,
 ) -> Dict[str, Any]:
@@ -182,10 +181,9 @@ def flowmod_under_flap_point(
 
     The flap windows are deterministic (period/down-time, no RNG), so a
     fixed parameter set always exercises the same degradation path:
-    setup barriers are resent up to ``barrier_retries`` times, the
-    update burst may die on a down window, and the run ends at
-    ``deadline_ps`` with ``degraded=True`` plus retry counts — never an
-    exception.
+    the setup barrier is resent up to 3 times, the update burst may die
+    on a down window, and the run ends at ``deadline_ps`` with
+    ``degraded=True`` plus retry counts — never an exception.
     """
     import dataclasses
 
@@ -204,7 +202,6 @@ def flowmod_under_flap_point(
         impairments=impairments,
         seed=seed,
         deadline_ps=deadline_ps,
-        barrier_retries=barrier_retries,
     )
     out = dataclasses.asdict(result)
     out["rules_activated"] = len(result.rule_activation_ps)

@@ -16,8 +16,10 @@ from .context import OflopsContext
 from .module import MeasurementModule, ModuleRunner
 from .modules import (
     ALL_MODULES,
+    ConsistencyResult,
     EchoLatencyModule,
     FlowModLatencyModule,
+    FlowModResult,
     ForwardingConsistencyModule,
     PacketInLatencyModule,
     ThroughputModule,
@@ -26,10 +28,12 @@ from .report import render_result, render_results
 
 __all__ = [
     "ALL_MODULES",
+    "ConsistencyResult",
     "ControlChannelHandle",
     "DataChannelHandle",
     "EchoLatencyModule",
     "FlowModLatencyModule",
+    "FlowModResult",
     "ForwardingConsistencyModule",
     "MeasurementModule",
     "ModuleRunner",

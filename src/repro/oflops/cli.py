@@ -4,6 +4,8 @@ Since the sweep-runner redesign this CLI is a thin front-end over the
 ``oflops`` scenario: the flags are packed into a declarative
 :class:`~repro.runner.ExperimentSpec` with one shard per module, so the
 same runs can be scripted, sharded and resumed via ``osnt-sweep``.
+A malformed option exits 2 with ``oflops-turbo: <message>``; a module
+that fails during its run is reported by name and exits 1.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import sys
 from typing import List, Optional
 
 from ..devices.openflow_switch import PROFILES
+from ..errors import ReproError
 from ..units import us
 from .modules import ALL_MODULES
 from .report import render_result
@@ -95,11 +98,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from ..runner import run_spec
 
-    spec = build_spec(args, names)
-    if args.spec:
-        print(spec.to_json(indent=2))
-        return 0
-    report = run_spec(spec, workers=args.workers)
+    try:
+        spec = build_spec(args, names)
+        if args.spec:
+            print(spec.to_json(indent=2))
+            return 0
+        report = run_spec(spec, workers=args.workers)
+    except ReproError as exc:
+        print(f"oflops-turbo: {exc}", file=sys.stderr)
+        return 2
     for shard in report.ok:
         print(render_result(shard.result))
         print()

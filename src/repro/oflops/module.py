@@ -11,8 +11,11 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..errors import OflopsError
-from ..units import seconds
+from ..units import ms, seconds
 from .context import OflopsContext
+
+#: Simulated time the runner advances between ``is_finished`` polls.
+_SLICE_PS = ms(1)
 
 
 class MeasurementModule:
@@ -33,6 +36,19 @@ class MeasurementModule:
     def setup(self, ctx: OflopsContext) -> None:
         """Prepare DUT state (install baseline rules, start captures)."""
 
+    def sync_setup(self, ctx: OflopsContext, timeout_ps: int) -> None:
+        """Fence the setup rules with one barrier, or fail naming the module.
+
+        Waits ``timeout_ps`` of simulated time for the reply, with no
+        resends: a module that needs its baseline rules cannot measure
+        on a channel that lost them.
+        """
+        if ctx.control.sync_barrier(ctx.run_for, timeout_ps) is None:
+            raise OflopsError(
+                f"module {self.name!r}: setup barrier unanswered after "
+                f"{timeout_ps} ps"
+            )
+
     def start(self, ctx: OflopsContext) -> None:
         """Kick off the measured activity (traffic, message bursts)."""
         raise NotImplementedError
@@ -49,11 +65,8 @@ class MeasurementModule:
 class ModuleRunner:
     """Drives one module through its lifecycle on a fresh context."""
 
-    def __init__(self, ctx: Optional[OflopsContext] = None, slice_ps: int = None) -> None:
-        from ..units import ms
-
+    def __init__(self, ctx: Optional[OflopsContext] = None) -> None:
         self.ctx = ctx or OflopsContext()
-        self.slice_ps = slice_ps or ms(1)
 
     def run(self, module: MeasurementModule) -> Dict[str, Any]:
         ctx = self.ctx
@@ -80,7 +93,7 @@ class ModuleRunner:
                         ctx.sim.now, "oflops", "degraded", {"module": module.name}
                     )
                 break
-            ctx.run_until(min(ctx.sim.now + self.slice_ps, deadline))
+            ctx.run_until(min(ctx.sim.now + _SLICE_PS, deadline))
         results = module.collect(ctx)
         if degraded:
             results["degraded"] = True

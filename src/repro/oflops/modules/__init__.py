@@ -2,8 +2,8 @@
 
 from .echo_latency import EchoLatencyModule
 from .flow_expiry import FlowExpiryModule
-from .flow_mod_latency import FlowModLatencyModule
-from .forwarding_consistency import ForwardingConsistencyModule
+from .flow_mod_latency import FlowModLatencyModule, FlowModResult
+from .forwarding_consistency import ConsistencyResult, ForwardingConsistencyModule
 from .interaction import ControlInteractionModule
 from .packet_in_latency import PacketInLatencyModule
 from .port_stats import PortStatsAccuracyModule
@@ -25,10 +25,12 @@ ALL_MODULES = {
 
 __all__ = [
     "ALL_MODULES",
+    "ConsistencyResult",
     "ControlInteractionModule",
     "EchoLatencyModule",
     "FlowExpiryModule",
     "FlowModLatencyModule",
+    "FlowModResult",
     "ForwardingConsistencyModule",
     "PacketInLatencyModule",
     "PortStatsAccuracyModule",

@@ -51,9 +51,7 @@ class ControlInteractionModule(MeasurementModule):
             actions=[],
             priority=1,
         )
-        barrier = ctx.control.barrier()
-        ctx.run_for(ms(5))
-        assert ctx.control.rtt_of(barrier) is not None
+        self.sync_setup(ctx, ms(5))
         ctx.data.start_capture()
         ctx.data.monitor("egress")._pipeline.host.add_listener(self._on_capture)
         # Continuous probes alternating the two measured flows.

@@ -58,9 +58,7 @@ class PortStatsAccuracyModule(MeasurementModule):
             actions=[OutputAction(ctx.egress_of_port)],
             priority=10,
         )
-        barrier = ctx.control.barrier()
-        ctx.run_for(ms(5))
-        assert ctx.control.rtt_of(barrier) is not None
+        self.sync_setup(ctx, ms(5))
         ctx.control.add_listener(self._make_listener(ctx))
 
     def _make_listener(self, ctx: OflopsContext):

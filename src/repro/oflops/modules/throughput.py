@@ -39,9 +39,7 @@ class ThroughputModule(MeasurementModule):
             actions=[OutputAction(ctx.egress_of_port)],
             priority=10,
         )
-        barrier = ctx.control.barrier()
-        ctx.run_for(ms(5))
-        assert ctx.control.rtt_of(barrier) is not None
+        self.sync_setup(ctx, ms(5))
         ctx.data.start_capture(keep_one_in=64)  # thinned: counters matter here
 
     def start(self, ctx: OflopsContext) -> None:

@@ -235,7 +235,6 @@ def _flowmod_latency(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         impairments=impairments,
         seed=_seed(params, seed),
         deadline_ps=None if deadline is None else duration_ps(deadline),
-        barrier_retries=params.get("barrier_retries", 3),
     )
     out = dataclasses.asdict(result)
     out["data_plane_complete_ps"] = result.data_plane_complete_ps
@@ -434,7 +433,6 @@ def _flowmod_under_flap(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         flap_period=duration_ps(params.get("flap_period", ms(10))),
         flap_down=duration_ps(params.get("flap_down", ms(6))),
         deadline_ps=duration_ps(params.get("deadline", ms(30))),
-        barrier_retries=params.get("barrier_retries", 3),
         barrier_mode=params.get("barrier_mode", "spec"),
         seed=_seed(params, seed),
     )

@@ -30,17 +30,14 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..devices.legacy_switch import LegacySwitch
 from ..devices.openflow_switch import SwitchProfile
 from ..net.builder import build_tcp
-from ..openflow.actions import OutputAction
-from ..openflow.match import Match
-from ..openflow.messages import BarrierReply, BarrierRequest, FlowMod
 from ..osnt.generator.field_modifiers import Ipv4AddressSweep
-from ..osnt.generator.schedule import ConstantGap
 from ..osnt.generator.trafficspec import TrafficModelSpec
 from ..sim import RandomStreams, Simulator
 from ..units import duration_ps as _dur
 from ..units import ms, seconds, us
-from .topology import legacy_testbed, openflow_testbed
-from .workloads import port_sweep_source, udp_template
+from .scenarios import _run_to_result
+from .topology import legacy_testbed
+from .workloads import udp_template
 
 #: Extras returned by every point function (telemetry snapshots etc.).
 Extras = Dict[str, Any]
@@ -144,57 +141,32 @@ def syn_flood_flowmod_point(
     TCP SYNs cycling ``n_flows`` source addresses enter OF port 3; no
     TCP rule exists, so every SYN misses and becomes a packet-in job on
     the same serial firmware that must execute the measured flow_mods.
-    A UDP catch-all drop keeps the *probe* stream off the control
-    channel until its rules land (exactly the E4 discipline), so the
-    only churn is the attack traffic. Timestamped UDP probes then give
-    both per-rule activation times and per-flow RTT histograms.
+    The measurement is :class:`~repro.oflops.FlowModLatencyModule`, as
+    in E4: its UDP catch-all drop keeps the *probe* stream off the
+    control channel until its rules land, so the only churn is the
+    attack traffic. Here the probes carry TX stamps, giving both
+    per-rule activation times and per-flow RTT histograms.
     """
-    from ..faults import FaultInjector, ImpairmentSpec
+    from ..oflops import FlowModLatencyModule, OflopsContext
 
     sim = Simulator()
     waves = _arm_waves(sim, waveforms)
     spec = _traffic_spec(traffic)
-    profile = SwitchProfile(
-        firmware_delay_ps=firmware_delay_ps,
-        table_write_ps=table_write_ps,
-        packet_in_queue_limit=packet_in_queue_limit,
+    ctx = OflopsContext(
+        sim,
+        profile=SwitchProfile(
+            firmware_delay_ps=firmware_delay_ps,
+            table_write_ps=table_write_ps,
+            packet_in_queue_limit=packet_in_queue_limit,
+        ),
+        impairments=impairments,
+        seed=seed,
+        root_seed=seed,
     )
-    bed = openflow_testbed(
-        sim, profile=profile, wire_cross_ports=True, root_seed=seed
-    )
+    tester = ctx.testbed.tester
     if telemetry:
-        bed.tester.start_telemetry()
-    fault_spec = ImpairmentSpec.from_any(impairments)
-    injector = None
-    if not fault_spec.empty:
-        device = bed.tester.device
-        injector = FaultInjector(sim, fault_spec, seed=seed).bind(
-            link=bed.links[0],
-            link_egress=bed.links[1],
-            dma=device.dma,
-            clock=device,
-            control=bed.channel,
-        )
-        injector.arm()
-    switch = bed.switch
-
-    barrier_times: Dict[int, int] = {}
-
-    def on_control(message):
-        if isinstance(message, BarrierReply):
-            barrier_times[message.xid] = sim.now
-
-    bed.controller.on_message = on_control
-
-    # UDP catch-all drop (priority above nothing, below the measured
-    # rules): probes die in the table, SYNs still miss to the firmware.
-    bed.controller.send(
-        FlowMod(match=Match.exact(dl_type=0x0800, nw_proto=17), priority=1, actions=[])
-    )
-    bed.controller.send(BarrierRequest(xid=1))
-    sim.run(until=ms(5))
-    assert 1 in barrier_times or injector is not None, "setup barrier lost"
-
+        tester.start_telemetry()
+    monitor = ctx.data.monitor("egress")
     # The churn: SYNs from n_flows sources, paced by the traffic model.
     syn = build_tcp(
         frame_size=frame_size,
@@ -203,80 +175,47 @@ def syn_flood_flowmod_point(
         src_ip="10.9.0.1",
         flags=0x02,
     )
-    churn = bed.tester.generator(2)
+    churn = tester.generator(2)
     churn.load_template(syn, modifiers=[Ipv4AddressSweep("src", "10.9.0.1", n_flows)])
     churn.use_model(spec)
     churn.for_duration(duration_ps)
-    churn.start()
 
-    # Timestamped probes across the rule ports; the monitor banks RTT
-    # per destination port, in-band, without needing host capture.
-    bed.monitor.start_capture()
-    bed.monitor.enable_latency(per_flow=True, flow_key="dst_port")
-    bed.generator._engine.configure(
-        port_sweep_source(128, n_rules, base_port=base_port),
-        schedule=ConstantGap(probe_gap_ps),
-        embed_timestamps=True,
-    )
-    bed.generator._engine.start()
-    sim.run(until=sim.now + warmup_ps)
+    class SynFloodFlowMod(FlowModLatencyModule):
+        name = "syn_flood_flowmod"
+        setup_retries = 0
+        # Stamped probes feed the monitor's per-destination-port RTT bank.
+        stamp_probes = True
 
-    # The measured update burst, racing the churn through the firmware.
-    t0 = sim.now
-    for index in range(n_rules):
-        bed.controller.send(
-            FlowMod(
-                match=Match.exact(
-                    dl_type=0x0800, nw_proto=17, tp_dst=base_port + index
-                ),
-                priority=100,
-                actions=[OutputAction(bed.egress_of_port)],
-            )
-        )
-    bed.controller.send(BarrierRequest(xid=2))
+        def before_probes(self, ctx: OflopsContext) -> None:
+            churn.start()
+            monitor.enable_latency(per_flow=True, flow_key="dst_port")
 
-    activation: Dict[int, int] = {}
+    module = SynFloodFlowMod(n_rules, base_port, probe_gap_ps, warmup_ps=warmup_ps)
+    module.max_duration_ps = seconds(1) if deadline_ps is None else deadline_ps
+    result = _run_to_result(ctx, module)
 
-    def on_capture(packet):
-        from ..net.parser import decode
-
-        decoded = decode(packet.data)
-        if decoded.udp is None:
-            return
-        rule = decoded.udp.dst_port - base_port
-        if 0 <= rule < n_rules and rule not in activation:
-            activation[rule] = packet.rx_timestamp
-
-    bed.monitor.on_packet(on_capture)
-
-    deadline = t0 + (seconds(1) if deadline_ps is None else deadline_ps)
-    while sim.now < deadline and (len(activation) < n_rules or 2 not in barrier_times):
-        sim.run(until=min(sim.now + ms(1), deadline))
-    bed.generator._engine.stop()
-    sim.run(until=sim.now + us(100))
-
-    bank = bed.monitor.flow_latency
+    switch = ctx.switch
     row = SynFloodRow(
         n_flows=n_flows,
         n_rules=n_rules,
         traffic=spec.fingerprint(),
-        control_latency_ps=barrier_times.get(2, deadline) - t0,
-        rule_activation_ps=[activation[i] - t0 for i in sorted(activation)],
-        degraded=len(activation) < n_rules or 2 not in barrier_times,
+        control_latency_ps=result.control_latency_ps,
+        rule_activation_ps=result.rule_activation_ps,
+        degraded=result.degraded,
         churn_sent=churn.packets_sent,
         datapath_misses=switch.datapath_misses,
         packet_ins_sent=switch.packet_ins_sent,
         packet_ins_dropped=switch.packet_ins_dropped,
         firmware_queue_peak=switch.firmware_queue_peak,
         flow_mods_handled=switch.flow_mods_handled,
-        flow_rtt_rows=bed.monitor.flow_latency_rows(),
-        **_percentiles_us(bank),
+        flow_rtt_rows=monitor.flow_latency_rows(),
+        **_percentiles_us(monitor.flow_latency),
     )
     extras: Extras = {}
     if telemetry:
-        extras["telemetry"] = bed.tester.snapshot()
-    if injector is not None:
-        extras["fault_timeline_digest"] = injector.timeline_digest()
+        extras["telemetry"] = tester.snapshot()
+    if ctx.injector is not None:
+        extras["fault_timeline_digest"] = ctx.injector.timeline_digest()
     _wave_extras(extras, waves)
     return row, extras
 

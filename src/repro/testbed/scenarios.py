@@ -11,15 +11,16 @@ Call a point function directly for one row; build an
 :class:`~repro.runner.ExperimentSpec` for a sweep (see
 ``docs/RUNNER.md``). Their defaults (``seed=0``, ``switch_seed=1``)
 are the seeds behind the golden E-series numbers.
-E4 and E5 are single measurements already, so
+E4 and E5 are single measurements already:
 :func:`measure_flowmod_latency` and
-:func:`measure_forwarding_consistency` are registered directly.
+:func:`measure_forwarding_consistency` run the OFLOPS-turbo modules
+(:mod:`repro.oflops.modules`) and are registered directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..analysis.latency import latency_from_capture
 from ..analysis.stats import SummaryStats, gap_jitter_std
@@ -27,10 +28,6 @@ from ..devices.legacy_switch import LegacySwitch
 from ..devices.openflow_switch import SwitchProfile
 from ..errors import ConfigError
 from ..hw.port import connect
-from ..openflow import constants as ofp
-from ..openflow.match import Match
-from ..openflow.actions import OutputAction
-from ..openflow.messages import BarrierReply, BarrierRequest, FlowMod
 from ..osnt.api import OSNT
 from ..osnt.generator.schedule import ConstantBitRate, ConstantGap
 from ..osnt.software_baseline import SoftwareGenerator
@@ -44,8 +41,12 @@ from ..units import (
     seconds,
     us,
 )
-from .topology import legacy_testbed, openflow_testbed
-from .workloads import fixed_size_source, port_sweep_source, udp_template
+from .topology import legacy_testbed
+from .workloads import fixed_size_source, udp_template
+
+if TYPE_CHECKING:
+    from ..oflops.modules.flow_mod_latency import FlowModResult
+    from ..oflops.modules.forwarding_consistency import ConsistencyResult
 
 #: Extras returned by every point function (telemetry snapshots etc.).
 Extras = Dict[str, Any]
@@ -301,34 +302,8 @@ def legacy_latency_point(
 
 
 # ---------------------------------------------------------------------------
-# E4 — flow_mod install latency, control vs data plane (demo Part II)
+# E4/E5 — flow-table updates, control vs data plane (demo Part II)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class FlowModResult:
-    barrier_mode: str
-    n_rules: int
-    #: Time from the first flow_mod leaving the controller to the
-    #: barrier reply arriving back (the control plane's claim).
-    control_latency_ps: int
-    #: Per-rule data-plane activation latency (first forwarded probe).
-    rule_activation_ps: List[int] = field(default_factory=list)
-    #: True when the run hit its deadline with rules unactivated or the
-    #: barrier unanswered (fault-injection runs); healthy runs report
-    #: False and the ``flowmod_latency`` scenario omits the field.
-    degraded: bool = False
-    #: Setup-barrier resends that were needed (flapped control channel).
-    control_retries: int = 0
-
-    @property
-    def data_plane_complete_ps(self) -> int:
-        return max(self.rule_activation_ps) if self.rule_activation_ps else 0
-
-    @property
-    def control_says_done_before_data_ps(self) -> int:
-        """Positive when the barrier claimed completion early."""
-        return self.data_plane_complete_ps - self.control_latency_ps
 
 
 def measure_flowmod_latency(
@@ -341,142 +316,34 @@ def measure_flowmod_latency(
     impairments=None,
     seed: int = 0,
     deadline_ps: Optional[int] = None,
-    barrier_retries: int = 3,
 ) -> FlowModResult:
     """Demo Part II: latency to modify the flow table, measured both ways.
 
-    A catch-all drop rule keeps probe misses off the control channel;
-    probes cycle ``n_rules`` UDP destination ports; each new rule's
+    Runs :class:`~repro.oflops.FlowModLatencyModule` with no warm-up:
+    the update burst leaves with the first probe, and each rule's
     activation is the RX timestamp of the first probe it forwards.
 
     ``impairments`` accepts anything
     :meth:`repro.faults.ImpairmentSpec.from_any` does; under active
-    faults the run degrades instead of crashing: setup barriers are
-    resent up to ``barrier_retries`` times, and a deadline hit reports
-    ``degraded=True`` with whatever activated. Without impairments the
-    measurement (and its event timeline) is exactly the historical one.
-
-    (Already a single measurement point — registered directly as the
-    ``flowmod_latency`` scenario.)
+    faults the run degrades instead of crashing: the setup barrier is
+    resent up to 3 times, and a deadline hit reports ``degraded=True``
+    with whatever activated.
     """
-    from ..faults import FaultInjector, ImpairmentSpec
+    from ..oflops import FlowModLatencyModule, OflopsContext
 
-    sim = Simulator()
-    profile = SwitchProfile(
-        barrier_mode=barrier_mode,
-        firmware_delay_ps=firmware_delay_ps,
-        table_write_ps=table_write_ps,
+    ctx = OflopsContext(
+        profile=SwitchProfile(
+            barrier_mode=barrier_mode,
+            firmware_delay_ps=firmware_delay_ps,
+            table_write_ps=table_write_ps,
+        ),
+        wire_cross_ports=False,
+        impairments=impairments,
+        seed=seed,
     )
-    bed = openflow_testbed(sim, profile=profile)
-    spec = ImpairmentSpec.from_any(impairments)
-    faulted = not spec.empty
-    if faulted:
-        device = bed.tester.device
-        FaultInjector(sim, spec, seed=seed).bind(
-            link=bed.links[0],
-            link_egress=bed.links[1],
-            dma=device.dma,
-            clock=device,
-            control=bed.channel,
-        ).arm()
-    barrier_times: Dict[int, int] = {}
-
-    def on_control(message):
-        if isinstance(message, BarrierReply):
-            barrier_times[message.xid] = sim.now
-
-    bed.controller.on_message = on_control
-
-    # Catch-all drop (no actions), low priority.
-    bed.controller.send(FlowMod(match=Match(), priority=1, actions=[]))
-    bed.controller.send(BarrierRequest(xid=1))
-    sim.run(until=ms(5))
-    control_retries = 0
-    if faulted:
-        # Bounded resends: the barrier (or its reply) may have died on
-        # a flapped channel. Healthy runs never enter this loop.
-        setup_xid = 1
-        while setup_xid not in barrier_times and control_retries < barrier_retries:
-            control_retries += 1
-            setup_xid = 100 + control_retries
-            bed.controller.send(BarrierRequest(xid=setup_xid))
-            sim.run(until=sim.now + ms(5))
-    else:
-        assert 1 in barrier_times, "setup barrier lost"
-
-    # Continuous probes across the rule ports.
-    bed.monitor.start_capture()
-    bed.generator._engine.configure(
-        port_sweep_source(128, n_rules, base_port=base_port),
-        schedule=ConstantGap(probe_gap_ps),
-        embed_timestamps=False,
-    )
-    bed.generator._engine.start()
-
-    # The measured update burst.
-    t0 = sim.now
-    for index in range(n_rules):
-        bed.controller.send(
-            FlowMod(
-                match=Match.exact(
-                    dl_type=0x0800, nw_proto=17, tp_dst=base_port + index
-                ),
-                priority=100,
-                actions=[OutputAction(bed.egress_of_port)],
-            )
-        )
-    bed.controller.send(BarrierRequest(xid=2))
-
-    activation: Dict[int, int] = {}
-
-    def on_capture(packet):
-        from ..net.parser import decode
-
-        decoded = decode(packet.data)
-        if decoded.udp is None:
-            return
-        rule = decoded.udp.dst_port - base_port
-        if 0 <= rule < n_rules and rule not in activation:
-            activation[rule] = packet.rx_timestamp
-
-    bed.monitor.on_packet(on_capture)
-
-    # Run until every rule has forwarded and the barrier came back.
-    deadline = t0 + (seconds(2) if deadline_ps is None else deadline_ps)
-    while sim.now < deadline and (len(activation) < n_rules or 2 not in barrier_times):
-        sim.run(until=min(sim.now + ms(1), deadline))
-    bed.generator._engine.stop()
-    sim.run(until=sim.now + us(100))
-
-    return FlowModResult(
-        barrier_mode=barrier_mode,
-        n_rules=n_rules,
-        control_latency_ps=barrier_times.get(2, deadline) - t0,
-        rule_activation_ps=[
-            activation[index] - t0 for index in sorted(activation)
-        ],
-        degraded=len(activation) < n_rules or 2 not in barrier_times,
-        control_retries=control_retries,
-    )
-
-
-# ---------------------------------------------------------------------------
-# E5 — forwarding consistency during large table updates
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ConsistencyResult:
-    barrier_mode: str
-    n_rules: int
-    #: Probes that arrived at the OLD destination after the barrier
-    #: reply claimed the update was complete.
-    stale_after_barrier: int
-    #: Probes at the old destination after the update burst was sent.
-    stale_during_update: int
-    #: Update transition span (first to last rule flip), data-plane view.
-    transition_span_ps: int
-    barrier_latency_ps: int
+    module = FlowModLatencyModule(n_rules, base_port, probe_gap_ps, warmup_ps=0)
+    module.max_duration_ps = seconds(2) if deadline_ps is None else deadline_ps
+    return _run_to_result(ctx, module)
 
 
 def measure_forwarding_consistency(
@@ -489,89 +356,33 @@ def measure_forwarding_consistency(
 ) -> ConsistencyResult:
     """Demo Part II: is forwarding consistent with control-plane claims?
 
-    Rules initially steer ``n_rules`` flows to OF port 2 (old). The
-    burst rewrites them all to OF port 3 (new). A "stale" probe is one
-    the switch still delivers to the old port — counted against both the
-    update start and the barrier reply.
-
-    (Already a single measurement point — registered directly as the
-    ``forwarding_consistency`` scenario.)
+    Runs :class:`~repro.oflops.ForwardingConsistencyModule`: rules
+    steering ``n_rules`` flows to OF port 2 (old) are rewritten to OF
+    port 3 (new), and a probe the switch still delivers to the old port
+    is stale — counted against both the update start and the barrier
+    reply.
     """
-    sim = Simulator()
-    profile = SwitchProfile(
-        barrier_mode=barrier_mode,
-        firmware_delay_ps=firmware_delay_ps,
-        table_write_ps=table_write_ps,
-    )
-    bed = openflow_testbed(sim, profile=profile, wire_cross_ports=True)
-    old_port, new_port = 2, 3
-    barrier_times: Dict[int, int] = {}
-    bed.controller.on_message = lambda m: (
-        barrier_times.__setitem__(m.xid, sim.now)
-        if isinstance(m, BarrierReply)
-        else None
-    )
+    from ..oflops import ForwardingConsistencyModule, OflopsContext
 
-    for index in range(n_rules):
-        bed.controller.send(
-            FlowMod(
-                match=Match.exact(
-                    dl_type=0x0800, nw_proto=17, tp_dst=base_port + index
-                ),
-                priority=100,
-                actions=[OutputAction(old_port)],
-            )
+    ctx = OflopsContext(
+        profile=SwitchProfile(
+            barrier_mode=barrier_mode,
+            firmware_delay_ps=firmware_delay_ps,
+            table_write_ps=table_write_ps,
         )
-    bed.controller.send(BarrierRequest(xid=1))
-    sim.run(until=ms(10))
-    assert 1 in barrier_times, "setup barrier lost"
-
-    old_monitor = bed.tester.monitor(1)
-    new_monitor = bed.tester.monitor(2)
-    old_monitor.start_capture()
-    new_monitor.start_capture()
-    bed.generator._engine.configure(
-        port_sweep_source(128, n_rules, base_port=base_port),
-        schedule=ConstantGap(probe_gap_ps),
     )
-    bed.generator._engine.start()
-    sim.run(until=sim.now + ms(1))  # steady state via old port
-
-    t_update = sim.now
-    for index in range(n_rules):
-        bed.controller.send(
-            FlowMod(
-                match=Match.exact(
-                    dl_type=0x0800, nw_proto=17, tp_dst=base_port + index
-                ),
-                priority=100,
-                command=ofp.OFPFC_MODIFY_STRICT,
-                actions=[OutputAction(new_port)],
-            )
-        )
-    bed.controller.send(BarrierRequest(xid=2))
-
-    deadline = t_update + seconds(2)
-    while sim.now < deadline and 2 not in barrier_times:
-        sim.run(until=min(sim.now + ms(1), deadline))
-    # Let the transition finish: run until probes stop reaching old port.
-    sim.run(until=sim.now + ms(5))
-    bed.generator._engine.stop()
-    sim.run(until=sim.now + us(100))
-
-    barrier_at = barrier_times.get(2, deadline)
-    old_rx = [p.rx_timestamp for p in old_monitor.packets if p.rx_timestamp >= t_update]
-    new_rx = [p.rx_timestamp for p in new_monitor.packets]
-    last_old = max(old_rx) if old_rx else t_update
-    first_new = min(new_rx) if new_rx else last_old
-    return ConsistencyResult(
-        barrier_mode=barrier_mode,
-        n_rules=n_rules,
-        stale_after_barrier=sum(1 for t in old_rx if t > barrier_at),
-        stale_during_update=len(old_rx),
-        transition_span_ps=max(0, last_old - first_new),
-        barrier_latency_ps=barrier_at - t_update,
+    return _run_to_result(
+        ctx, ForwardingConsistencyModule(n_rules, base_port, probe_gap_ps)
     )
+
+
+def _run_to_result(ctx, module):
+    """Run ``module`` and read its result once in-flight probes land."""
+    from ..oflops import ModuleRunner
+
+    ModuleRunner(ctx).run(module)
+    ctx.run_for(us(100))
+    return module.result(ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,20 @@ class TestOflopsCli:
         with pytest.raises(SystemExit):
             oflops_main(["not_a_module"])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "-1"],
+            ["--firmware-delay-us", "nan"],
+            ["--control-latency-us", "inf"],
+        ],
+    )
+    def test_malformed_option_exits_2(self, capsys, flags):
+        assert oflops_main(["echo_latency", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("oflops-turbo: ")
+        assert "Traceback" not in err
+
 
 class TestOsntMonFlows:
     def test_top_flows_table(self, tmp_path, capsys):

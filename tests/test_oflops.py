@@ -90,6 +90,32 @@ class TestRunner:
         assert result["module"] == "echo_latency"
         assert result["simulated_ps"] > 0
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "control_interaction",
+            "forwarding_consistency",
+            "port_stats_accuracy",
+            "throughput",
+        ],
+    )
+    def test_lost_setup_barrier_raises_typed_error(self, name):
+        # The channel is down for the first 12 ms, longer than any of
+        # these modules waits for its setup barrier.
+        flap = {
+            "name": "flap",
+            "model": "control_flap",
+            "params": {"period": "20ms", "down_time": "12ms"},
+        }
+        runner = ModuleRunner(OflopsContext(impairments=[flap]))
+        with pytest.raises(OflopsError, match=f"module {name!r}: setup barrier"):
+            runner.run(ALL_MODULES[name]())
+
+    def test_consistency_needs_cross_ports(self):
+        runner = ModuleRunner(OflopsContext(wire_cross_ports=False))
+        with pytest.raises(OflopsError, match="cross ports"):
+            runner.run(ForwardingConsistencyModule(n_rules=2))
+
     def test_registry_complete(self):
         assert set(ALL_MODULES) == {
             "control_interaction",
