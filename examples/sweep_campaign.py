@@ -4,13 +4,14 @@
 Describes the paper's latency-vs-load experiment (E3) as an
 :class:`~repro.runner.ExperimentSpec` — frame size x offered load, three
 repeats per point — and runs it across a pool of worker processes with
-checkpointing. Kill it mid-run and start it again: completed shards are
-skipped and the merged result is bit-identical to an uninterrupted run.
+a result store. Kill it mid-run and start it again: completed shards
+are served from the store and the merged result is bit-identical to an
+uninterrupted run.
 
 The same spec can be saved as JSON and driven from the shell:
 
     python examples/sweep_campaign.py --emit-spec > campaign.json
-    osnt-sweep run campaign.json --workers 4 --checkpoint runs/e3
+    osnt-sweep run campaign.json --workers 4 --cache runs/e3
 
 Run:  python examples/sweep_campaign.py
 """
@@ -41,8 +42,8 @@ def main() -> None:
         print(CAMPAIGN.to_json(indent=2))
         return
 
-    with tempfile.TemporaryDirectory(prefix="sweep-campaign-") as checkpoints:
-        runner = SweepRunner(CAMPAIGN, workers=4, checkpoint_dir=checkpoints)
+    with tempfile.TemporaryDirectory(prefix="sweep-campaign-") as store:
+        runner = SweepRunner(CAMPAIGN, workers=4, cache_dir=store)
 
         # Simulate an interrupted campaign: run only part of it...
         partial = runner.run(max_shards=5)
@@ -51,12 +52,17 @@ def main() -> None:
             f"{len(partial.pending)} pending\n"
         )
 
-        # ...then "come back later" and resume from the checkpoints.
+        # ...then "come back later" and resume from the result store.
         report = runner.run()
         report.require_ok()
 
-    resumed = sum(1 for s in report.shards if s.from_checkpoint)
-    print(f"second pass resumed {resumed} shard(s) from checkpoints\n")
+    served = [s.index for s in report.from_cache]
+    ran = [s.index for s in report.ok if not s.cached]
+    print(f"second pass resumed {len(served)} shard(s) from the store, ran {len(ran)}\n")
+    # CI runs every example, so a broken resume fails here.
+    assert len(served) == 5, "resume must serve the first pass's 5 shards"
+    assert served == [s.index for s in partial.ok], "resume served other shards"
+    assert len(ran) == CAMPAIGN.shard_count - 5, "resume must run only the rest"
 
     # Average the repeats per sweep point for the summary table.
     points = {}

@@ -1,10 +1,11 @@
 """Content-addressed result store: never run the same shard twice.
 
 At fleet scale most submitted experiments are near-duplicates — a
-sweep re-run with one more axis value, a campaign resumed on another
-host, two users measuring the same operating point. The store turns
+sweep re-run with one more axis value, an interrupted campaign run
+again, two users measuring the same operating point. The store turns
 every completed shard into a shared, verifiable artifact keyed by
-*what was computed*, not where or when:
+*what was computed*, not where or when. It is the sweep runner's only
+on-disk record of finished shards, so resuming a sweep is a cache hit:
 
     key = SHA-256(scenario, collect, imports, shard params, shard seed,
                   code version)
@@ -140,10 +141,24 @@ class ResultStore:
         self.directory = Path(directory)
         self.objects = self.directory / _OBJECTS
         self.index_path = self.directory / _INDEX
-        self.objects.mkdir(parents=True, exist_ok=True)
+        try:
+            self.objects.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SweepError(
+                f"cannot use {self.directory} as a result store: {exc}"
+            ) from exc
         #: Process-local counters (operational; reset per instance).
         self.hits = 0
         self.misses = 0
+
+    @classmethod
+    def existing(cls, directory: Union[str, Path]) -> "ResultStore":
+        """The store already at ``directory``; never creates one."""
+        if not (Path(directory) / _OBJECTS).is_dir():
+            raise SweepError(
+                f"{directory} is not a result store (no {_OBJECTS}/ directory)"
+            )
+        return cls(directory)
 
     # -- addressing ----------------------------------------------------------
 
@@ -272,8 +287,11 @@ class ResultStore:
     ) -> List[str]:
         """Delete entries older than the given age; returns removed keys.
 
-        Corrupt/quarantined entries are always removed. The advisory
-        index is rewritten from the surviving objects afterwards.
+        Corrupt/quarantined entries are always removed. Temp files that
+        a writer killed inside :meth:`put` left behind are removed once
+        they are older than the same age (a younger one may belong to a
+        live writer) and reported by file name. The advisory index is
+        rewritten from the surviving objects afterwards.
         """
         cutoff = time.time() - parse_age_s(older_than_s)
         removed: List[str] = []
@@ -300,6 +318,15 @@ class ResultStore:
                         "bytes": path.stat().st_size,
                     }
                 )
+        for orphan in sorted(self.objects.glob("??/.*.tmp.*")):
+            try:
+                if orphan.stat().st_mtime >= cutoff:
+                    continue
+            except FileNotFoundError:
+                continue  # its writer renamed it into place meanwhile
+            removed.append(orphan.name)
+            if not dry_run:
+                orphan.unlink(missing_ok=True)
         if not dry_run:
             for stale in self.objects.glob("??/*.corrupt"):
                 stale.unlink(missing_ok=True)

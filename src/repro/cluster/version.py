@@ -1,12 +1,12 @@
-"""Code-version identification for caches and checkpoints.
+"""Code-version identification for the result store.
 
 A shard result is only reusable if the code that produced it still
 behaves the same. :func:`code_version` condenses "which code is this"
 into a short provenance string — the package version plus a content
 hash of every ``.py`` file under :mod:`repro` — that the result store
-mixes into cache keys and the runner writes into ``spec.json``, so a
-stale cache or checkpoint from an older tree is *detected* instead of
-silently reused.
+mixes into every cache key, so a result stored by an older tree is
+*missed* (and the shard re-executed) instead of silently reused, on a
+warm rerun and on a resume alike.
 
 The hash covers file *contents* (sorted by package-relative path), not
 mtimes or the working directory, so two identical checkouts agree and

@@ -6,8 +6,9 @@ sweep axes, repeats, seed, collection plan) and the
 :class:`SweepRunner` decides *how* — expanding the axes into shards,
 executing them across a worker-process pool with deterministic
 per-shard seed derivation (bit-identical merged results at any worker
-count), per-shard timeouts with bounded retry, checkpoint/resume, and a
-merged :class:`SweepReport` of result tables and telemetry snapshots.
+count), per-shard timeouts with bounded retry, resume from a
+content-addressed result store, and a merged :class:`SweepReport` of
+result tables and telemetry snapshots.
 
     from repro.runner import ExperimentSpec, SweepRunner
 
@@ -18,8 +19,8 @@ merged :class:`SweepReport` of result tables and telemetry snapshots.
         axes={"load": [0.2, 0.4, 0.6, 0.8, 1.0]},
         repeats=3,
     )
-    report = SweepRunner(spec, workers=4, checkpoint_dir="runs/l1").run()
-    report.require_ok()
+    report = SweepRunner(spec, workers=4, cache_dir="runs/store").run()
+    report.require_ok()        # rerun after an interruption to resume
 
 The same campaign runs from the shell via ``osnt-sweep run spec.json``.
 """

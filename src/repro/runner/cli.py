@@ -4,12 +4,12 @@ Subcommands:
 
 * ``run SPEC.json`` — execute (or resume) a sweep across the forked
   worker pool; ``--cache DIR`` serves/stores shards in a shared result
-  store.
+  store, which is what a rerun resumes from.
 * ``expand SPEC.json`` — show the shard expansion without running it.
 * ``scenarios`` — list every registered scenario.
 * ``example`` — print a ready-to-edit spec.
 * ``cache stats DIR`` / ``cache gc DIR --older-than AGE`` — inspect or
-  prune a content-addressed result store.
+  prune an existing content-addressed result store.
 """
 
 from __future__ import annotations
@@ -91,14 +91,13 @@ def _cmd_run(args) -> int:
     runner = SweepRunner(
         spec,
         workers=args.workers,
-        checkpoint_dir=args.checkpoint,
         flight_dir=args.flight,
         heartbeat_s=args.heartbeat_s,
         stall_after_s=args.stall_after_s,
         on_progress=on_progress,
         cache_dir=args.cache,
     )
-    report = runner.run(resume=not args.no_resume, max_shards=args.max_shards)
+    report = runner.run(max_shards=args.max_shards)
     print(report.summary())
     if args.cache and report.from_cache:
         print(
@@ -168,8 +167,7 @@ def _cmd_example(args) -> int:
 def _cmd_cache_stats(args) -> int:
     from ..cluster import ResultStore
 
-    store = ResultStore(args.store)
-    stats = store.stats()
+    stats = ResultStore.existing(args.store).stats()
     print(f"result store {args.store}")
     print(stats.summary())
     return 0
@@ -179,7 +177,7 @@ def _cmd_cache_gc(args) -> int:
     from ..cluster import ResultStore, parse_age_s
 
     age_s = parse_age_s(args.older_than)
-    store = ResultStore(args.store)
+    store = ResultStore.existing(args.store)
     removed = store.gc(age_s, dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
     print(
@@ -203,14 +201,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_p.add_argument(
         "--workers", type=int, default=2,
         help="worker processes (0 = inline, no timeouts; default 2)",
-    )
-    run_p.add_argument(
-        "--checkpoint", metavar="DIR", default=None,
-        help="checkpoint directory (enables resume across invocations)",
-    )
-    run_p.add_argument(
-        "--no-resume", action="store_true",
-        help="ignore existing checkpoints instead of resuming",
     )
     run_p.add_argument(
         "--max-shards", type=int, default=None,
@@ -238,7 +228,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_p.add_argument(
         "--cache", metavar="DIR", default=None,
         help="content-addressed result store: serve already-computed "
-        "shards from here and store fresh results for future sweeps",
+        "shards from here and store fresh results, so a rerun resumes",
     )
     run_p.set_defaults(func=_cmd_run)
 

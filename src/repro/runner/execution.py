@@ -13,19 +13,19 @@ completion:
   no timeout enforcement): the debugging mode, and the way to run a
   sweep from library code without forking.
 * ``cache_dir=...`` — a shared content-addressed
-  :class:`~repro.cluster.ResultStore`: shards whose key (scenario,
-  params, seed, code version) already has a stored result are served
-  from the cache (marked ``cached`` in the report) and never executed;
-  fresh results are stored for the next overlapping sweep.
+  :class:`~repro.cluster.ResultStore`, the only on-disk record of
+  finished shards: shards whose key (scenario, params, seed, code
+  version) already has a stored result are served from it (marked
+  ``cached`` in the report) and never executed; fresh results are
+  stored as each shard finishes.
 
 Determinism: a shard's result depends only on ``(spec, shard)`` — the
 seed is derived from the spec, never from the schedule — so merged
 reports are bit-identical at any worker count and whether shards were
-executed, resumed from checkpoints or served from the cache. Completed
-shards are checkpointed as ``shard-NNNNN.json`` files; a rerun against
-the same checkpoint directory (guarded by the spec fingerprint *and*
-the code version) skips them, which is all resume-after-interruption
-is.
+executed or served from the store. Resuming an interrupted sweep is
+rerunning it against the same ``cache_dir``: the shards that finished
+are cache hits. Another spec or source tree has other keys, so it
+misses and re-executes instead of mixing in foreign results.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ from .spec import ExperimentSpec, Shard
 
 #: Grace period between SIGTERM and SIGKILL for a hung worker.
 _KILL_GRACE_S = 1.0
-
-_SPEC_FILE = "spec.json"
 
 
 def _jsonify(value: Any) -> Any:
@@ -216,15 +214,16 @@ class _Attempt:
 class SweepRunner:
     """Run an :class:`ExperimentSpec` across a worker pool, resumably.
 
-    >>> runner = SweepRunner(spec, workers=4, checkpoint_dir="run1")
-    >>> report = runner.run()          # resumes automatically on rerun
+    >>> runner = SweepRunner(spec, workers=4, cache_dir="runs/store")
+    >>> report = runner.run()          # a rerun resumes from the store
 
     ``workers=0`` executes inline (no subprocesses, no timeouts) — the
     way to run a sweep from library code without forking.
 
     ``cache_dir`` (a path or a ready :class:`~repro.cluster.ResultStore`)
-    arms the content-addressed result cache: known shards are served
-    without executing and fresh results are stored for future sweeps.
+    arms the content-addressed result store: known shards are served
+    without executing and each fresh result is stored as it finishes,
+    so an interrupted sweep resumes by running again.
 
     ``flight_dir`` arms the flight recorder (:mod:`repro.obs.flight`):
     workers write heartbeat files there, the parent tails them into a
@@ -238,7 +237,6 @@ class SweepRunner:
         self,
         spec: ExperimentSpec,
         workers: int = 1,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
         start_method: Optional[str] = None,
         flight_dir: Optional[Union[str, Path]] = None,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
@@ -258,7 +256,6 @@ class SweepRunner:
             raise SweepError(f"stall_after_s must be > 0, got {stall_after_s}")
         self.spec = spec
         self.workers = workers
-        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.flight_dir = Path(flight_dir) if flight_dir else None
         self.heartbeat_s = heartbeat_s
         self.stall_after_s = (
@@ -279,142 +276,22 @@ class SweepRunner:
                 else ResultStore(cache_dir)
             )
 
-    # -- checkpoints ---------------------------------------------------------
-
-    def _shard_path(self, index: int) -> Path:
-        assert self.checkpoint_dir is not None
-        return self.checkpoint_dir / f"shard-{index:05d}.json"
-
-    def _prepare_checkpoints(self, resume: bool) -> Dict[int, Dict[str, Any]]:
-        """Create/validate the checkpoint dir; load completed shards.
-
-        Guards against two kinds of staleness before trusting anything:
-        a different *spec* (fingerprint mismatch) and a different
-        *source tree* (code-version mismatch) — either means the
-        checkpointed results may not be reproducible by the current
-        code, so resuming over them would silently mix regimes. Orphaned
-        ``shard-*.tmp.*`` files from a writer killed mid-checkpoint are
-        removed up front; the atomic rename in :meth:`_checkpoint`
-        guarantees they were never visible as real checkpoints.
-        """
-        from ..cluster.version import code_version
-
-        directory = self.checkpoint_dir
-        if directory is None:
-            return {}
-        directory.mkdir(parents=True, exist_ok=True)
-        for orphan in directory.glob("shard-*.tmp.*"):
-            orphan.unlink()
-        for orphan in directory.glob("spec.tmp.*"):
-            orphan.unlink()
-        spec_path = directory / _SPEC_FILE
-        fingerprint = self.spec.fingerprint()
-        code = code_version()
-        if spec_path.exists():
-            try:
-                recorded = json.loads(spec_path.read_text())
-            except json.JSONDecodeError:
-                recorded = {}
-            if not isinstance(recorded, dict):
-                recorded = {}
-            recorded_fp = recorded.get("fingerprint")
-            recorded_code = recorded.get("code_version")
-            if recorded_fp != fingerprint:
-                if resume:
-                    raise SweepError(
-                        f"checkpoint dir {directory} belongs to a different spec "
-                        f"(fingerprint {recorded_fp!r} != {fingerprint!r}); "
-                        "use a fresh directory or resume=False to overwrite"
-                    )
-                for stale in directory.glob("shard-*.json"):
-                    stale.unlink()
-            elif recorded_code is not None and recorded_code != code:
-                if resume:
-                    raise SweepError(
-                        f"checkpoint dir {directory} was written by code version "
-                        f"{recorded_code!r} but this tree is {code!r}; results "
-                        "may not be reproducible — use a fresh directory or "
-                        "resume=False to overwrite"
-                    )
-                for stale in directory.glob("shard-*.json"):
-                    stale.unlink()
-        tmp = spec_path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w") as handle:
-            json.dump(
-                {
-                    "fingerprint": fingerprint,
-                    "code_version": code,
-                    "spec": self.spec.to_dict(),
-                },
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, spec_path)
-        completed: Dict[int, Dict[str, Any]] = {}
-        if resume:
-            for path in sorted(directory.glob("shard-*.json")):
-                try:
-                    payload = json.loads(path.read_text())
-                except json.JSONDecodeError:
-                    continue  # torn write from a killed run: redo the shard
-                if (
-                    isinstance(payload, dict)
-                    and payload.get("status") == STATUS_OK
-                    and "index" in payload
-                ):
-                    completed[payload["index"]] = payload
-        return completed
-
-    def _checkpoint(self, record: ShardResult) -> None:
-        if self.checkpoint_dir is None or record.status != STATUS_OK:
-            return
-        path = self._shard_path(record.index)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        # fsync before the rename: a kill between write and rename must
-        # leave either no checkpoint or a complete one — never a
-        # truncated file that a later resume would trust.
-        with open(tmp, "w") as handle:
-            handle.write(json.dumps(record.checkpoint_payload(), sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-
     # -- execution -----------------------------------------------------------
 
-    def run(self, resume: bool = True, max_shards: Optional[int] = None) -> SweepReport:
+    def run(self, max_shards: Optional[int] = None) -> SweepReport:
         """Execute (or finish) the sweep and return the merged report.
 
-        ``resume=True`` skips shards already checkpointed by a previous
-        run of the same spec. ``max_shards`` caps how many shards this
-        call executes (smoke runs; simulating an interrupted campaign) —
-        the rest are reported as *pending*. With a result store armed,
-        shards whose content address is already stored are *served*,
-        not executed (and count against ``max_shards`` like skipped
-        work would not — cache hits are free).
+        With a result store armed, shards whose content address is
+        already stored are *served*, not executed — this is how a rerun
+        resumes. ``max_shards`` caps how many shards this call executes
+        (smoke runs; simulating an interrupted campaign); cache hits do
+        not count against it, and the rest are reported as *pending*.
         """
+        if max_shards is not None and max_shards < 0:
+            raise SweepError(f"max_shards must be >= 0, got {max_shards}")
         shards = self.spec.expand()
-        completed = self._prepare_checkpoints(resume)
         records: Dict[int, ShardResult] = {}
-        todo: List[Shard] = []
-        for shard in shards:
-            payload = completed.get(shard.index)
-            if payload is not None and payload.get("seed") == shard.seed:
-                records[shard.index] = ShardResult(
-                    index=shard.index,
-                    params=shard.params,
-                    seed=shard.seed,
-                    status=STATUS_OK,
-                    result=payload.get("result"),
-                    from_checkpoint=True,
-                )
-                self._store_put(records[shard.index])
-            else:
-                todo.append(shard)
-        todo = self._serve_from_store(todo, records)
+        todo = self._serve_from_store(shards, records)
         budget = len(todo) if max_shards is None else min(max_shards, len(todo))
         skipped = todo[budget:]
         todo = todo[:budget]
@@ -435,12 +312,11 @@ class SweepRunner:
                 seed=shard.seed,
                 status=STATUS_PENDING,
             )
-        report = SweepReport(
+        return SweepReport(
             spec=self.spec,
             shards=[records[shard.index] for shard in shards],
             scheduler_stats=scheduler_stats,
         )
-        return report
 
     # -- the result store ----------------------------------------------------
 
@@ -458,7 +334,7 @@ class SweepRunner:
             if result is None:
                 misses.append(shard)
                 continue
-            record = ShardResult(
+            records[shard.index] = ShardResult(
                 index=shard.index,
                 params=shard.params,
                 seed=shard.seed,
@@ -466,8 +342,6 @@ class SweepRunner:
                 result=result,
                 cached=True,
             )
-            records[shard.index] = record
-            self._checkpoint(record)
         return misses
 
     def _store_put(self, record: ShardResult) -> None:
@@ -475,7 +349,6 @@ class SweepRunner:
         if (
             self.store is None
             or record.status != STATUS_OK
-            or record.cached
             or record.result is None
         ):
             return
@@ -515,7 +388,6 @@ class SweepRunner:
 
         def on_record(record: ShardResult) -> None:
             records[record.index] = record
-            self._checkpoint(record)
             self._store_put(record)
 
         on_cycle = None
@@ -584,22 +456,14 @@ class SweepRunner:
                 if writer is not None:
                     writer.stop("failed")
         record.elapsed_s = time.monotonic() - start
-        self._checkpoint(record)
         return record
 
 def run_spec(
     spec: ExperimentSpec,
     workers: int = 0,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    resume: bool = True,
     max_shards: Optional[int] = None,
     cache_dir=None,
 ) -> SweepReport:
     """One-call convenience: build a :class:`SweepRunner` and run it."""
-    runner = SweepRunner(
-        spec,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        cache_dir=cache_dir,
-    )
-    return runner.run(resume=resume, max_shards=max_shards)
+    runner = SweepRunner(spec, workers=workers, cache_dir=cache_dir)
+    return runner.run(max_shards=max_shards)

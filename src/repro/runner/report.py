@@ -5,7 +5,8 @@ The report separates two kinds of information:
 * **deterministic** — shard identity (index, params, seed), status and
   the scenario result. :meth:`SweepReport.merged_dict` contains only
   these, so its canonical JSON is bit-identical for the same spec at
-  any worker count and across checkpoint/resume.
+  any worker count and whether shards ran or came from the result
+  store.
 * **operational** — attempt counts and wall-clock timings, which vary
   run to run and are kept out of the merged document.
 """
@@ -26,7 +27,7 @@ STATUS_PENDING = "pending"
 
 @dataclass
 class ShardResult:
-    """Outcome of one shard (including ones restored from checkpoints)."""
+    """Outcome of one shard, executed or served from the result store."""
 
     index: int
     params: Dict[str, Any]
@@ -36,14 +37,14 @@ class ShardResult:
     error: Optional[str] = None
     attempts: int = 0
     elapsed_s: float = 0.0
-    from_checkpoint: bool = False
     #: Flight-recorder stall flag (operational, like attempts/elapsed_s:
     #: it depends on wall-clock behaviour, so it must stay out of
     #: :meth:`merged_entry` to keep the merged document deterministic).
     stalled: bool = False
     #: Served from the content-addressed result store instead of being
-    #: executed (operational — a cache hit holds the same bytes a cold
-    #: run would produce, so the merged document is unaffected).
+    #: executed, as every finished shard of a resumed sweep is
+    #: (operational — a cache hit holds the same bytes a cold run would
+    #: produce, so the merged document is unaffected).
     cached: bool = False
 
     @property
@@ -63,9 +64,6 @@ class ShardResult:
         if self.error is not None:
             entry["error"] = self.error
         return entry
-
-    def checkpoint_payload(self) -> Dict[str, Any]:
-        return self.merged_entry()
 
 
 def _merge_numeric(total: Dict[str, Any], part: Dict[str, Any]) -> None:
@@ -167,8 +165,8 @@ class SweepReport:
         """Canonical JSON of :meth:`merged_dict`.
 
         Bit-identical for the same spec regardless of worker count or
-        checkpoint/resume history — the property the determinism tests
-        assert with string equality.
+        resume history — the property the determinism tests assert with
+        string equality.
         """
         return canonical_json(self.merged_dict())
 
@@ -217,8 +215,6 @@ class SweepReport:
                 note = (s.error or "")[:60]
             elif s.cached:
                 note = "from cache"
-            elif s.from_checkpoint:
-                note = "from checkpoint"
             if s.stalled:
                 note = f"{note} [stalled]".strip()
             rows.append(

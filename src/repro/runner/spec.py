@@ -5,8 +5,8 @@ measurement campaign: *which* scenario to run, the base parameters, the
 sweep axes to expand, how many repeats, the root seed, and the
 execution policy (per-shard timeout and retry budget). Because a spec
 is plain data (constructible from Python, a dict or JSON), it can be
-checked into a repo, shipped to a worker pool, checkpointed to disk and
-resumed — none of which the old closure-based scenario wiring allowed.
+checked into a repo, shipped to a worker pool and resumed from a result
+store — none of which the old closure-based scenario wiring allowed.
 
 Expansion is deterministic: the cartesian product of the axes (in
 declaration order, last axis fastest) times ``repeats`` yields the
@@ -66,7 +66,7 @@ class Shard:
 class ExperimentSpec(Spec):
     """A declarative, serializable experiment description.
 
-    * ``name`` — campaign identifier (labels checkpoints and reports).
+    * ``name`` — campaign identifier (labels reports).
     * ``scenario`` — registered scenario name (see
       :func:`repro.runner.scenario` and ``osnt-sweep scenarios``).
     * ``params`` — base parameters passed to every shard. Rates and

@@ -20,9 +20,10 @@ module holds the one implementation of each of those:
   spec class keeps only its fields, its validation and any nested
   conversion.
 
-Fingerprints and digests are part of the on-disk contract (checkpoint
-guards and result-store keys compare them across runs);
-``tests/test_spec.py`` pins their exact values.
+Fingerprints and digests are part of the on-disk contract (result-store
+keys are digests, and the attack scenarios store their traffic spec's
+fingerprint in each result); ``tests/test_spec.py`` pins their exact
+values.
 """
 
 from __future__ import annotations

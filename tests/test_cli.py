@@ -250,12 +250,49 @@ class TestOsntSweepCli:
         from repro.runner.cli import main as sweep_main
 
         path = self._write_spec(tmp_path)
-        ckpt = tmp_path / "ckpt"
-        args = ["run", str(path), "--workers", "0", "--checkpoint", str(ckpt)]
+        store = tmp_path / "store"
+        args = ["run", str(path), "--workers", "0", "--cache", str(store)]
         assert sweep_main(args + ["--max-shards", "1"]) == 0
         assert sweep_main(args) == 0
-        out = capsys.readouterr().out
-        assert "from checkpoint" in out
+        captured = capsys.readouterr()
+        assert "3 ok, 0 failed, 0 pending (1 from cache)" in captured.out
+        assert "from cache" in captured.out
+        assert f"1 shard(s) served from cache {store}" in captured.err
+
+    def test_cache_path_that_is_a_file_exits_two(self, tmp_path, capsys):
+        from repro.runner.cli import main as sweep_main
+
+        path = self._write_spec(tmp_path)
+        not_a_dir = tmp_path / "store-file"
+        not_a_dir.write_text("")
+        args = ["run", str(path), "--workers", "0", "--cache", str(not_a_dir)]
+        assert sweep_main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("osnt-sweep: ") and str(not_a_dir) in err
+        assert "Traceback" not in err
+
+    def test_cache_commands_never_create_a_store(self, tmp_path, capsys):
+        from repro.runner.cli import main as sweep_main
+
+        typo = tmp_path / "typo"
+        for argv in (
+            ["cache", "stats", str(typo)],
+            ["cache", "gc", str(typo), "--older-than", "1d"],
+            ["cache", "stats", str(tmp_path)],
+            ["cache", "gc", str(tmp_path), "--older-than", "1d", "--dry-run"],
+        ):
+            assert sweep_main(argv) == 2
+            assert "is not a result store" in capsys.readouterr().err
+        assert not typo.exists()
+        assert not (tmp_path / "objects").exists()
+        # ``run --cache`` creates the store on first use.
+        path = self._write_spec(tmp_path)
+        run = ["run", str(path), "--workers", "0", "--cache", str(typo)]
+        assert sweep_main(run) == 0
+        assert sweep_main(["cache", "stats", str(typo)]) == 0
+        assert "entries:     3" in capsys.readouterr().out
+        assert sweep_main(["cache", "gc", str(typo), "--older-than", "1d"]) == 0
+        assert "removed 0 entries" in capsys.readouterr().out
 
     def test_merged_flag_prints_the_canonical_document(self, tmp_path, capsys):
         from repro.runner import ExperimentSpec, run_spec

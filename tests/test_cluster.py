@@ -1,6 +1,7 @@
 """Tests for repro.cluster: the result store and the forked pool."""
 
 import json
+import os
 import time
 
 import pytest
@@ -249,79 +250,63 @@ class TestCachedSweeps:
         assert len(warm.from_cache) == 4
         assert warm.require_ok().complete
 
-    def test_cache_hits_are_checkpointed(self, tmp_path):
-        spec = echo_spec()
-        store_dir = tmp_path / "store"
-        run_spec(spec, workers=0, cache_dir=store_dir)
-        ckpt = tmp_path / "ckpt"
-        warm = run_spec(spec, workers=0, cache_dir=store_dir, checkpoint_dir=ckpt)
-        assert len(warm.from_cache) == len(spec.expand())
-        resumed = run_spec(spec, workers=0, checkpoint_dir=ckpt)  # no store
-        assert all(s.from_checkpoint for s in resumed.shards)
-        assert resumed.merged_json() == warm.merged_json()
-
     def test_result_digest_is_canonical(self):
         assert result_digest({"b": 1, "a": 2}) == result_digest({"a": 2, "b": 1})
 
 
-# -- checkpoint hygiene -------------------------------------------------------
+# -- checkpoint hygiene: the store is the resume record -----------------------
 
 
 class TestCheckpointHygiene:
     def test_orphaned_tmp_files_are_cleaned(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        ckpt.mkdir()
-        (ckpt / "shard-00000.tmp.12345").write_text("{torn")
-        (ckpt / "spec.tmp.12345").write_text("{torn")
-        run_spec(echo_spec(), workers=0, checkpoint_dir=ckpt)
-        assert not list(ckpt.glob("*.tmp.*"))
+        # A writer killed inside put() leaves its temp file behind.
+        store = ResultStore(tmp_path)
+        fanout = store.objects / "ab"
+        fanout.mkdir()
+        old = fanout / f".{'ab' * 32}.tmp.12345"
+        young = fanout / f".{'ab' * 32}.tmp.678"
+        old.write_text("{torn")
+        young.write_text("{torn")
+        month_ago = time.time() - 30 * 86400
+        os.utime(old, (month_ago, month_ago))
 
-    def test_spec_json_records_code_version(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        run_spec(echo_spec(), workers=0, checkpoint_dir=ckpt)
-        recorded = json.loads((ckpt / "spec.json").read_text())
-        assert recorded["code_version"] == code_version()
-        assert recorded["fingerprint"] == echo_spec().fingerprint()
+        assert store.gc("7d", dry_run=True) == [old.name]
+        assert old.exists()  # dry run touches nothing
+        assert store.gc("7d") == [old.name]
+        assert not old.exists()
+        # A younger temp file may belong to a live writer.
+        assert young.exists()
 
-    def test_stale_code_version_detected_on_resume(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        run_spec(echo_spec(), workers=0, checkpoint_dir=ckpt)
-        spec_path = ckpt / "spec.json"
-        recorded = json.loads(spec_path.read_text())
-        recorded["code_version"] = "0.0.0+stale00000"
-        spec_path.write_text(json.dumps(recorded))
-        with pytest.raises(SweepError, match="code version"):
-            run_spec(echo_spec(), workers=0, checkpoint_dir=ckpt)
-
-    def test_stale_code_version_overwritten_without_resume(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        run_spec(echo_spec(), workers=0, checkpoint_dir=ckpt)
-        spec_path = ckpt / "spec.json"
-        recorded = json.loads(spec_path.read_text())
-        recorded["code_version"] = "0.0.0+stale00000"
-        spec_path.write_text(json.dumps(recorded))
-        report = run_spec(
-            echo_spec(), workers=0, checkpoint_dir=ckpt, resume=False
-        )
-        assert report.require_ok().complete
-        assert not any(s.from_checkpoint for s in report.shards)
-        fresh = json.loads(spec_path.read_text())
-        assert fresh["code_version"] == code_version()
-
-    def test_non_object_spec_json_is_a_fingerprint_mismatch(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        run_spec(echo_spec(), workers=0, checkpoint_dir=ckpt)
-        (ckpt / "spec.json").write_text("[]")
-        with pytest.raises(SweepError, match="different spec"):
-            run_spec(echo_spec(), workers=0, checkpoint_dir=ckpt)
+    def test_stale_code_version_detected_on_resume(self, tmp_path, monkeypatch):
+        store = tmp_path / "store"
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.cluster.version._cached", "0.0.0+stale00000")
+            stale = run_spec(echo_spec(), workers=0, cache_dir=store)
+        assert ResultStore(store).stats().entries == 4
+        fresh = run_spec(echo_spec(), workers=0, cache_dir=store)
+        assert not fresh.from_cache
+        assert fresh.scheduler_stats == {"backend": "inline", "executed": 4}
+        assert fresh.merged_json() == stale.merged_json()
+        # Both trees' entries coexist under their own keys.
+        assert ResultStore(store).stats().entries == 8
 
     def test_non_object_shard_checkpoint_reruns(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        first = run_spec(echo_spec(), workers=0, checkpoint_dir=ckpt)
-        (ckpt / "shard-00000.json").write_text("[]")
-        again = run_spec(echo_spec(), workers=0, checkpoint_dir=ckpt)
-        assert [s.from_checkpoint for s in again.shards] == [False, True, True, True]
+        store = tmp_path / "store"
+        spec = echo_spec()
+        first = run_spec(spec, workers=0, cache_dir=store)
+        key = shard_cache_key(spec, spec.expand()[0])
+        ResultStore(store)._entry_path(key).write_text("[]")
+        again = run_spec(spec, workers=0, cache_dir=store)
+        assert [s.cached for s in again.shards] == [False, True, True, True]
         assert again.merged_json() == first.merged_json()
+
+    def test_store_path_that_is_a_file_is_a_sweep_error(self, tmp_path):
+        path = tmp_path / "not-a-dir"
+        path.write_text("")
+        with pytest.raises(SweepError, match="not-a-dir"):
+            ResultStore(path)
+        with pytest.raises(SweepError, match="not-a-dir"):
+            run_spec(echo_spec(), cache_dir=path)
 
 
 # -- schedulers ---------------------------------------------------------------

@@ -12,7 +12,8 @@ JSON byte for byte:
 * ``heap_queue`` — ``REPRO_EVENT_QUEUE=heap``;
 * ``observed`` — spans, the sim profiler, a waveform recorder and a
   tracer armed on every simulator the shards build;
-* ``resume`` — stopped after one shard, then resumed with two workers;
+* ``resume`` — stopped after one shard, then resumed with two workers
+  from the result store, which serves exactly that shard;
 * ``warm_cache`` — a cold run fills a result store and a warm rerun is
   served from it entirely;
 * ``spawned`` — a pool of two workers started as fresh interpreters,
@@ -181,10 +182,10 @@ def observed(spec, tmp_path, monkeypatch):
 
 
 def resume(spec, tmp_path, monkeypatch):
-    partial = run_spec(spec, checkpoint_dir=tmp_path, max_shards=1)
+    partial = run_spec(spec, cache_dir=tmp_path, max_shards=1)
     assert len(partial.pending) == spec.shard_count - 1
-    resumed = run_spec(spec, workers=2, checkpoint_dir=tmp_path)
-    assert sum(s.from_checkpoint for s in resumed.shards) == 1
+    resumed = run_spec(spec, workers=2, cache_dir=tmp_path)
+    assert len(resumed.from_cache) == 1
     return resumed
 
 

@@ -230,33 +230,35 @@ class TestDeterminism:
         spec = echo_spec()
         baseline = run_spec(spec, workers=1).merged_json()
         # "Kill" after 2 shards, then resume with a different worker count.
-        ckpt = tmp_path / "ckpt"
-        partial = run_spec(spec, workers=1, checkpoint_dir=ckpt, max_shards=2)
+        store = tmp_path / "store"
+        partial = run_spec(spec, workers=1, cache_dir=store, max_shards=2)
         assert len(partial.ok) == 2
         assert len(partial.pending) == 4
         assert not partial.complete
-        resumed = run_spec(spec, workers=4, checkpoint_dir=ckpt)
+        resumed = run_spec(spec, workers=4, cache_dir=store)
         assert resumed.complete
-        assert sum(1 for s in resumed.shards if s.from_checkpoint) == 2
+        assert len(resumed.from_cache) == 2
         assert resumed.merged_json() == baseline
 
     def test_rerun_of_complete_sweep_uses_checkpoints(self, tmp_path):
         spec = echo_spec()
-        ckpt = tmp_path / "ckpt"
-        first = run_spec(spec, workers=0, checkpoint_dir=ckpt)
-        again = run_spec(spec, workers=0, checkpoint_dir=ckpt)
-        assert all(s.from_checkpoint for s in again.shards)
+        store = tmp_path / "store"
+        first = run_spec(spec, workers=0, cache_dir=store)
+        again = run_spec(spec, workers=0, cache_dir=store)
+        assert all(s.cached for s in again.shards)
         assert again.merged_json() == first.merged_json()
 
     def test_fingerprint_guard(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        run_spec(echo_spec(), workers=0, checkpoint_dir=ckpt)
+        # Another spec sharing the store has other shard keys: it runs
+        # all of its own shards instead of reusing foreign results.
+        store = tmp_path / "store"
+        run_spec(echo_spec(), workers=0, cache_dir=store)
         other = echo_spec(seed=99)
-        with pytest.raises(SweepError, match="different spec"):
-            run_spec(other, workers=0, checkpoint_dir=ckpt)
-        # resume=False wipes the stale checkpoints and proceeds.
-        report = run_spec(other, workers=0, checkpoint_dir=ckpt, resume=False)
-        assert report.complete and not report.failed
+        cold = run_spec(other, workers=0).merged_json()
+        shared = run_spec(other, workers=0, cache_dir=store)
+        assert not shared.from_cache
+        assert shared.scheduler_stats["executed"] == other.shard_count
+        assert shared.merged_json() == cold
 
 
 class TestFaultTolerance:
@@ -541,6 +543,18 @@ class TestSweepRunnerConfig:
     def test_max_shards_zero_runs_nothing(self):
         report = run_spec(echo_spec(), max_shards=0)
         assert len(report.pending) == 6 and not report.ok
+
+    def test_negative_max_shards_rejected(self):
+        with pytest.raises(SweepError, match="max_shards"):
+            run_spec(echo_spec(), max_shards=-1)
+
+    def test_cli_rejects_negative_max_shards(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(echo_spec().to_json())
+        assert sweep_main(["run", str(path), "--max-shards", "-2"]) == 2
+        err = capsys.readouterr().err
+        assert "osnt-sweep: max_shards must be >= 0" in err
+        assert "Traceback" not in err
 
     def test_config_error_is_value_error(self):
         # Satellite: unified parsing raises "clear ValueErrors".

@@ -1,7 +1,7 @@
 """Golden fingerprints and digests for every declarative spec family.
 
-Checkpoint guards, result-store keys, merged reports and the
-determinism tests all compare these hashes across runs, so their exact
+Result-store keys, merged reports and the determinism tests all
+compare these hashes across runs, so their exact
 values are part of the on-disk contract: a refactor of the spec layer
 must leave every pinned value below byte-identical.
 """

@@ -419,27 +419,22 @@ class TestSweepFold:
             axes={"senders": [2, 3]},
         )
 
-    def run_sweep(self, tmp_path, workers, tag, waveforms=True):
+    def run_sweep(self, workers, waveforms=True):
         from repro.runner import SweepRunner
 
-        runner = SweepRunner(
-            self.spec(waveforms=waveforms),
-            workers=workers,
-            checkpoint_dir=tmp_path / tag,
-        )
-        return runner.run()
+        return SweepRunner(self.spec(waveforms=waveforms), workers=workers).run()
 
-    def test_fold_is_worker_count_invariant(self, tmp_path):
-        one = self.run_sweep(tmp_path, 1, "w1")
-        four = self.run_sweep(tmp_path, 4, "w4")
+    def test_fold_is_worker_count_invariant(self):
+        one = self.run_sweep(1)
+        four = self.run_sweep(4)
         fold1 = one.merged_waveforms()
         fold4 = four.merged_waveforms()
         assert fold1["combined_digest"] is not None
         assert fold1 == fold4
         assert len(fold1["shards"]) == 2
 
-    def test_fold_absent_without_waveforms(self, tmp_path):
-        report = self.run_sweep(tmp_path, 1, "off", waveforms=False)
+    def test_fold_absent_without_waveforms(self):
+        report = self.run_sweep(1, waveforms=False)
         assert report.merged_waveforms()["combined_digest"] is None
 
 
