@@ -55,7 +55,7 @@ class LossyLatencyRow:
 
 
 def lossy_link_latency_point(
-    loss_rate: float,
+    loss_rate: float = 0.01,
     burst: float = 1.0,
     frame_size: int = 256,
     load: float = 0.05,
@@ -171,8 +171,8 @@ def gps_holdover_drift_point(
 
 def flowmod_under_flap_point(
     n_rules: int = 32,
-    flap_period: int = ms(10),
-    flap_down: int = ms(6),
+    flap_period_ps: int = ms(10),
+    flap_down_ps: int = ms(6),
     deadline_ps: int = ms(30),
     barrier_mode: str = "spec",
     seed: int = 0,
@@ -193,7 +193,7 @@ def flowmod_under_flap_point(
         {
             "name": "flap",
             "model": "control_flap",
-            "params": {"period": flap_period, "down_time": flap_down},
+            "params": {"period": flap_period_ps, "down_time": flap_down_ps},
         }
     ]
     result = measure_flowmod_latency(

@@ -75,8 +75,8 @@ def _apply_impairments(sim, impairments, link, seed: int):
 
 
 def fct_vs_loss_point(
-    corrupt_rate: float,
-    protected: bool,
+    corrupt_rate: float = 1e-3,
+    protected: bool = False,
     n_flows: int = 64,
     flow_bytes: int = 60_000,
     link_rate="10Gbps",
@@ -125,7 +125,7 @@ def fct_vs_loss_point(
 
 
 def effective_loss_vs_speed_point(
-    link_rate,
+    link_rate="10Gbps",
     corrupt_rate: float = 1e-3,
     protected: bool = True,
     n_flows: int = 16,
@@ -163,8 +163,8 @@ def effective_loss_vs_speed_point(
 
 
 def throughput_under_bursty_corruption_point(
-    corrupt_rate: float,
-    burst: float,
+    corrupt_rate: float = 5e-3,
+    burst: float = 4.0,
     protected: bool = True,
     n_flows: int = 8,
     flow_bytes: int = 120_000,

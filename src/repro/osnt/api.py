@@ -28,7 +28,6 @@ from ..units import duration_ps, rate_bps
 from .device import OSNTDevice
 from .generator.field_modifiers import FieldModifier
 from .generator.schedule import (
-    Bursts,
     ConstantBitRate,
     ConstantGap,
     LineRate,
@@ -120,7 +119,13 @@ class TrafficGenerator:
         return self
 
     def bursts(self, burst_len: int, idle_gap_ps: int) -> "TrafficGenerator":
-        self._schedule = Bursts(burst_len, idle_gap_ps, self._engine.port.rate_bps)
+        """``burst_len`` back-to-back frames at line rate, then ``idle_gap_ps`` idle."""
+        from .generator.trafficmodels import BurstTrain
+
+        line = self._engine.port.rate_bps
+        self._schedule = BurstTrain(
+            burst_len, idle_gap_ps, peak_bps=line, line_rate_bps=line
+        )
         return self
 
     def burst_train(

@@ -12,7 +12,6 @@ from .field_modifiers import (
     zero_l4_checksum,
 )
 from .schedule import (
-    Bursts,
     ConstantBitRate,
     ConstantGap,
     ExplicitGaps,
@@ -46,7 +45,6 @@ from .tx_timestamp import (
 
 __all__ = [
     "BurstTrain",
-    "Bursts",
     "Composite",
     "CompositeSource",
     "CompositeStage",

@@ -162,43 +162,6 @@ class PoissonGaps(Schedule):
         return float(self.mean_gap_ps)
 
 
-class Bursts(Schedule):
-    """Bursts of ``burst_len`` back-to-back frames, then an idle gap."""
-
-    def __init__(
-        self,
-        burst_len: int,
-        idle_gap_ps: int,
-        line_rate_bps: float = TEN_GBPS,
-    ) -> None:
-        if burst_len < 1:
-            raise ConfigError("burst length must be >= 1")
-        if idle_gap_ps < 0:
-            raise ConfigError("idle gap must be >= 0")
-        self.burst_len = burst_len
-        self.idle_gap_ps = idle_gap_ps
-        self.line_rate_bps = line_rate_bps
-        self._position = 0
-
-    def gap_after(self, frame_len: int) -> int:
-        wire = wire_time_ps(frame_wire_bytes(frame_len), self.line_rate_bps)
-        self._position += 1
-        if self._position % self.burst_len == 0:
-            return wire + self.idle_gap_ps
-        return wire
-
-    def reset(self) -> None:
-        self._position = 0
-
-    def train_profile(self, frame_len: int) -> Optional[Tuple[int, int, int]]:
-        wire = wire_time_ps(frame_wire_bytes(frame_len), self.line_rate_bps)
-        return (self.burst_len, wire, self.burst_len * wire + self.idle_gap_ps)
-
-    def expected_gap_ps(self, frame_len: int) -> Optional[float]:
-        wire = wire_time_ps(frame_wire_bytes(frame_len), self.line_rate_bps)
-        return wire + self.idle_gap_ps / self.burst_len
-
-
 class ExplicitGaps(Schedule):
     """Replay a recorded gap sequence (e.g. from a PCAP's timestamps)."""
 

@@ -34,7 +34,6 @@ from ...errors import ConfigError
 from ...spec import Spec
 from ...units import TEN_GBPS, duration_ps, rate_bps
 from .schedule import (
-    Bursts,
     ConstantBitRate,
     ConstantGap,
     ExplicitGaps,
@@ -153,9 +152,10 @@ def _build_poisson(params, ctx):
 @traffic_model("bursts")
 def _build_bursts(params, ctx):
     _check_params("bursts", params, ("burst_len", "idle_gap"))
-    return Bursts(
+    return BurstTrain(
         int(_require("bursts", params, "burst_len")),
         duration_ps(_require("bursts", params, "idle_gap")),
+        peak_bps=ctx.line_rate_bps,
         line_rate_bps=ctx.line_rate_bps,
     )
 

@@ -3,9 +3,12 @@
 Each experiment is factored into a **single-point function**
 (``*_point``): build one fresh topology, run one measurement, return a
 plain dataclass row plus an extras dict (telemetry when requested).
-The point functions are registered as named scenarios in
-:mod:`repro.runner.scenarios`, which is what makes them sweepable,
-shardable and resumable through :class:`~repro.runner.ExperimentSpec`.
+Each point function *is* a named scenario: :mod:`repro.runner.scenarios`
+binds a spec's params straight onto its keyword parameters
+(``duration`` fills ``duration_ps``; ``*_ps`` and ``*_bps`` parameters
+take human units), which makes it sweepable, shardable and resumable
+through :class:`~repro.runner.ExperimentSpec`. So each parameter name
+is a spec key and each default is written once, here.
 
 Call a point function directly for one row; build an
 :class:`~repro.runner.ExperimentSpec` for a sweep (see
@@ -14,7 +17,7 @@ are the seeds behind the golden E-series numbers.
 E4 and E5 are single measurements already:
 :func:`measure_flowmod_latency` and
 :func:`measure_forwarding_consistency` run the OFLOPS-turbo modules
-(:mod:`repro.oflops.modules`) and are registered directly.
+(:mod:`repro.oflops.modules`) and are bound the same way.
 """
 
 from __future__ import annotations

@@ -259,6 +259,20 @@ class TestOsntSweepCli:
         assert "from cache" in captured.out
         assert f"1 shard(s) served from cache {store}" in captured.err
 
+    def test_misspelled_param_fails_the_shard(self, tmp_path, capsys):
+        from repro.runner.cli import main as sweep_main
+
+        path = self._write_spec(
+            tmp_path,
+            scenario="line_rate",
+            params={"durations": "20us"},
+            axes={"frame_size": [64]},
+        )
+        assert sweep_main(["run", str(path), "--workers", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "SweepError: scenario 'line_rate': unknown key 'durations'" in captured.out
+        assert "1 shard(s) failed after retries" in captured.err
+
     def test_cache_path_that_is_a_file_exits_two(self, tmp_path, capsys):
         from repro.runner.cli import main as sweep_main
 

@@ -7,7 +7,7 @@ from repro.errors import ConfigError, GeneratorError
 from repro.net import build_tcp, build_udp, decode
 from repro.net.checksum import internet_checksum
 from repro.osnt.generator import (
-    Bursts,
+    BurstTrain,
     ConstantBitRate,
     ConstantGap,
     ExplicitGaps,
@@ -81,13 +81,13 @@ class TestSchedules:
         ]
 
     def test_bursts(self):
-        schedule = Bursts(burst_len=3, idle_gap_ps=1_000_000)
+        schedule = BurstTrain(frames_per_burst=3, inter_burst_gap_ps=1_000_000)
         wire = wire_time_ps(84, TEN_GBPS)
         gaps = [schedule.gap_after(64) for __ in range(6)]
         assert gaps == [wire, wire, wire + 1_000_000, wire, wire, wire + 1_000_000]
 
     def test_bursts_reset(self):
-        schedule = Bursts(burst_len=2, idle_gap_ps=99)
+        schedule = BurstTrain(frames_per_burst=2, inter_burst_gap_ps=99)
         schedule.gap_after(64)
         schedule.reset()
         wire = wire_time_ps(84, TEN_GBPS)

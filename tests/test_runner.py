@@ -5,6 +5,8 @@ import copy
 import json
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +24,8 @@ from repro.runner import (
 from repro.runner import registry
 from repro.runner.cli import main as sweep_main
 from repro.units import us
+
+from .test_invariance import SMOKE
 
 
 def echo_spec(**overrides):
@@ -514,6 +518,63 @@ class TestLegacyShims:
         oflops = get_scenario("oflops")
         with pytest.raises(SweepError, match="hw-fast-cpu"):
             oflops({"module": "echo_latency", "dut": "nope"}, 0)
+
+
+def smoke_params(name):
+    """A scenario's invariance-matrix params at its first axis value."""
+    base, axes = SMOKE[name]
+    return dict(base, **{axis: values[0] for axis, values in axes.items()})
+
+
+class TestScenarioParams:
+    """A built-in scenario takes only the keys its measurement reads."""
+
+    @pytest.mark.parametrize("name", sorted(set(SMOKE) - {"echo", "sleep"}))
+    def test_unknown_key_is_rejected(self, name):
+        with pytest.raises(SweepError, match=f"scenario '{name}': unknown key 'bogus'"):
+            get_scenario(name)(dict(smoke_params(name), bogus=1), 0)
+
+    def test_key_and_ps_key_together_are_rejected(self):
+        params = {"frame_size": 64, "duration": "20us", "duration_ps": 20_000_000}
+        with pytest.raises(SweepError, match="'duration' and 'duration_ps' both given"):
+            get_scenario("line_rate")(params, 0)
+
+    def test_missing_required_key_is_rejected(self):
+        with pytest.raises(SweepError, match="'line_rate': missing key 'frame_size'"):
+            get_scenario("line_rate")({"duration": "20us"}, 0)
+
+    def test_ps_name_binds_like_the_short_name(self):
+        legacy = get_scenario("legacy_latency")
+        params = {"frame_size": 256, "load": 0.2}
+        short = legacy(dict(params, duration="50us"), 0)
+        assert legacy(dict(params, duration_ps=50_000_000), 0) == short
+
+    def test_resolving_scenarios_imports_no_point_module(self):
+        points = (
+            "repro.testbed.scenarios",
+            "repro.testbed.rfc2544",
+            "repro.testbed.attacks",
+            "repro.faults.scenarios",
+            "repro.flows.scenarios",
+        )
+        code = (
+            "import json, sys\n"
+            "from repro.runner import get_scenario, list_scenarios\n"
+            f"points = {points!r}\n"
+            "for name in list_scenarios():\n"
+            "    get_scenario(name)\n"
+            "print(json.dumps([m for m in points if m in sys.modules]))\n"
+            "get_scenario('clock_error')({'mode': 'free-running', 'horizon_s': 1}, 0)\n"
+            "print(json.dumps([m for m in points if m in sys.modules]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        before, after = map(json.loads, done.stdout.splitlines())
+        assert before == []
+        # The first call imports its own package and no other.
+        assert "repro.testbed.scenarios" in after
+        assert not {"repro.faults.scenarios", "repro.flows.scenarios"} & set(after)
 
 
 class TestSweepRunnerConfig:

@@ -1,8 +1,11 @@
-"""Tests for repository tooling (API doc generator)."""
+"""Tests for repository tooling (API doc generator, console scripts)."""
 
+import importlib
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -27,3 +30,15 @@ class TestApiDocGenerator:
         text = (REPO / "docs" / "API.md").read_text()
         for section in ("repro.sim", "repro.osnt", "repro.oflops", "repro.testbed"):
             assert f"## `{section}`" in text
+
+
+class TestConsoleScripts:
+    def test_every_script_target_is_callable(self):
+        """Each ``[project.scripts]`` entry names a callable that imports."""
+        tomllib = pytest.importorskip("tomllib")
+        with open(REPO / "pyproject.toml", "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts
+        for name, target in scripts.items():
+            module, _, attr = target.partition(":")
+            assert callable(getattr(importlib.import_module(module), attr)), name
