@@ -18,6 +18,7 @@ Run with:  PYTHONPATH=src python -m pytest benchmarks/test_perf.py -q -s
 """
 
 import gc
+import json
 import operator
 import os
 import time
@@ -135,18 +136,23 @@ def chained(sim=None):
 # -- datapath ----------------------------------------------------------------
 
 
-def loopback(datapath, train=False):
+def loopback(datapath, train=False, latency=False):
     """Side: 1 ms of 64 B frames from tester port 0 to port 1.
 
     At line rate this is E1's worst case, the hot loop the burst
     datapath batches. With ``train``, 256-frame trains 1 µs apart (~94%
     load) add one closed-form window boundary per train, not per-frame
-    work. Work: frames sent, every one of them received.
+    work. With ``latency``, the monitor bins every frame's in-band
+    latency (the template's stamp field reads zero, so each sample is
+    the device clock at delivery) and the side returns that histogram.
+    Work: frames sent, every one of them received.
     """
     sim = Simulator()
     tester = OSNT(sim)
     connect(tester.port(0), tester.port(1))
     monitor = tester.monitor(1)
+    if latency:
+        monitor.enable_latency()
     generator = tester.generator(0)
     tester.device.generator(0).datapath_impl = datapath
     generator.load_template(udp_template(64))
@@ -160,6 +166,10 @@ def loopback(datapath, train=False):
     sent = generator.stats.sent
     assert sent > (10_000 if train else 14_000), f"the run only sent {sent} frames"
     assert monitor.rx_packets == sent
+    if latency:
+        histogram = monitor.latency_histogram.to_dict()
+        assert histogram["count"] == sent
+        return json.dumps(histogram, sort_keys=True)
 
 
 # -- observability -----------------------------------------------------------
@@ -313,6 +323,10 @@ BUDGETS = [
     # fallback to per-packet work.
     ("burst-vs-packet/e1-64B", partial(loopback, "burst"), partial(loopback, "packet"),
      (">=", 10.0), 3),
+    # Armed latency bins a delivery run in O(buckets · log frames); a
+    # per-frame loop over the run reads about 20.
+    ("latency-armed/e1-64B", partial(loopback, "burst", latency=True),
+     partial(loopback, "packet", latency=True), (">=", 50.0), 3),
     # Falling off the burst lane to per-packet speed is a 10-100x collapse.
     ("train-vs-line-rate/64B", partial(loopback, "burst"),
      partial(loopback, "burst", train=True), ("<=", 2.0), 3),

@@ -73,10 +73,11 @@ class LocalScheduler:
         record (ok or failed), honors ``spec.timeout_s`` per attempt
         and ``spec.retries`` as the total retry budget (attempts =
         ``retries + 1``, however attempts end — failure, timeout or
-        worker death). ``tailer``, when given, is fed per-attempt
-        heartbeat files for stall detection; ``on_cycle`` is invoked
-        every poll cycle with the tailer's status map (empty when
-        untailed) for live progress rendering.
+        worker death); a payload with ``"retry": false`` (the scenario
+        rejected its params) ends the shard at once. ``tailer``, when
+        given, is fed per-attempt heartbeat files for stall detection;
+        ``on_cycle`` is invoked every poll cycle with the tailer's status
+        map (empty when untailed) for live progress rendering.
         """
         from ..runner.execution import _Attempt
 
@@ -141,7 +142,10 @@ class LocalScheduler:
                                     - started_at[shard.index],
                                 )
                             )
-                        elif attempts_used[shard.index] <= spec.retries:
+                        elif (
+                            payload.get("retry", True)
+                            and attempts_used[shard.index] <= spec.retries
+                        ):
                             self._retried += 1
                             pending.append(shard)  # retry at the back of the queue
                         else:

@@ -21,7 +21,10 @@ reads no packets, so it records the controller events an eligible lane
 actually runs. The waveform recorder (``sim.waves``) needs only scalar
 state, so eligible lanes feed it closed-form runs that reproduce the
 per-packet probes' sample streams bit-identically (also proven by the
-equivalence tests).
+equivalence tests). An armed in-band latency histogram stays on it too:
+:func:`bin_latency_run` bins a whole delivery run of RX latencies in
+O(buckets touched · log frames), exactly as the capture path would
+frame by frame.
 
 Selection follows the ``REPRO_EVENT_QUEUE`` precedent: the
 ``REPRO_DATAPATH`` environment variable or the ``datapath=`` argument
@@ -53,6 +56,7 @@ from collections import deque
 from typing import Optional
 
 from ..errors import ConfigError, SimulationError
+from ..telemetry.histogram import bisect_run
 from ..units import ETH_PREAMBLE_BYTES, frame_wire_bytes, wire_time_ps
 from .timestamp import raw_to_ps
 
@@ -86,6 +90,37 @@ def attach_lane(engine) -> "BurstLane":
     lane = BurstLane(controller, engine)
     controller.register(lane)
     return lane
+
+
+def bin_latency_run(
+    unit, histogram, stamp: int, sanity: int, d0: int, count: int, stride: int
+) -> int:
+    """Bin the RX latencies of ``count`` deliveries ``stride`` ps apart.
+
+    Frame ``k`` arrives at ``d0 + k * stride``; its latency is the
+    unit's quantised reading then minus ``stamp``. Latencies in
+    ``[0, sanity]`` go into ``histogram`` and the rest are skipped,
+    exactly as the capture path does frame by frame; returns the
+    skipped count. The readings are monotone along the run (walked from
+    its end on a clock running backward), so bisection finds the
+    in-range sub-run and :meth:`~repro.telemetry.LogLinearHistogram.record_run`
+    its buckets, and :meth:`~repro.hw.TimestampUnit.sum_ps_at` gives its
+    sum: O(buckets touched · log count) readings.
+    """
+    last = d0 + (count - 1) * stride
+    if unit.now_ps_at(d0) > unit.now_ps_at(last):
+        d0, stride = last, -stride
+
+    def latency(k: int) -> int:
+        return unit.now_ps_at(d0 + k * stride) - stamp
+
+    lo = bisect_run(latency, 0, 0, count)
+    hi = bisect_run(latency, sanity + 1, lo, count)
+    if hi > lo:
+        n = hi - lo
+        total = unit.sum_ps_at(d0 + lo * stride, n, stride) - n * stamp
+        histogram.record_run(lambda k: latency(lo + k), n, total)
+    return count - (hi - lo)
 
 
 class BurstController:
@@ -696,16 +731,9 @@ class BurstLane:
             if stamp < 0:
                 self.pipeline.latency_skipped += m
             else:
-                unit = self.unit
-                record = self.pipeline.latency.record
-                sanity = self.sanity
-                skipped = 0
-                for k in range(m):
-                    delta = unit.now_ps_at(d0 + k * stride) - stamp
-                    if 0 <= delta <= sanity:
-                        record(delta)
-                    else:
-                        skipped += 1
+                skipped = bin_latency_run(
+                    self.unit, self.pipeline.latency, stamp, self.sanity, d0, m, stride
+                )
                 if skipped:
                     self.pipeline.latency_skipped += skipped
 

@@ -8,7 +8,9 @@ completion:
   outcome to a result file and exits. The parent polls the pool,
   enforces the per-attempt wall-clock timeout (terminating hung
   workers), retries failed/hung/dead shards up to the spec's budget and
-  records exhausted shards as *failed* without aborting the sweep.
+  records exhausted shards as *failed* without aborting the sweep. A
+  :class:`~repro.errors.SweepError` from the scenario (a param it
+  rejects) is final at once: every attempt would fail the same way.
 * ``workers == 0`` — inline execution in this process (no isolation,
   no timeout enforcement): the debugging mode, and the way to run a
   sweep from library code without forking.
@@ -139,6 +141,8 @@ def _worker_main(
                 "status": STATUS_FAILED,
                 "error": f"{type(exc).__name__}: {exc}",
                 "traceback": traceback.format_exc(),
+                # A rejected spec fails the same way on every attempt.
+                "retry": not isinstance(exc, SweepError),
             }
             if writer is not None:
                 writer.stop("failed")
@@ -455,6 +459,8 @@ class SweepRunner:
                 record.error = f"{type(exc).__name__}: {exc}"
                 if writer is not None:
                     writer.stop("failed")
+                if isinstance(exc, SweepError):
+                    break  # a rejected spec fails the same way on every attempt
         record.elapsed_s = time.monotonic() - start
         return record
 

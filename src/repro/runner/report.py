@@ -212,7 +212,7 @@ class SweepReport:
         for s in self.shards:
             note = ""
             if s.status == STATUS_FAILED:
-                note = (s.error or "")[:60]
+                note = (s.error or "").partition("\n")[0]
             elif s.cached:
                 note = "from cache"
             if s.stalled:

@@ -388,6 +388,27 @@ class TestFaultTolerance:
         assert len(report.ok) == 1
         assert report.ok[0].result["slept_s"] == 0.0
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_rejected_params_are_not_retried(self, workers):
+        """A scenario that rejects its params (here a misspelled key)
+        fails the same way on every attempt: one attempt per shard, and
+        the shard table shows the whole error, accepted keys included."""
+        spec = ExperimentSpec(
+            name="typo",
+            scenario="line_rate",
+            params={"durations": "20us"},
+            axes={"frame_size": [64, 128, 256]},
+            retries=1,
+            timeout_s=30.0,
+        )
+        report = run_spec(spec, workers=workers)
+        assert [shard.attempts for shard in report.shards] == [1, 1, 1]
+        assert len(report.failed) == 3
+        assert report.scheduler_stats.get("retried", 0) == 0
+        summary = report.summary()
+        assert "unknown key 'durations'; accepted:" in summary
+        assert "frame_size" in summary
+
     def test_inline_mode_retries_too(self, tmp_path):
         marker = tmp_path / "marker"
         spec = ExperimentSpec(
