@@ -136,7 +136,7 @@ def chained(sim=None):
 # -- datapath ----------------------------------------------------------------
 
 
-def loopback(datapath, train=False, latency=False):
+def loopback(datapath, train=False, latency=False, poisson=False):
     """Side: 1 ms of 64 B frames from tester port 0 to port 1.
 
     At line rate this is E1's worst case, the hot loop the burst
@@ -145,6 +145,9 @@ def loopback(datapath, train=False, latency=False):
     work. With ``latency``, the monitor bins every frame's in-band
     latency (the template's stamp field reads zero, so each sample is
     the device clock at delivery) and the side returns that histogram.
+    With ``poisson``, exponential gaps of mean two wire slots (50% load)
+    take the serial lane, which draws every gap and queues the frames
+    that arrive early; the side returns the frame count and end time.
     Work: frames sent, every one of them received.
     """
     sim = Simulator()
@@ -158,18 +161,23 @@ def loopback(datapath, train=False, latency=False):
     generator.load_template(udp_template(64))
     if train:
         generator.burst_train(256, "1us")
+    if poisson:
+        generator.poisson("134400ps")
     generator.for_duration(ms(1))
     yield
     generator.start()
     sim.run()
     yield generator.stats.sent
     sent = generator.stats.sent
-    assert sent > (10_000 if train else 14_000), f"the run only sent {sent} frames"
+    floor = 7_000 if poisson else 10_000 if train else 14_000
+    assert sent > floor, f"the run only sent {sent} frames"
     assert monitor.rx_packets == sent
     if latency:
         histogram = monitor.latency_histogram.to_dict()
         assert histogram["count"] == sent
         return json.dumps(histogram, sort_keys=True)
+    if poisson:
+        return sent, sim.now
 
 
 # -- observability -----------------------------------------------------------
@@ -323,6 +331,10 @@ BUDGETS = [
     # fallback to per-packet work.
     ("burst-vs-packet/e1-64B", partial(loopback, "burst"), partial(loopback, "packet"),
      (">=", 10.0), 3),
+    # Both sides draw every Poisson gap; the serial lane's FIFO is a
+    # Lindley recursion with O(1) work per frame besides the draw.
+    ("burst-vs-packet/poisson-64B", partial(loopback, "burst", poisson=True),
+     partial(loopback, "packet", poisson=True), (">=", 8.0), 3),
     # Armed latency bins a delivery run in O(buckets · log frames); a
     # per-frame loop over the run reads about 20.
     ("latency-armed/e1-64B", partial(loopback, "burst", latency=True),

@@ -26,6 +26,14 @@ equivalence tests). An armed in-band latency histogram stays on it too:
 O(buckets touched · log frames), exactly as the capture path would
 frame by frame.
 
+Constant-gap schedules and exactly periodic trains that never queue
+advance in closed form. Any other schedule (Poisson gaps, scripted
+gaps, FIFO-saturating loads) takes the serial lane, whose only per-frame
+work is the gap draw and a few integer comparisons: the TX FIFO is the
+Lindley recursion ``start_k = max(push_k, clear_{k-1})``, the deliveries
+of one busy period form one parked run, and counters move once per
+window.
+
 Selection follows the ``REPRO_EVENT_QUEUE`` precedent: the
 ``REPRO_DATAPATH`` environment variable or the ``datapath=`` argument
 of :class:`~repro.osnt.generator.engine.PortGenerator` picks
@@ -45,7 +53,11 @@ Correctness rules the controller honours:
   fires its ``done`` signal and stamps ``finished_at_ps``) and the final
   trailing MAC/delivery time each get a dedicated controller firing at
   that precise simulated time, keeping ``sim.now`` at run end identical
-  to the per-packet datapath.
+  to the per-packet datapath. After ``stop()`` that includes the killed
+  generator's next wake, which the per-packet path leaves queued.
+* **Same-time ties follow the kernel's order.** When a generator wake
+  and the TX MAC's chain event fall at one time, the event scheduled
+  first runs first (see :meth:`BurstLane._emit_serial`).
 """
 
 from __future__ import annotations
@@ -214,27 +226,26 @@ class BurstLane:
         self.finished = False
         self.pending_finish_at: Optional[int] = None
         self.tx = None
-        self._waves_cache = None
+        self._tx_waves_cache = None
 
-    def _waves(self):
-        """Waveform handles, or None while no recorder is armed.
+    def _tx_waves(self):
+        """The TX MAC's ``(fifo_bytes, wire_bytes)`` waveforms.
 
         An armed :class:`repro.telemetry.WaveformRecorder` (``sim.waves``)
         deliberately does NOT appear in the eligibility audit: unlike
         spans it needs no materialized packets, so the lane stays on the
         closed-form path and reconstructs the exact per-packet sample
-        streams from parked scalar state below.
+        streams from parked scalar state. Call only with a recorder
+        armed and a sample to record: like :meth:`TxMac.enqueue`, that
+        registers the series at their first sample.
         """
         waves = self.sim.waves
-        if waves is None:
-            return None
-        cache = self._waves_cache
+        cache = self._tx_waves_cache
         if cache is None or cache[0] is not waves:
-            cache = self._waves_cache = (
+            cache = self._tx_waves_cache = (
                 waves,
                 waves.series(f"{self.tx.name}.fifo_bytes", unit="bytes"),
                 waves.rate_series(f"{self.tx.name}.wire_bytes", unit="bytes"),
-                waves.rate_series(f"{self.rx.name}.wire_bytes", unit="bytes"),
             )
         return cache
 
@@ -326,9 +337,14 @@ class BurstLane:
         )
         self.index = 0
         self.next_wake = now + self.schedule.initial_gap()
-        self.occupancy = 0
-        self.backlog: deque = deque()
-        self.clear: Optional[int] = None
+        # The TX FIFO: ``queued`` frames wait and start back to back from
+        # ``clear``, the end of the serializer's current slot (-1: never
+        # busy). The serial lane also keeps the previous generator step's
+        # time and the last start that ran after a step at its own time.
+        self.queued = 0
+        self.clear = -1
+        self.prev_step = now
+        self.late = -1
         self.parked: deque = deque()  # (first_d, count, stride) runs
         self.emitting = True
         self.last_event_time = now
@@ -348,7 +364,7 @@ class BurstLane:
         # no frame can ever queue (every start-to-start spacing covers
         # the wire slot) or tail-drop.
         self.train = None
-        self.train_t0 = self.next_wake
+        self.t0 = self.next_wake  # the first step: any lane's first start
         if self.bulk_gap is None:
             profile = self.schedule.train_profile(self.flen)
             if profile is not None:
@@ -440,7 +456,7 @@ class BurstLane:
         self._apply_deliveries(work_limit)
         if (
             self.finished
-            and not self.backlog
+            and not self.queued
             and not self.parked
             and self.sim.now >= self.last_event_time
         ):
@@ -452,7 +468,7 @@ class BurstLane:
         """Earliest time this lane needs a controller firing."""
         if self.pending_finish_at is not None:
             return min(limit, self.pending_finish_at)
-        if self.finished and not self.backlog and not self.parked:
+        if self.finished and not self.queued and not self.parked:
             # One final (no-op) firing keeps sim.now's end-of-run value
             # identical to the trailing chain/delivery events of the
             # per-packet path.
@@ -460,45 +476,110 @@ class BurstLane:
         return limit
 
     def _emit_serial(self, limit) -> None:
-        """Per-frame emission: any schedule, queueing and drops allowed."""
+        """Per-frame emission: any schedule, queueing and drops allowed.
+
+        The TX FIFO is a Lindley recursion, ``start_k = max(push_k,
+        clear_{k-1})``: waiting frames start back to back from ``clear``,
+        so a step drains the backlog in O(1). A frame's delivery time is
+        fixed when it is pushed, and the deliveries of one busy period
+        form one parked run. Counters are applied once per window.
+        """
         w = self.next_wake
-        index = self.index
+        index = index0 = self.index
         flen = self.flen
-        max_count = self.max_count
-        deadline = self.deadline
-        schedule = self.schedule
-        capacity = self.capacity
-        fifo = self.fifo
-        gen_stats = self.engine.stats
-        tx_sizes = self.engine.tx_sizes
-        waves = self._waves()
-        while w < limit:
-            if (max_count is not None and index >= max_count) or (
-                deadline is not None and w >= deadline
-            ):
-                self._begin_finish(w)
-                break
-            self._drain_starts(w)
-            if self.occupancy + flen > capacity:
-                fifo.dropped += 1
-                self.tx.stats.drops_overflow += 1
-                gen_stats.tx_fifo_drops += 1
-            else:
-                occ = self.occupancy = self.occupancy + flen
-                fifo.enqueued += 1
-                if occ > fifo.peak_occupancy_bytes:
-                    fifo.peak_occupancy_bytes = occ
+        slot = self.slot
+        dconst = self.dconst
+        stop_index = _INF if self.max_count is None else self.max_count
+        stop_w = limit if self.deadline is None else min(limit, self.deadline)
+        gap_after = self.schedule.gap_after
+        room = self.capacity // flen
+        queued = q0 = self.queued
+        clear = self.clear
+        prev = self.prev_step
+        late = self.late
+        parked = self.parked
+        # The open delivery run ends at the last accepted frame's
+        # delivery, one slot before ``clear + queued * slot + dconst``.
+        d0, n = parked.pop()[:2] if parked else (clear + queued * slot + dconst, 0)
+        waves = self.sim.waves
+        dropped = peak = 0
+        fresh = True  # w is a new generator step, not a zero-gap push
+        while w < stop_w and index < stop_index:
+            if fresh:
+                # A start (or idle) due at w comes from the chain event
+                # that the start at w - slot scheduled. It runs before
+                # this step iff it was scheduled first: before the
+                # previous step, or within it, unless that start itself
+                # ran after the previous step at the same time.
+                s = w - slot
+                due = w if s < prev or (s == prev and late != prev) else w - 1
+                if queued and clear <= due:
+                    m = (due - clear) // slot + 1
+                    if m > queued:
+                        m = queued
+                    if waves is not None:
+                        self._record_starts(clear, m, queued)
+                    queued -= m
+                    clear += m * slot
+            if queued >= room:
+                dropped += 1
+            elif queued or clear > due:
+                queued += 1
+                if queued > peak:
+                    peak = queued
                 if waves is not None:
-                    waves[1].record(w, occ)
-                gen_stats.sent += 1
-                gen_stats.sent_bytes += flen
-                tx_sizes.record(flen)
-                self.backlog.append(w)
-                self._drain_starts(w)
+                    self._tx_waves()[1].record(w, queued * flen)
+                n += 1
+            else:
+                # The frame finds the serializer idle and starts now; its
+                # delivery opens a new run unless the last slot ends now.
+                if w != clear:
+                    if n:
+                        parked.append((d0, n, slot))
+                    d0, n = w + dconst, 0
+                n += 1
+                clear = w + slot
+                if waves is not None:
+                    __, fifo_wave, wire_wave = self._tx_waves()
+                    fifo_wave.record(w, flen)
+                    fifo_wave.record(w, 0)
+                    wire_wave.record(w, self.fwb)
             index += 1
-            w += schedule.gap_after(flen)
+            gap = gap_after(flen)
+            fresh = gap > 0
+            if fresh:
+                if queued and clear == w:
+                    late = w  # the head starts after this step
+                prev = w
+                w += gap
+        if w < limit:
+            # Count or deadline reached: this wake is the finishing one.
+            self._begin_finish(w)
+        if n:
+            parked.append((d0, n, slot))
         self.index = index
         self.next_wake = w
+        self.queued = queued
+        self.clear = clear
+        self.prev_step = prev
+        self.late = late
+        sent = index - index0 - dropped
+        started = sent + q0 - queued
+        if started:
+            # The first start matters only for the MAC's first frame,
+            # which is this lane's first push.
+            self._note_starts(started, self.t0, clear - slot)
+        if sent:
+            self._note_sent(sent, max(peak, 1) * flen)
+            tail = clear + queued * slot
+            end = max(tail, tail - slot + dconst)
+            if end > self.last_event_time:
+                self.last_event_time = end
+        if dropped:
+            self.fifo.dropped += dropped
+            self.tx.stats.drops_overflow += dropped
+            self.engine.stats.tx_fifo_drops += dropped
+        self.fifo.occupancy_bytes = queued * flen
 
     def _emit_bulk(self, limit) -> None:
         """O(1) emission for constant-gap, never-queueing schedules."""
@@ -520,29 +601,15 @@ class BurstLane:
         n = int(min(remaining, in_window))
         if n:
             s_last = w + (n - 1) * gap
-            gen_stats = self.engine.stats
-            gen_stats.sent += n
-            gen_stats.sent_bytes += n * flen
-            self.engine.tx_sizes.record_repeat(flen, n)
-            fifo = self.fifo
-            fifo.enqueued += n
-            if flen > fifo.peak_occupancy_bytes:
-                fifo.peak_occupancy_bytes = flen
-            txs = self.tx.stats
-            txs.packets += n
-            txs.bytes += n * flen
-            txs.wire_bytes += n * self.fwb
-            txs.busy_ps += n * self.slot
-            if txs.first_activity_ps is None:
-                txs.first_activity_ps = w
-            txs.last_activity_ps = s_last
-            waves = self._waves()
-            if waves is not None:
+            self._note_sent(n, flen)
+            self._note_starts(n, w, s_last)
+            if self.sim.waves is not None:
                 # Per frame the packet path pushes (occupancy flen) and
                 # immediately pops back to 0 at the same instant, and
                 # clocks one wire-slot of bytes at the start time.
-                waves[1].record_toggle_run(w, n, gap, flen, 0)
-                waves[2].record_run(w, n, gap, self.fwb)
+                __, fifo_wave, wire_wave = self._tx_waves()
+                fifo_wave.record_toggle_run(w, n, gap, flen, 0)
+                wire_wave.record_run(w, n, gap, self.fwb)
             self.clear = clear = s_last + self.slot
             if clear > self.last_event_time:
                 self.last_event_time = clear
@@ -562,7 +629,7 @@ class BurstLane:
     def _train_count_before(self, t: int) -> int:
         """Frames whose start time is strictly before ``t``."""
         n, intra, period = self.train
-        dt = t - self.train_t0
+        dt = t - self.t0
         if dt <= 0:
             return 0
         full, rem = divmod(dt - 1, period)
@@ -572,7 +639,7 @@ class BurstLane:
         """Start time of frame ``i`` of the periodic train timeline."""
         n, intra, period = self.train
         full, pos = divmod(i, n)
-        return self.train_t0 + full * period + pos * intra
+        return self.t0 + full * period + pos * intra
 
     def _emit_train(self, limit) -> None:
         """O(bursts) emission for exactly periodic, never-queueing trains."""
@@ -595,31 +662,17 @@ class BurstLane:
             last = i + m - 1
             s_first = self._train_start(i)
             s_last = self._train_start(last)
-            gen_stats = self.engine.stats
-            gen_stats.sent += m
-            gen_stats.sent_bytes += m * flen
-            self.engine.tx_sizes.record_repeat(flen, m)
-            fifo = self.fifo
-            fifo.enqueued += m
-            if flen > fifo.peak_occupancy_bytes:
-                fifo.peak_occupancy_bytes = flen
-            txs = self.tx.stats
-            txs.packets += m
-            txs.bytes += m * flen
-            txs.wire_bytes += m * self.fwb
-            txs.busy_ps += m * self.slot
-            if txs.first_activity_ps is None:
-                txs.first_activity_ps = s_first
-            txs.last_activity_ps = s_last
+            self._note_sent(m, flen)
+            self._note_starts(m, s_first, s_last)
             self.clear = clear = s_last + self.slot
             if clear > self.last_event_time:
                 self.last_event_time = clear
             # One parked delivery run per (partial) burst: constant
             # intra-burst stride, arbitrary inter-burst spacing.
             dconst = self.dconst
-            t0 = self.train_t0
+            t0 = self.t0
             parked = self.parked
-            waves = self._waves()
+            waves = self._tx_waves() if self.sim.waves is not None else None
             for burst in range(i // n, last // n + 1):
                 lo = max(i, burst * n)
                 hi = min(last, burst * n + n - 1)
@@ -641,81 +694,100 @@ class BurstLane:
         self.pending_finish_at = wake
         self.emitting = False
 
+    def _note_sent(self, n: int, peak_bytes: int) -> None:
+        """Generator and FIFO counters for ``n`` accepted pushes."""
+        gen_stats = self.engine.stats
+        gen_stats.sent += n
+        gen_stats.sent_bytes += n * self.flen
+        self.engine.tx_sizes.record_repeat(self.flen, n)
+        fifo = self.fifo
+        fifo.enqueued += n
+        if peak_bytes > fifo.peak_occupancy_bytes:
+            fifo.peak_occupancy_bytes = peak_bytes
+
+    def _note_starts(self, n: int, first: int, last: int) -> None:
+        """TX MAC counters for ``n`` starts from ``first`` to ``last``."""
+        txs = self.tx.stats
+        txs.packets += n
+        txs.bytes += n * self.flen
+        txs.wire_bytes += n * self.fwb
+        txs.busy_ps += n * self.slot
+        if txs.first_activity_ps is None:
+            txs.first_activity_ps = first
+        txs.last_activity_ps = last
+
+    def _record_starts(self, clear: int, m: int, queued: int) -> None:
+        """Waveform samples of ``m`` back-to-back starts from ``clear``."""
+        __, fifo_wave, wire_wave = self._tx_waves()
+        fifo_wave.record_run(clear, m, self.slot, (queued - 1) * self.flen, -self.flen)
+        wire_wave.record_run(clear, m, self.slot, self.fwb)
+
     def _drain_starts(self, t) -> None:
         """Start serialization of queued frames whose start time is <= t."""
-        backlog = self.backlog
-        if not backlog:
-            return
+        queued = self.queued
         clear = self.clear
-        stats = self.tx.stats
-        flen = self.flen
-        slot = self.slot
-        fwb = self.fwb
-        dconst = self.dconst
-        parked = self.parked
-        waves = self._waves()
-        while backlog:
-            push = backlog[0]
-            s = push if (clear is None or clear <= push) else clear
-            if s > t:
-                break
-            backlog.popleft()
-            self.occupancy -= flen
-            stats.packets += 1
-            stats.bytes += flen
-            stats.wire_bytes += fwb
-            if stats.first_activity_ps is None:
-                stats.first_activity_ps = s
-            stats.last_activity_ps = s
-            stats.busy_ps += slot
-            if waves is not None:
-                waves[1].record(s, self.occupancy)
-                waves[2].record(s, fwb)
-            clear = s + slot
-            parked.append((s + dconst, 1, 0))
-        self.clear = clear
-        if clear is not None and clear > self.last_event_time:
-            self.last_event_time = clear
-        if parked:
-            last_d = parked[-1][0] + (parked[-1][1] - 1) * parked[-1][2]
-            if last_d > self.last_event_time:
-                self.last_event_time = last_d
+        if not queued or clear > t:
+            return
+        m = (t - clear) // self.slot + 1
+        if m > queued:
+            m = queued
+        self._note_starts(m, clear, clear + (m - 1) * self.slot)
+        if self.sim.waves is not None:
+            self._record_starts(clear, m, queued)
+        self.queued = queued = queued - m
+        self.clear = clear + m * self.slot
+        self.fifo.occupancy_bytes = queued * self.flen
 
     def _apply_deliveries(self, limit) -> None:
-        """Apply RX-side effects for deliveries strictly before ``limit``."""
+        """Apply RX-side effects for deliveries strictly before ``limit``.
+
+        The RX MAC and monitor counters take one update for all the runs;
+        a run is walked on its own only for an armed waveform recorder or
+        latency histogram.
+        """
         parked = self.parked
+        if not parked or parked[0][0] >= limit:
+            return
+        first = parked[0][0]
+        per_run = (
+            self.sim.waves is not None or self.pipeline._latency_offset is not None
+        )
+        total = 0
         while parked:
             d0, n, stride = parked[0]
             if d0 >= limit:
                 break
-            if stride:
-                m = int(min(n, (limit - 1 - d0) // stride + 1))
-            else:
-                m = n
             parked.popleft()
-            if m < n:
+            last = d0 + (n - 1) * stride
+            if last >= limit:
+                m = (limit - 1 - d0) // stride + 1
                 parked.appendleft((d0 + m * stride, n - m, stride))
-            self._apply_rx(d0, m, stride)
-
-    def _apply_rx(self, d0: int, m: int, stride: int) -> None:
+                n = m
+                last = d0 + (m - 1) * stride
+            if per_run:
+                self._apply_rx(d0, n, stride)
+            total += n
         flen = self.flen
-        last = d0 + (m - 1) * stride
-        waves = self._waves()
-        if waves is not None:
-            waves[3].record_run(d0, m, stride, self.fwb)
         rxs = self.rx.stats
-        rxs.packets += m
-        rxs.bytes += m * flen
-        rxs.wire_bytes += m * self.fwb
+        rxs.packets += total
+        rxs.bytes += total * flen
+        rxs.wire_bytes += total * self.fwb
         if rxs.first_activity_ps is None:
-            rxs.first_activity_ps = d0
+            rxs.first_activity_ps = first
         rxs.last_activity_ps = last
         mon = self.pipeline.stats
-        mon.rx_packets += m
-        mon.rx_bytes += m * flen
+        mon.rx_packets += total
+        mon.rx_bytes += total * flen
         if mon.first_rx_ps is None:
-            mon.first_rx_ps = d0
+            mon.first_rx_ps = first
         mon.last_rx_ps = last
+
+    def _apply_rx(self, d0: int, m: int, stride: int) -> None:
+        """Feed one delivery run to the waveform and latency histogram."""
+        waves = self.sim.waves
+        if waves is not None:
+            wave = waves.rate_series(f"{self.rx.name}.wire_bytes", unit="bytes")
+            wave.record_run(d0, m, stride, self.fwb)
         offset = self.pipeline._latency_offset
         if offset is not None:
             stamp = self._tx_stamp_cache.get(offset)
@@ -777,8 +849,11 @@ class BurstLane:
                 self._emit_serial(now + 1)
         self.pending_finish_at = None
         self.emitting = False
-        if now > self.last_event_time:
-            self.last_event_time = now
+        # The per-packet path kills the generator process but leaves its
+        # next wake queued, and that wake still advances the clock.
+        end = max(now, self.next_wake)
+        if end > self.last_event_time:
+            self.last_event_time = end
         self._drain_starts(now)
         self._apply_deliveries(now + 1)
         self.finished = True

@@ -116,8 +116,11 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
     if report.failed:
+        retried = any(shard.attempts > 1 for shard in report.failed)
         print(
-            f"{len(report.failed)} shard(s) failed after retries", file=sys.stderr
+            f"{len(report.failed)} shard(s) failed"
+            + (" after retries" if retried else ""),
+            file=sys.stderr,
         )
         return 1
     return 0

@@ -267,11 +267,29 @@ class TestOsntSweepCli:
             scenario="line_rate",
             params={"durations": "20us"},
             axes={"frame_size": [64]},
+            retries=1,
         )
         assert sweep_main(["run", str(path), "--workers", "0"]) == 1
         captured = capsys.readouterr()
         assert "SweepError: scenario 'line_rate': unknown key 'durations'" in captured.out
-        assert "1 shard(s) failed after retries" in captured.err
+        # Rejected params fail the same way on every attempt: not retried.
+        assert captured.err.splitlines()[-1] == "1 shard(s) failed"
+
+    def test_retried_failure_says_after_retries(self, tmp_path, capsys):
+        from repro.runner.cli import main as sweep_main
+
+        # The marker's directory does not exist, so every attempt fails.
+        path = self._write_spec(
+            tmp_path,
+            scenario="flaky_marker",
+            params={"marker": str(tmp_path / "missing" / "m")},
+            axes={},
+            retries=1,
+        )
+        assert sweep_main(["run", str(path), "--workers", "0"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "1 shard(s) failed after retries"
+        )
 
     def test_cache_path_that_is_a_file_exits_two(self, tmp_path, capsys):
         from repro.runner.cli import main as sweep_main

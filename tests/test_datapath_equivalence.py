@@ -10,31 +10,33 @@ fall back to the per-packet path and still agree; an armed tracer reads
 no packets and keeps the burst path. These tests run the same workload
 under both `REPRO_DATAPATH` settings and assert the full observable
 state matches exactly — the same pattern tests/test_sim_queue_equivalence.py
-applies to the event queues. `TestLatencyRunBinning` holds the burst
-lane's closed-form RX latency binning to the per-frame loop it replaces,
-including runs where float rounding puts a reading across a tick edge.
+applies to the event queues. `TestSerialLane` drives the serial lane
+with scripted gaps that queue, drop and tie with the MAC's chain events.
+`TestLatencyRunBinning` holds the burst lane's closed-form RX latency
+binning to the per-frame loop it replaces, including runs where float
+rounding puts a reading across a tick edge.
 """
 
 import dataclasses
 import random
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.faults import FaultInjector
-from repro.hw import EthernetPort, TimestampUnit, connect
+from repro.hw import TimestampUnit, connect
 from repro.hw.burst import BurstLane, bin_latency_run
 from repro.hw.oscillator import Oscillator
 from repro.hw.timestamp import ps_to_raw
 from repro.net import Packet
 from repro.obs import SpanRecorder
 from repro.osnt import OSNT
-from repro.osnt.generator import PortGenerator, TemplateSource
-from repro.osnt.generator.schedule import PoissonGaps
+from repro.osnt.generator import PortGenerator
+from repro.osnt.generator.schedule import PoissonGaps, Schedule
 from repro.osnt.monitor.capture import LATENCY_SANITY_PS
 from repro.sim import Simulator
-from repro.telemetry import LogLinearHistogram, Tracer
+from repro.telemetry import LogLinearHistogram, Tracer, WaveformRecorder
 from repro.testbed.rfc2544 import rfc2544_point
 from repro.testbed.scenarios import legacy_latency_point, line_rate_point
 from repro.testbed.workloads import udp_template
@@ -97,6 +99,20 @@ def _assert_equivalent(workload, monkeypatch):
     burst = _run("burst", workload, monkeypatch)
     assert packet == burst
     return packet
+
+
+@pytest.fixture
+def audits(monkeypatch):
+    """Every burst lane's eligibility verdict, in audit order."""
+    verdicts = []
+    audit = BurstLane._audit
+
+    def recorded_audit(lane):
+        verdicts.append(audit(lane))
+        return verdicts[-1]
+
+    monkeypatch.setattr(BurstLane, "_audit", recorded_audit)
+    return verdicts
 
 
 # -- loopback workloads (the lanes the burst path accelerates) ----------
@@ -220,9 +236,9 @@ class TestLoopbackWorkloads:
         assert frame_bytes == packets * 64
         assert wire_bytes == packets * 84
 
-    def test_latency_measurement_armed(self, monkeypatch):
-        """Embedded TX stamps + RX latency: the burst path stamps
-        arithmetic delivery times through the same quantised clock."""
+    def test_latency_measurement_armed(self, monkeypatch, audits):
+        """Embedded TX stamps + RX latency: stamping needs real packets,
+        so the lane falls back and the per-packet path measures both."""
 
         def workload():
             def configure(sim, tester):
@@ -236,6 +252,7 @@ class TestLoopbackWorkloads:
             return self._loopback(configure)
 
         state = _assert_equivalent(workload, monkeypatch)
+        assert audits == [False]
         assert state["m1.latency"]["count"] == state["g0.stats"][0]
 
     def _static_stamp_run(self, stamp_ps=0, offset=42, events=()):
@@ -297,37 +314,147 @@ class TestLoopbackWorkloads:
         )
         assert state["m1.latency"]["count"] == state["g0.stats"][0]
 
-    def test_fifo_overflow_accounting(self, monkeypatch):
+    def test_fifo_overflow_accounting(self, monkeypatch, audits):
         """A tiny TX FIFO fed faster than line rate drops frames; drop
-        counters and peak occupancy must match exactly."""
+        counters and peak occupancy must match exactly, and the lane
+        stays on the burst path."""
 
         def workload():
-            sim = Simulator()
-            a = EthernetPort(sim, "a", tx_fifo_bytes=2048)
-            b = EthernetPort(sim, "b")
-            connect(a, b)
-            generator = PortGenerator(sim, a, TimestampUnit(sim))
-            # Mean gap far below the ~172 ns wire time: the offered load
-            # exceeds line rate, so the 2 KiB FIFO must tail-drop.
-            generator.configure(
-                TemplateSource(udp_template(200)),
-                schedule=PoissonGaps(20_000, stream=random.Random(11)),
-                duration_ps=us(100),
-            )
-            generator.start()
-            sim.run()
-            fifo = a.tx.fifo
-            return (
-                sim.now,
-                dataclasses.astuple(generator.stats),
-                generator.tx_sizes.to_dict(),
-                _mac_state(a.tx.stats),
-                _mac_state(b.rx.stats),
-                (fifo.enqueued, fifo.dropped, fifo.peak_occupancy_bytes),
-            )
+            def configure(sim, tester):
+                tester.port(0).tx.fifo.capacity_bytes = 2048
+                generator = tester.generator(0)
+                generator.load_template(udp_template(200))
+                # Mean gap far below the ~172 ns wire time: the offered
+                # load exceeds line rate, so the 2 KiB FIFO must tail-drop.
+                generator.use_model(PoissonGaps(20_000, stream=random.Random(11)))
+                generator.for_duration(us(100))
+                generator.start()
+
+            return self._loopback(configure)
 
         state = _assert_equivalent(workload, monkeypatch)
-        assert state[1][2] > 0  # tx_fifo_drops
+        assert audits == [True]
+        assert state["g0.stats"][2] > 0  # tx_fifo_drops
+        assert state["p0.fifo"][3] > 1024  # peak occupancy
+
+
+# -- the serial lane against the per-packet oracle ----------------------
+
+
+class _Scripted(Schedule):
+    """Replays ``gaps`` in a cycle: only the serial lane can advance it."""
+
+    def __init__(self, gaps):
+        self.gaps = list(gaps)
+        self.index = 0
+
+    def gap_after(self, frame_len):
+        gap = self.gaps[self.index % len(self.gaps)]
+        self.index += 1
+        return gap
+
+    def reset(self):
+        self.index = 0
+
+
+def _scripted_run(impl, size, gaps, count, fifo_bytes, keep_every, stamp, steps, stop):
+    """Counters and waveforms at each ``run(until=)`` step and at the end."""
+    sim = Simulator()
+    recorder = WaveformRecorder(keep_every=keep_every).arm(sim) if keep_every else None
+    tester = OSNT(sim)
+    connect(tester.port(0), tester.port(1))
+    if fifo_bytes is not None:
+        tester.port(0).tx.fifo.capacity_bytes = fifo_bytes
+    data = bytearray(udp_template(size).data)
+    if stamp is not None:
+        data[42:50] = ps_to_raw(stamp).to_bytes(8, "big")
+        tester.monitor(1).enable_latency()
+    tester.device.generator(0).datapath_impl = impl
+    generator = tester.generator(0)
+    generator.load_template(Packet(bytes(data)), count=count)
+    generator.use_model(_Scripted(gaps)).start()
+    snapshots = []
+    for until in steps + [None]:
+        if until is None and stop:
+            generator.stop()
+        sim.run(until=until)
+        waves = recorder.to_dict() if recorder else None
+        snapshots.append((_osnt_state(sim, tester), waves))
+    return snapshots
+
+
+@st.composite
+def _scripted_workloads(draw):
+    size = draw(st.sampled_from([64, 128, 256]))
+    slot = (size + 20) * 800  # wire slot of a frame at 10 Gb/s
+    edges = [0, 1, slot - 1, slot, slot + 1, 2 * slot - 2, 2 * slot, 3 * slot]
+    count = draw(st.integers(min_value=5, max_value=80))
+    # Mostly edge gaps: a tie needs two of them in a row, e.g. [0, 2 * slot].
+    gap = st.sampled_from(edges + [None]).flatmap(
+        lambda g: st.integers(min_value=0, max_value=4 * slot - 1)
+        if g is None
+        else st.just(g)
+    )
+    # A short cycle repeats whatever tie its gaps make across the run.
+    gaps = draw(st.lists(gap, min_size=1, max_size=6))
+    span = count * 2 * slot
+    times = st.integers(min_value=0, max_value=span)
+    steps = sorted(draw(st.lists(times, max_size=2)))
+    frames = draw(st.sampled_from([None, 2, 3, 4]))
+    return {
+        "size": size,
+        "gaps": gaps,
+        "count": count,
+        "fifo_bytes": None if frames is None else frames * size + 7,
+        "keep_every": draw(st.sampled_from([0, 1, 3])),
+        "stamp": draw(st.none() | times),
+        "steps": steps,
+        "stop": bool(steps) and draw(st.booleans()),
+    }
+
+
+def _serial_case(**case):
+    """A 64 B scripted workload without waves, latency or snapshots."""
+    base = dict(size=64, count=12, fifo_bytes=None, keep_every=0, stamp=None,
+                steps=[], stop=False)
+    return dict(base, **case)
+
+
+class TestSerialLane:
+    """The serial lane advances any schedule frame by frame: queueing,
+    tail drops, zero gaps and gaps that end exactly on a wire slot, where
+    the generator's wake and the MAC's chain event share a time."""
+
+    @seed(2015)
+    @settings(max_examples=200, deadline=None)
+    @given(workload=_scripted_workloads())
+    # 64 B frames, 67,200 ps slots; in both, a wake is scheduled before
+    # the same-time chain event. In the first, a frame starts just after
+    # a step, and the wake one slot later was scheduled by that step; in
+    # the second, the wake at 134,400 ps was scheduled at 2 ps, before the
+    # start at 67,200 ps. The pushes see the head frame still queued:
+    # drops in the 256 B FIFO, a 128 B FIFO sample at 134,400 ps.
+    @example(workload=_serial_case(gaps=[134_400, 0, 67_200, 0], count=33,
+                                   fifo_bytes=256))
+    @example(workload=_serial_case(gaps=[1, 1, 134_398, 672_000], keep_every=1))
+    # Stopped at 50 µs, the run ends at the killed generator's next wake.
+    @example(workload=_serial_case(size=128, gaps=[2_000_000], count=80,
+                                   steps=[us(50)], stop=True))
+    def test_matches_the_packet_path(self, workload):
+        lanes = []
+        audit = BurstLane._audit
+
+        def recorded_audit(lane):
+            eligible = audit(lane)
+            lanes.append(eligible and lane.bulk_gap is None and lane.train is None)
+            return eligible
+
+        packet = _scripted_run("packet", **workload)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BurstLane, "_audit", recorded_audit)
+            burst = _scripted_run("burst", **workload)
+        assert lanes == [True]
+        assert burst == packet
 
 
 # -- observation points force the per-packet fallback -------------------
@@ -407,18 +534,10 @@ class TestObservationPointFallback:
         state, __ = _assert_equivalent(workload, monkeypatch)
         assert state["p1.rx"][0] < state["g0.stats"][0]  # losses happened
 
-    def test_tracer_armed_keeps_the_burst_lane(self, monkeypatch):
+    def test_tracer_armed_keeps_the_burst_lane(self, monkeypatch, audits):
         """The tracer reads no packets: an armed one leaves the lane on
         the burst path, every counter still matches the per-packet path,
         and the tracer records the fewer kernel events the lane ran."""
-        audits = []
-        audit = BurstLane._audit
-
-        def recorded_audit(lane):
-            audits.append(audit(lane))
-            return audits[-1]
-
-        monkeypatch.setattr(BurstLane, "_audit", recorded_audit)
 
         def workload():
             sim = Simulator()
