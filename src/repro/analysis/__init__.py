@@ -11,8 +11,6 @@ from .latency import (
 )
 from .report import format_microseconds, format_table, print_table
 from .stats import (
-    Histogram,
-    RateEstimator,
     SummaryStats,
     gap_jitter_std,
     percentile,
@@ -22,10 +20,8 @@ from .stats import (
 __all__ = [
     "FlowAccounting",
     "FlowRecord",
-    "Histogram",
     "LatencyResult",
     "LossResult",
-    "RateEstimator",
     "SummaryStats",
     "arrival_jitter_ps",
     "fct_report",

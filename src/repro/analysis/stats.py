@@ -1,10 +1,10 @@
-"""Summary statistics, jitter and histograms for measurement results."""
+"""Summary statistics and jitter for measurement results."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..errors import ConfigError
 
@@ -96,91 +96,3 @@ def gap_jitter_std(timestamps: Sequence[int]) -> float:
         return 0.0
     mean = sum(gaps) / len(gaps)
     return math.sqrt(sum((g - mean) ** 2 for g in gaps) / len(gaps))
-
-
-class Histogram:
-    """Fixed-width-bin histogram with under/overflow buckets."""
-
-    def __init__(self, low: float, high: float, bins: int) -> None:
-        if bins < 1:
-            raise ConfigError("histogram needs at least one bin")
-        if high <= low:
-            raise ConfigError("histogram range must be non-empty")
-        self.low = low
-        self.high = high
-        self.bins = bins
-        self.counts: List[int] = [0] * bins
-        self.underflow = 0
-        self.overflow = 0
-        self.total = 0
-        self._width = (high - low) / bins
-
-    def add(self, value: float) -> None:
-        self.total += 1
-        if value < self.low:
-            self.underflow += 1
-        elif value >= self.high:
-            self.overflow += 1
-        else:
-            self.counts[int((value - self.low) / self._width)] += 1
-
-    def add_all(self, values: Sequence[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    def bin_edges(self) -> List[float]:
-        return [self.low + i * self._width for i in range(self.bins + 1)]
-
-    def nonzero_rows(self) -> List[tuple]:
-        """(low_edge, high_edge, count) for populated bins."""
-        edges = self.bin_edges()
-        return [
-            (edges[i], edges[i + 1], count)
-            for i, count in enumerate(self.counts)
-            if count
-        ]
-
-    def mode_bin(self) -> Optional[tuple]:
-        rows = self.nonzero_rows()
-        if not rows:
-            return None
-        return max(rows, key=lambda row: row[2])
-
-
-class RateEstimator:
-    """Windowed packet/byte rate estimation from (timestamp, size) pairs."""
-
-    def __init__(self, window_ps: int) -> None:
-        if window_ps <= 0:
-            raise ConfigError("rate window must be positive")
-        self.window_ps = window_ps
-        self._samples: List[tuple] = []
-
-    def add(self, timestamp_ps: int, nbytes: int) -> None:
-        self._samples.append((timestamp_ps, nbytes))
-
-    def series(self) -> List[tuple]:
-        """(window_start_ps, packets, bytes, bps) per window."""
-        if not self._samples:
-            return []
-        start = self._samples[0][0]
-        rows = []
-        window_index = 0
-        packets = 0
-        nbytes = 0
-        for timestamp, size in self._samples:
-            index = (timestamp - start) // self.window_ps
-            while index > window_index:
-                rows.append(self._row(start, window_index, packets, nbytes))
-                window_index += 1
-                packets = 0
-                nbytes = 0
-            packets += 1
-            nbytes += size
-        rows.append(self._row(start, window_index, packets, nbytes))
-        return rows
-
-    def _row(self, start: int, index: int, packets: int, nbytes: int) -> tuple:
-        window_start = start + index * self.window_ps
-        bps = nbytes * 8 * 1e12 / self.window_ps
-        return (window_start, packets, nbytes, bps)

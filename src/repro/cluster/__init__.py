@@ -7,8 +7,9 @@
   rerun executes none. Cache-served results are byte-identical to a
   cold run by construction.
 * **use every core of the host** — :class:`LocalScheduler` is the
-  forked worker pool behind ``SweepRunner(workers=N)``: one process per
-  shard attempt, wall-clock timeouts and bounded retry.
+  attempt loop behind ``SweepRunner(workers=N)``: one forked process
+  per shard attempt, wall-clock timeouts and bounded retry, or every
+  attempt inline in this process at ``workers=0``.
 
 The invariant everything here preserves: a merged sweep report is
 **bit-identical** across {cold, warm cache} x any worker count x any

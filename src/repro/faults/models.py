@@ -23,7 +23,7 @@ whole impairment schedule is bit-identical for a given seed.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Type
+from typing import Callable, Dict, Optional, Tuple, Type
 
 from ..errors import FaultError
 from ..units import duration_ps
@@ -62,8 +62,17 @@ class FaultModel:
     kind = "base"
     #: Default injector binding this model attaches to.
     default_target = "link"
+    #: The ``params`` keys this model reads; any other key is a FaultError.
+    param_keys: Tuple[str, ...] = ()
 
     def __init__(self, spec: FaultSpec, target, rng: random.Random, injector) -> None:
+        unknown = sorted(set(spec.params) - set(self.param_keys))
+        if unknown:
+            accepted = ", ".join(sorted(self.param_keys)) or "none"
+            raise FaultError(
+                f"fault {spec.name!r} ({self.kind}): unknown param(s) "
+                f"{', '.join(map(repr, unknown))}; accepted: {accepted}"
+            )
         self.spec = spec
         self.name = spec.name
         self.target = target
@@ -123,6 +132,7 @@ class _LinkModel(FaultModel):
     """
 
     default_target = "link"
+    param_keys = ("direction",)
 
     def __init__(self, spec: FaultSpec, target, rng: random.Random, injector) -> None:
         super().__init__(spec, target, rng, injector)
@@ -175,6 +185,8 @@ class LinkLossModel(_LinkModel):
     probability is scaled so the average rate stays ``rate``.
     """
 
+    param_keys = _LinkModel.param_keys + ("rate", "burst")
+
     def __init__(self, spec, target, rng, injector) -> None:
         super().__init__(spec, target, rng, injector)
         self.rate = _param_rate(spec.params, "rate", 0.0, spec.name)
@@ -218,6 +230,8 @@ class LinkCorruptModel(_LinkModel):
     the FCS check there — counted as an RX error *and* an injected drop,
     exactly how a dirty fibre shows up to a real tester."""
 
+    param_keys = _LinkModel.param_keys + ("rate",)
+
     def __init__(self, spec, target, rng, injector) -> None:
         super().__init__(spec, target, rng, injector)
         self.rate = _param_rate(spec.params, "rate", 0.0, spec.name)
@@ -239,6 +253,8 @@ class LinkCorruptModel(_LinkModel):
 @fault_model("link_jitter")
 class LinkJitterModel(_LinkModel):
     """Uniform extra per-frame delay in ``[0, max_jitter]`` picoseconds."""
+
+    param_keys = _LinkModel.param_keys + ("max_jitter",)
 
     def __init__(self, spec, target, rng, injector) -> None:
         super().__init__(spec, target, rng, injector)
@@ -262,6 +278,8 @@ class LinkJitterModel(_LinkModel):
 class LinkReorderModel(_LinkModel):
     """Hold back a random subset of frames by a fixed extra delay, so
     they arrive *after* frames sent later — classic reordering."""
+
+    param_keys = _LinkModel.param_keys + ("rate", "delay")
 
     def __init__(self, spec, target, rng, injector) -> None:
         super().__init__(spec, target, rng, injector)
@@ -307,6 +325,8 @@ class DmaStallModel(_DmaModel):
     ring keeps filling, so sufficiently long stalls surface as counted
     tail drops — loss-limited, never silent."""
 
+    param_keys = ("period", "duration")
+
     def __init__(self, spec, target, rng, injector) -> None:
         super().__init__(spec, target, rng, injector)
         self.period_ps = _param_ps(spec.params, "period", "1ms")
@@ -331,6 +351,8 @@ class DmaStallModel(_DmaModel):
 class DmaRingClampModel(_DmaModel):
     """Clamp the usable descriptor ring to ``slots`` while active —
     ring-overflow pressure without rebuilding the engine."""
+
+    param_keys = ("slots",)
 
     def __init__(self, spec, target, rng, injector) -> None:
         super().__init__(spec, target, rng, injector)
@@ -375,6 +397,7 @@ class ClockDriftStepModel(_ClockModel):
     glitch the GPS servo must then chase back down."""
 
     required_attrs = ("oscillator",)
+    param_keys = ("ppm", "phase")
 
     def __init__(self, spec, target, rng, injector) -> None:
         super().__init__(spec, target, rng, injector)
@@ -449,6 +472,8 @@ class ControlFlapModel(_ControlModel):
     for ``down_time``; messages sent while down are lost (the TCP
     session is gone — there is nobody to retransmit to)."""
 
+    param_keys = ("period", "down_time")
+
     def __init__(self, spec, target, rng, injector) -> None:
         super().__init__(spec, target, rng, injector)
         self.period_ps = _param_ps(spec.params, "period", "10ms")
@@ -489,6 +514,8 @@ class ControlFlapModel(_ControlModel):
 class ControlLatencySpikeModel(_ControlModel):
     """Add ``extra`` one-way latency to both directions of the control
     channel while active — a congested management network."""
+
+    param_keys = ("extra",)
 
     def __init__(self, spec, target, rng, injector) -> None:
         super().__init__(spec, target, rng, injector)

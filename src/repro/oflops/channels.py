@@ -267,12 +267,6 @@ class ControlChannelHandle:
     def packet_in_events(self) -> List[ChannelEvent]:
         return self.events("packet_in")
 
-    def error_events(self) -> List[ChannelEvent]:
-        return self.events("error_msg")
-
-    def flow_removed_events(self) -> List[ChannelEvent]:
-        return self.events("flow_removed")
-
 
 class DataChannelHandle:
     """OSNT generation + capture bound to the testbed's data ports."""

@@ -118,16 +118,6 @@ class TrafficGenerator:
         )
         return self
 
-    def bursts(self, burst_len: int, idle_gap_ps: int) -> "TrafficGenerator":
-        """``burst_len`` back-to-back frames at line rate, then ``idle_gap_ps`` idle."""
-        from .generator.trafficmodels import BurstTrain
-
-        line = self._engine.port.rate_bps
-        self._schedule = BurstTrain(
-            burst_len, idle_gap_ps, peak_bps=line, line_rate_bps=line
-        )
-        return self
-
     def burst_train(
         self,
         frames_per_burst: int,
@@ -472,10 +462,6 @@ class TrafficMonitor:
     def latency_histogram(self):
         """The pipeline's in-band latency histogram (ps samples)."""
         return self._pipeline.latency
-
-    def latency_summary(self):
-        """Percentile summary of the in-band latency histogram."""
-        return self._pipeline.latency.summary()
 
     @property
     def flow_latency(self):

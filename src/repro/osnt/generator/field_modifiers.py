@@ -12,7 +12,7 @@ from __future__ import annotations
 from ...errors import GeneratorError
 from ...net.checksum import internet_checksum
 from ...net.ethernet import ETHERTYPE_IPV4
-from ...net.fields import ipv4_to_int, ipv4_to_str, u16, u32
+from ...net.fields import ipv4_to_int, u16, u32
 from ...net.ipv4 import PROTO_UDP
 from ...net.parser import HeaderOffsets, header_offsets
 
@@ -71,9 +71,6 @@ class Ipv4AddressSweep(FieldModifier):
         self.base = ipv4_to_int(base_ip)
         self.count = count
         self.stride = stride
-
-    def address_for(self, index: int) -> str:
-        return ipv4_to_str((self.base + (index % self.count) * self.stride) & 0xFFFFFFFF)
 
     def apply(self, data: bytes, index: int) -> bytes:
         at = header_offsets(data)

@@ -149,17 +149,6 @@ def _build_poisson(params, ctx):
     )
 
 
-@traffic_model("bursts")
-def _build_bursts(params, ctx):
-    _check_params("bursts", params, ("burst_len", "idle_gap"))
-    return BurstTrain(
-        int(_require("bursts", params, "burst_len")),
-        duration_ps(_require("bursts", params, "idle_gap")),
-        peak_bps=ctx.line_rate_bps,
-        line_rate_bps=ctx.line_rate_bps,
-    )
-
-
 @traffic_model("explicit_gaps")
 def _build_explicit_gaps(params, ctx):
     _check_params("explicit_gaps", params, ("gaps",))

@@ -1,25 +1,27 @@
-"""Sharded sweep execution: worker pool, timeouts, retries, resume.
+"""Sharded sweep execution: one attempt loop, timeouts, retries, resume.
 
 The :class:`SweepRunner` expands a spec into shards and drives them to
-completion:
+completion through one :class:`~repro.cluster.LocalScheduler`, whose
+loop runs every attempt, applies the spec's retry budget and records
+exhausted shards as *failed* without aborting the sweep:
 
 * ``workers >= 1`` — each shard attempt runs in its own forked worker
-  process (:class:`~repro.cluster.LocalScheduler`), which writes its
-  outcome to a result file and exits. The parent polls the pool,
-  enforces the per-attempt wall-clock timeout (terminating hung
-  workers), retries failed/hung/dead shards up to the spec's budget and
-  records exhausted shards as *failed* without aborting the sweep. A
-  :class:`~repro.errors.SweepError` from the scenario (a param it
-  rejects) is final at once: every attempt would fail the same way.
-* ``workers == 0`` — inline execution in this process (no isolation,
-  no timeout enforcement): the debugging mode, and the way to run a
-  sweep from library code without forking.
+  process, which writes its outcome to a result file and exits. The
+  loop polls the pool and enforces the per-attempt wall-clock timeout
+  (terminating hung workers).
+* ``workers == 0`` — each attempt runs inline in this process (no
+  isolation, no timeout enforcement): the debugging mode, and the way
+  to run a sweep from library code without forking.
 * ``cache_dir=...`` — a shared content-addressed
   :class:`~repro.cluster.ResultStore`, the only on-disk record of
   finished shards: shards whose key (scenario, params, seed, code
   version) already has a stored result are served from it (marked
   ``cached`` in the report) and never executed; fresh results are
   stored as each shard finishes.
+
+A :class:`~repro.errors.SweepError` from the scenario (a param it
+rejects) or a :class:`~repro.errors.FaultError` (a fault spec that does
+not arm) is final at once: every attempt would fail the same way.
 
 Determinism: a shard's result depends only on ``(spec, shard)`` — the
 seed is derived from the spec, never from the schedule — so merged
@@ -34,11 +36,8 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-import json
 import math
-import os
 import time
-import traceback
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -47,8 +46,6 @@ from ..obs.flight import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_STALL_FACTOR,
     FlightTailer,
-    HeartbeatWriter,
-    heartbeat_path,
     render_progress,
 )
 from .registry import get_scenario
@@ -61,8 +58,8 @@ from .report import (
 )
 from .spec import ExperimentSpec, Shard
 
-#: Grace period between SIGTERM and SIGKILL for a hung worker.
-_KILL_GRACE_S = 1.0
+#: Least wall-clock time between two ``on_progress`` lines, seconds.
+PROGRESS_INTERVAL_S = 1.0
 
 
 def _jsonify(value: Any) -> Any:
@@ -90,7 +87,7 @@ def run_shard(spec: ExperimentSpec, shard: Shard) -> Dict[str, Any]:
     """Execute one shard in-process and return its sanitized result.
 
     This is the single definition of "run a shard" shared by inline
-    mode and worker processes: import the spec's helper modules,
+    and forked attempts: import the spec's helper modules,
     resolve the scenario, call it on a private deep copy of the params
     (already copied at expansion; scenarios may still mutate freely)
     and apply the collection plan.
@@ -108,113 +105,6 @@ def run_shard(spec: ExperimentSpec, shard: Shard) -> Dict[str, Any]:
     return result
 
 
-def _worker_main(
-    spec: ExperimentSpec,
-    shard: Shard,
-    out_path: str,
-    flight_path: Optional[str] = None,
-    attempt: int = 1,
-    heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-) -> None:
-    """Worker-process entry: run the shard, write the outcome, exit hard.
-
-    The outcome file is written atomically (temp + rename) so the
-    parent never sees a torn read; ``os._exit`` skips the parent's
-    inherited atexit/teardown state (we forked from an arbitrary
-    process, possibly a test runner). With ``flight_path`` set, a
-    :class:`~repro.obs.HeartbeatWriter` ticks in a daemon thread for
-    the parent's flight recorder to tail.
-    """
-    try:
-        writer = None
-        try:
-            if flight_path is not None:
-                writer = HeartbeatWriter(
-                    flight_path, shard.index, attempt=attempt, interval_s=heartbeat_s
-                ).start()
-            result = run_shard(spec, shard)
-            payload = {"status": STATUS_OK, "result": result}
-            if writer is not None:
-                writer.stop("done")
-        except BaseException as exc:  # noqa: BLE001 — report, don't die silently
-            payload = {
-                "status": STATUS_FAILED,
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-                # A rejected spec fails the same way on every attempt.
-                "retry": not isinstance(exc, SweepError),
-            }
-            if writer is not None:
-                writer.stop("failed")
-        tmp = f"{out_path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, out_path)
-    finally:
-        os._exit(0)
-
-
-class _Attempt:
-    """One in-flight worker process for one shard."""
-
-    def __init__(
-        self,
-        ctx,
-        spec: ExperimentSpec,
-        shard: Shard,
-        out_path: str,
-        flight_path: Optional[str] = None,
-        attempt: int = 1,
-        heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-    ) -> None:
-        self.shard = shard
-        self.out_path = out_path
-        self.started = time.monotonic()
-        self.process = ctx.Process(
-            target=_worker_main,
-            args=(spec, shard, out_path, flight_path, attempt, heartbeat_s),
-            daemon=True,
-        )
-        self.process.start()
-
-    def outcome(self, timeout_s: Optional[float]) -> Optional[Dict[str, Any]]:
-        """Poll once: a payload dict when finished, None while running."""
-        # Sample liveness before looking for the file: a worker that
-        # writes its result and exits between the two checks must not
-        # read as "died without a result".
-        alive = self.process.is_alive()
-        if os.path.exists(self.out_path):
-            # The file is renamed into place after the payload is
-            # complete, so existence implies a full, valid document.
-            self.process.join()
-            with open(self.out_path) as handle:
-                payload = json.load(handle)
-            os.unlink(self.out_path)
-            return payload
-        if not alive:
-            return {
-                "status": STATUS_FAILED,
-                "error": f"worker died without a result (exitcode {self.process.exitcode})",
-            }
-        if timeout_s is not None and time.monotonic() - self.started > timeout_s:
-            self.terminate()
-            return {
-                "status": STATUS_FAILED,
-                "error": f"shard timed out after {timeout_s}s (worker terminated)",
-            }
-        return None
-
-    def terminate(self) -> None:
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(_KILL_GRACE_S)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join()
-        if os.path.exists(self.out_path):
-            os.unlink(self.out_path)
-
-
 class SweepRunner:
     """Run an :class:`ExperimentSpec` across a worker pool, resumably.
 
@@ -230,11 +120,13 @@ class SweepRunner:
     so an interrupted sweep resumes by running again.
 
     ``flight_dir`` arms the flight recorder (:mod:`repro.obs.flight`):
-    workers write heartbeat files there, the parent tails them into a
-    live progress/ETA line (``on_progress`` callback) and flags shards
-    with no heartbeat within ``stall_after_s`` (default
-    ``10×heartbeat_s``) as *stalled* in the report. All of it is
-    operational telemetry — the merged document is unaffected.
+    attempts write heartbeat files there, the scheduler loop tails them
+    and flags shards with no heartbeat within ``stall_after_s``
+    (default ``10×heartbeat_s``) as *stalled* in the report; an inline
+    attempt blocks the loop while it runs, so only forked ones can be
+    flagged. ``on_progress`` receives a live progress/ETA line at most
+    every :data:`PROGRESS_INTERVAL_S`. All of it is operational
+    telemetry — the merged document is unaffected.
     """
 
     def __init__(
@@ -246,11 +138,10 @@ class SweepRunner:
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         stall_after_s: Optional[float] = None,
         on_progress=None,
-        progress_interval_s: float = 1.0,
         cache_dir=None,
     ) -> None:
-        if workers < 0:
-            raise SweepError(f"workers must be >= 0, got {workers}")
+        from ..cluster.scheduler import LocalScheduler
+
         if not (heartbeat_s > 0 and math.isfinite(heartbeat_s)):
             raise SweepError(
                 f"heartbeat_s must be a finite number > 0, got {heartbeat_s}"
@@ -259,17 +150,16 @@ class SweepRunner:
         if stall_after_s is not None and not stall_after_s > 0:
             raise SweepError(f"stall_after_s must be > 0, got {stall_after_s}")
         self.spec = spec
-        self.workers = workers
+        self.scheduler = LocalScheduler(
+            workers=workers, start_method=start_method, heartbeat_s=heartbeat_s
+        )
         self.flight_dir = Path(flight_dir) if flight_dir else None
-        self.heartbeat_s = heartbeat_s
         self.stall_after_s = (
             stall_after_s
             if stall_after_s is not None
             else DEFAULT_STALL_FACTOR * heartbeat_s
         )
         self.on_progress = on_progress
-        self.progress_interval_s = progress_interval_s
-        self.start_method = start_method
         self.store = None
         if cache_dir is not None:
             from ..cluster.store import ResultStore
@@ -298,17 +188,7 @@ class SweepRunner:
         todo = self._serve_from_store(shards, records)
         budget = len(todo) if max_shards is None else min(max_shards, len(todo))
         skipped = todo[budget:]
-        todo = todo[:budget]
-
-        if self.workers == 0:
-            for shard in todo:
-                record = self._run_inline(shard)
-                records[shard.index] = record
-                self._store_put(record)
-            scheduler_stats = {"backend": "inline", "executed": len(todo)}
-        else:
-            scheduler_stats = self._run_pool(todo, records)
-
+        self._execute(todo[:budget], records)
         for shard in skipped:
             records[shard.index] = ShardResult(
                 index=shard.index,
@@ -319,7 +199,7 @@ class SweepRunner:
         return SweepReport(
             spec=self.spec,
             shards=[records[shard.index] for shard in shards],
-            scheduler_stats=scheduler_stats,
+            scheduler_stats=self.scheduler.stats(),
         )
 
     # -- the result store ----------------------------------------------------
@@ -369,19 +249,10 @@ class SweepRunner:
             scenario=self.spec.scenario,
         )
 
-    # -- the worker pool -----------------------------------------------------
+    # -- the attempt loop ---------------------------------------------------
 
-    def _run_pool(
-        self, todo: List[Shard], records: Dict[int, ShardResult]
-    ) -> Dict[str, Any]:
-        """Drive ``todo`` through the forked pool; returns its stats."""
-        from ..cluster.scheduler import LocalScheduler
-
-        scheduler = LocalScheduler(
-            workers=self.workers,
-            start_method=self.start_method,
-            heartbeat_s=self.heartbeat_s,
-        )
+    def _execute(self, todo: List[Shard], records: Dict[int, ShardResult]) -> None:
+        """Drive ``todo`` through the scheduler's attempt loop."""
         tailer: Optional[FlightTailer] = None
         if self.flight_dir is not None:
             self.flight_dir.mkdir(parents=True, exist_ok=True)
@@ -400,7 +271,7 @@ class SweepRunner:
             def on_cycle(statuses: Dict[int, Dict[str, Any]]) -> None:
                 nonlocal last_progress
                 now = time.monotonic()
-                if now - last_progress < self.progress_interval_s:
+                if now - last_progress < PROGRESS_INTERVAL_S:
                     return
                 last_progress = now
                 done = sum(1 for r in records.values() if r.ok)
@@ -421,7 +292,7 @@ class SweepRunner:
                     )
                 )
 
-        scheduler.run(
+        self.scheduler.run(
             self.spec, todo, on_record=on_record, tailer=tailer, on_cycle=on_cycle
         )
         if tailer is not None:
@@ -429,40 +300,7 @@ class SweepRunner:
                 record = records.get(index)
                 if record is not None:
                     record.stalled = True
-        return scheduler.stats()
 
-    def _run_inline(self, shard: Shard) -> ShardResult:
-        record = ShardResult(index=shard.index, params=shard.params, seed=shard.seed)
-        start = time.monotonic()
-        for attempt in range(1 + self.spec.retries):
-            record.attempts = attempt + 1
-            writer = None
-            if self.flight_dir is not None:
-                # Inline mode still writes heartbeats (no stall watcher:
-                # there is no parent loop running concurrently to tail).
-                self.flight_dir.mkdir(parents=True, exist_ok=True)
-                writer = HeartbeatWriter(
-                    heartbeat_path(self.flight_dir, shard.index, attempt + 1),
-                    shard.index,
-                    attempt=attempt + 1,
-                    interval_s=self.heartbeat_s,
-                ).start()
-            try:
-                record.result = run_shard(self.spec, shard)
-                record.status = STATUS_OK
-                record.error = None
-                if writer is not None:
-                    writer.stop("done")
-                break
-            except Exception as exc:  # noqa: BLE001 — recorded, retried
-                record.status = STATUS_FAILED
-                record.error = f"{type(exc).__name__}: {exc}"
-                if writer is not None:
-                    writer.stop("failed")
-                if isinstance(exc, SweepError):
-                    break  # a rejected spec fails the same way on every attempt
-        record.elapsed_s = time.monotonic() - start
-        return record
 
 def run_spec(
     spec: ExperimentSpec,

@@ -117,9 +117,6 @@ class MetricsRegistry:
         """Register an externally owned histogram (e.g. a pipeline's)."""
         return self._add(name, histogram)
 
-    def unregister(self, name: str) -> None:
-        self._metrics.pop(self._full(name), None)
-
     # -- reads -------------------------------------------------------------
 
     def names(self) -> List[str]:

@@ -206,11 +206,6 @@ def wire_time_ps(nbytes: int, rate_bps: float) -> int:
     return quotient
 
 
-def bytes_per_ps(rate_bps: float) -> float:
-    """Bytes transferred per picosecond at the given bit rate."""
-    return rate_bps / 8 / PS_PER_SEC
-
-
 # -- Ethernet framing constants ---------------------------------------------
 
 #: Preamble (7) + start-frame delimiter (1).

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis import (
-    Histogram,
-    RateEstimator,
     SummaryStats,
     format_table,
     gap_jitter_std,
@@ -106,75 +104,6 @@ class TestJitter:
 
     def test_gap_jitter_too_few(self):
         assert gap_jitter_std([1, 2]) == 0.0
-
-
-class TestHistogram:
-    def test_binning(self):
-        hist = Histogram(0, 100, 10)
-        hist.add_all([5, 15, 15, 95])
-        assert hist.counts[0] == 1
-        assert hist.counts[1] == 2
-        assert hist.counts[9] == 1
-        assert hist.total == 4
-
-    def test_under_overflow(self):
-        hist = Histogram(0, 10, 2)
-        hist.add(-1)
-        hist.add(10)  # high edge is exclusive
-        assert hist.underflow == 1
-        assert hist.overflow == 1
-
-    def test_mode_bin(self):
-        hist = Histogram(0, 30, 3)
-        hist.add_all([1, 12, 13, 14, 25])
-        low, high, count = hist.mode_bin()
-        assert (low, high, count) == (10, 20, 3)
-
-    def test_empty_mode(self):
-        assert Histogram(0, 1, 1).mode_bin() is None
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            Histogram(0, 10, 0)
-        with pytest.raises(ConfigError):
-            Histogram(10, 10, 5)
-
-    @given(st.lists(st.floats(min_value=-50, max_value=150), max_size=100))
-    def test_conservation(self, values):
-        hist = Histogram(0, 100, 7)
-        hist.add_all(values)
-        assert sum(hist.counts) + hist.underflow + hist.overflow == len(values)
-
-
-class TestRateEstimator:
-    def test_windows(self):
-        est = RateEstimator(window_ps=1000)
-        est.add(0, 100)
-        est.add(500, 100)
-        est.add(1500, 100)
-        series = est.series()
-        assert len(series) == 2
-        assert series[0][1] == 2  # packets in window 0
-        assert series[1][1] == 1
-
-    def test_gap_windows_emitted_empty(self):
-        est = RateEstimator(window_ps=100)
-        est.add(0, 10)
-        est.add(350, 10)
-        series = est.series()
-        assert [row[1] for row in series] == [1, 0, 0, 1]
-
-    def test_bps(self):
-        est = RateEstimator(window_ps=1_000_000)  # 1 µs windows
-        est.add(0, 125)  # 1000 bits in 1 µs = 1 Gbps
-        assert est.series()[0][3] == pytest.approx(1e9)
-
-    def test_empty(self):
-        assert RateEstimator(window_ps=10).series() == []
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RateEstimator(0)
 
 
 def stamped_packet(tx_ps, rx_ps, frame_size=128, offset=42):

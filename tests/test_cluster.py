@@ -1,4 +1,4 @@
-"""Tests for repro.cluster: the result store and the forked pool."""
+"""Tests for repro.cluster: the result store and the attempt loop."""
 
 import json
 import os
@@ -16,7 +16,7 @@ from repro.cluster import (
     source_digest,
 )
 from repro.errors import SweepError
-from repro.runner import ExperimentSpec, run_spec
+from repro.runner import ExperimentSpec, run_shard, run_spec
 from repro.runner.spec import Shard
 
 
@@ -240,13 +240,17 @@ class TestCachedSweeps:
         store_dir = tmp_path / "store"
         first = echo_spec(name="first", axes={"x": [1, 2], "y": ["a", "b"]})
         cold = run_spec(first, workers=0, cache_dir=store_dir)
-        assert cold.scheduler_stats == {"backend": "inline", "executed": 4}
+        assert cold.scheduler_stats == {
+            "backend": "inline", "workers": 0, "executed": 4, "retried": 0
+        }
         # Same sweep extended along its slowest-varying axis: the four
         # old operating points keep their indices and seeds, so only
         # the two new shards execute.
         extended = echo_spec(name="second", axes={"x": [1, 2, 3], "y": ["a", "b"]})
         warm = run_spec(extended, workers=0, cache_dir=store_dir)
-        assert warm.scheduler_stats == {"backend": "inline", "executed": 2}
+        assert warm.scheduler_stats == {
+            "backend": "inline", "workers": 0, "executed": 2, "retried": 0
+        }
         assert len(warm.from_cache) == 4
         assert warm.require_ok().complete
 
@@ -285,7 +289,9 @@ class TestCheckpointHygiene:
         assert ResultStore(store).stats().entries == 4
         fresh = run_spec(echo_spec(), workers=0, cache_dir=store)
         assert not fresh.from_cache
-        assert fresh.scheduler_stats == {"backend": "inline", "executed": 4}
+        assert fresh.scheduler_stats == {
+            "backend": "inline", "workers": 0, "executed": 4, "retried": 0
+        }
         assert fresh.merged_json() == stale.merged_json()
         # Both trees' entries coexist under their own keys.
         assert ResultStore(store).stats().entries == 8
@@ -320,6 +326,21 @@ class TestLocalScheduler:
         assert stats["backend"] == "local"
         assert stats["executed"] == len(echo_spec().expand())
 
-    def test_rejects_zero_workers(self):
-        with pytest.raises(SweepError):
-            LocalScheduler(workers=0)
+    def test_rejects_negative_workers(self):
+        with pytest.raises(SweepError, match="workers must be >= 0, got -1"):
+            LocalScheduler(workers=-1)
+
+    def test_zero_workers_runs_inline(self):
+        spec = echo_spec(axes={"x": [1, 2]})
+        shards = spec.expand()
+        records = []
+        scheduler = LocalScheduler(workers=0)
+        scheduler.run(spec, shards, on_record=records.append)
+        assert [record.index for record in records] == [0, 1]
+        assert all(record.ok and record.attempts == 1 for record in records)
+        assert [record.result for record in records] == [
+            run_shard(spec, shard) for shard in shards
+        ]
+        assert scheduler.stats() == {
+            "backend": "inline", "workers": 0, "executed": 2, "retried": 0
+        }

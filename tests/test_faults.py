@@ -128,6 +128,17 @@ class TestFaultInjector:
         with pytest.raises(FaultError, match="already armed"):
             injector.arm()
 
+    @pytest.mark.parametrize("kind", sorted(FAULT_MODELS))
+    def test_unknown_param_rejected(self, kind):
+        """A misspelled key fails loudly instead of arming a fault that
+        silently runs on its defaults."""
+        sim = Simulator()
+        fault = {"name": "x", "model": kind, "params": {"bogus": 1}}
+        injector = FaultInjector(sim, [fault])
+        injector.bind(**{FAULT_MODELS[kind].default_target: object()})
+        with pytest.raises(FaultError, match="unknown param.*'bogus'; accepted:"):
+            injector.arm()
+
     def test_bind_ignores_none(self):
         sim = Simulator()
         injector = FaultInjector(sim, [{"name": "x", "model": "link_loss"}])

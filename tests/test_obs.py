@@ -764,16 +764,16 @@ class TestSweepRunnerFlight:
             retries=0,
         )
 
-    def test_pool_writes_heartbeats_and_progress(self, tmp_path):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_writes_heartbeats_and_progress(self, tmp_path, workers):
         flight = tmp_path / "flight"
         lines = []
         runner = SweepRunner(
             self._spec([0.3, 0.3]),
-            workers=2,
+            workers=workers,
             flight_dir=flight,
             heartbeat_s=0.05,
             on_progress=lines.append,
-            progress_interval_s=0.1,
         )
         report = runner.run()
         assert len(report.ok) == 2 and not report.stalled
@@ -813,16 +813,6 @@ class TestSweepRunnerFlight:
             spec, workers=2, flight_dir=tmp_path / "flight", heartbeat_s=0.05
         ).run().merged_json()
         assert plain == with_flight
-
-    def test_inline_mode_writes_heartbeats(self, tmp_path):
-        flight = tmp_path / "flight"
-        runner = SweepRunner(
-            self._spec([0.05]), workers=0, flight_dir=flight, heartbeat_s=0.02
-        )
-        report = runner.run()
-        assert len(report.ok) == 1
-        beats = read_heartbeats(heartbeat_path(flight, 0, 1))
-        assert beats and beats[-1]["kind"] == "done"
 
     def test_heartbeat_validation(self):
         with pytest.raises(Exception):

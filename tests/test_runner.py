@@ -266,7 +266,10 @@ class TestDeterminism:
 
 
 class TestFaultTolerance:
-    def test_transient_failure_retried_in_pool(self, tmp_path):
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_transient_failure_retried(self, tmp_path, workers):
+        """Inline and forked attempts share one retry loop and one
+        shape of counters."""
         marker = tmp_path / "marker"
         spec = ExperimentSpec(
             name="flaky",
@@ -275,13 +278,15 @@ class TestFaultTolerance:
             retries=1,
             timeout_s=30.0,
         )
-        report = run_spec(spec, workers=1)
+        report = run_spec(spec, workers=workers)
         assert report.complete and not report.failed
         assert report.shards[0].attempts == 2
         assert report.results()[0]["recovered"] is True
+        assert report.scheduler_stats["executed"] == 2
+        assert report.scheduler_stats["retried"] == 1
 
     def test_worker_finishing_between_polls_is_not_a_death(self, tmp_path):
-        from repro.runner.execution import _Attempt
+        from repro.cluster.scheduler import _Attempt
 
         out = tmp_path / "out.json"
 
@@ -408,19 +413,6 @@ class TestFaultTolerance:
         summary = report.summary()
         assert "unknown key 'durations'; accepted:" in summary
         assert "frame_size" in summary
-
-    def test_inline_mode_retries_too(self, tmp_path):
-        marker = tmp_path / "marker"
-        spec = ExperimentSpec(
-            name="flaky-inline",
-            scenario="flaky_marker",
-            params={"marker": str(marker)},
-            retries=1,
-            timeout_s=None,
-        )
-        report = run_spec(spec, workers=0)
-        assert not report.failed
-        assert report.shards[0].attempts == 2
 
 
 class TestReport:

@@ -27,7 +27,7 @@ class TestCaptureReplayRoundtrip:
         monitor.start_capture()
         generator = tester.generator(0)
         generator.load_template(build_udp(frame_size=300), count=30)
-        generator.bursts(burst_len=10, idle_gap_ps=us(500))
+        generator.burst_train(10, us(500))
         generator.start()
         sim.run()
         path = tmp_path / "run1.pcap"

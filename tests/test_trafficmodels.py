@@ -46,7 +46,6 @@ EXAMPLES = {
     "cbr": {"rate": "4Gbps"},
     "constant_gap": {"gap": "2us"},
     "poisson": {"mean_gap": "1us"},
-    "bursts": {"burst_len": 8, "idle_gap": "10us"},
     "explicit_gaps": {"gaps": ["1us", 2000, "3us"]},
     "markov_onoff": {"mean_on": "5us", "mean_off": "10us", "peak": "8Gbps"},
     "burst_train": {"frames_per_burst": 32, "inter_burst_gap": "40us"},
