@@ -18,7 +18,6 @@ Run with:  PYTHONPATH=src python -m pytest benchmarks/test_perf.py -q -s
 """
 
 import gc
-import json
 import operator
 import os
 import time
@@ -136,26 +135,22 @@ def chained(sim=None):
 # -- datapath ----------------------------------------------------------------
 
 
-def loopback(datapath, train=False, latency=False, poisson=False):
+def loopback(datapath, train=False, poisson=False):
     """Side: 1 ms of 64 B frames from tester port 0 to port 1.
 
     At line rate this is E1's worst case, the hot loop the burst
     datapath batches. With ``train``, 256-frame trains 1 µs apart (~94%
     load) add one closed-form window boundary per train, not per-frame
-    work. With ``latency``, the monitor bins every frame's in-band
-    latency (the template's stamp field reads zero, so each sample is
-    the device clock at delivery) and the side returns that histogram.
-    With ``poisson``, exponential gaps of mean two wire slots (50% load)
-    take the serial lane, which draws every gap and queues the frames
-    that arrive early; the side returns the frame count and end time.
+    work. With ``poisson``, exponential gaps of mean two wire slots
+    (50% load) take the serial lane, which draws every gap and queues
+    the frames that arrive early; the side returns the frame count and
+    end time.
     Work: frames sent, every one of them received.
     """
     sim = Simulator()
     tester = OSNT(sim)
     connect(tester.port(0), tester.port(1))
     monitor = tester.monitor(1)
-    if latency:
-        monitor.enable_latency()
     generator = tester.generator(0)
     tester.device.generator(0).datapath_impl = datapath
     generator.load_template(udp_template(64))
@@ -172,10 +167,6 @@ def loopback(datapath, train=False, latency=False, poisson=False):
     floor = 7_000 if poisson else 10_000 if train else 14_000
     assert sent > floor, f"the run only sent {sent} frames"
     assert monitor.rx_packets == sent
-    if latency:
-        histogram = monitor.latency_histogram.to_dict()
-        assert histogram["count"] == sent
-        return json.dumps(histogram, sort_keys=True)
     if poisson:
         return sent, sim.now
 
@@ -335,10 +326,6 @@ BUDGETS = [
     # Lindley recursion with O(1) work per frame besides the draw.
     ("burst-vs-packet/poisson-64B", partial(loopback, "burst", poisson=True),
      partial(loopback, "packet", poisson=True), (">=", 8.0), 3),
-    # Armed latency bins a delivery run in O(buckets · log frames); a
-    # per-frame loop over the run reads about 20.
-    ("latency-armed/e1-64B", partial(loopback, "burst", latency=True),
-     partial(loopback, "packet", latency=True), (">=", 50.0), 3),
     # Falling off the burst lane to per-packet speed is a 10-100x collapse.
     ("train-vs-line-rate/64B", partial(loopback, "burst"),
      partial(loopback, "burst", train=True), ("<=", 2.0), 3),

@@ -15,11 +15,7 @@ Run:  python examples/router_testing.py
 """
 
 from repro.analysis import print_table
-from repro.testbed import (
-    default_switch_factory,
-    rfc2544_throughput,
-    router_latency_point,
-)
+from repro.testbed import rfc2544_point, router_latency_point
 from repro.units import GBPS
 
 
@@ -31,8 +27,7 @@ def main() -> None:
         ("6G-fabric switch", 6 * GBPS),
         ("2.5G-fabric switch", 2.5 * GBPS),
     ):
-        factory = default_switch_factory(fabric_rate_bps=fabric) if fabric else None
-        result = rfc2544_throughput(512, switch_factory=factory)
+        result = rfc2544_point(512, fabric_rate_bps=fabric)
         rows.append(
             [
                 label,

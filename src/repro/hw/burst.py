@@ -15,16 +15,16 @@ Full :class:`~repro.net.packet.Packet` objects are never materialized on
 an eligible lane; observation points that need them (capture buffers,
 spans, filters, fault hooks) make a lane ineligible and it falls back
 to the stock per-packet path, so results stay bit-identical by
-construction (proven by tests/test_datapath_equivalence.py). Two
-observation planes stay on the fast path. The tracer (``sim.tracer``)
-reads no packets, so it records the controller events an eligible lane
-actually runs. The waveform recorder (``sim.waves``) needs only scalar
-state, so eligible lanes feed it closed-form runs that reproduce the
-per-packet probes' sample streams bit-identically (also proven by the
-equivalence tests). An armed in-band latency histogram stays on it too:
-:func:`bin_latency_run` bins a whole delivery run of RX latencies in
-O(buckets touched · log frames), exactly as the capture path would
-frame by frame.
+construction (proven by tests/test_datapath_equivalence.py). An armed
+in-band latency histogram is one of them: a lane exists only while the
+generator's TX timestamper is off, so its frames carry no TX stamp, and
+only the capture path bins latency, frame by frame. Two observation
+planes stay on the fast path. The tracer (``sim.tracer``) reads no
+packets, so it records the controller events an eligible lane actually
+runs. The waveform recorder (``sim.waves``) needs only scalar state, so
+eligible lanes feed it closed-form runs that reproduce the per-packet
+probes' sample streams bit-identically (also proven by the equivalence
+tests).
 
 Constant-gap schedules and exactly periodic trains that never queue
 advance in closed form. Any other schedule (Poisson gaps, scripted
@@ -68,9 +68,7 @@ from collections import deque
 from typing import Optional
 
 from ..errors import ConfigError, SimulationError
-from ..telemetry.histogram import bisect_run
 from ..units import ETH_PREAMBLE_BYTES, frame_wire_bytes, wire_time_ps
-from .timestamp import raw_to_ps
 
 #: Selectable datapath implementations (see module docstring). Burst is
 #: the default (like the timing-wheel event queue); ``REPRO_DATAPATH=packet``
@@ -78,7 +76,6 @@ from .timestamp import raw_to_ps
 DATAPATH_IMPLS = ("packet", "burst")
 DEFAULT_DATAPATH_IMPL = "burst"
 
-_STAMP_BYTES = 8
 _INF = math.inf
 
 
@@ -102,37 +99,6 @@ def attach_lane(engine) -> "BurstLane":
     lane = BurstLane(controller, engine)
     controller.register(lane)
     return lane
-
-
-def bin_latency_run(
-    unit, histogram, stamp: int, sanity: int, d0: int, count: int, stride: int
-) -> int:
-    """Bin the RX latencies of ``count`` deliveries ``stride`` ps apart.
-
-    Frame ``k`` arrives at ``d0 + k * stride``; its latency is the
-    unit's quantised reading then minus ``stamp``. Latencies in
-    ``[0, sanity]`` go into ``histogram`` and the rest are skipped,
-    exactly as the capture path does frame by frame; returns the
-    skipped count. The readings are monotone along the run (walked from
-    its end on a clock running backward), so bisection finds the
-    in-range sub-run and :meth:`~repro.telemetry.LogLinearHistogram.record_run`
-    its buckets, and :meth:`~repro.hw.TimestampUnit.sum_ps_at` gives its
-    sum: O(buckets touched · log count) readings.
-    """
-    last = d0 + (count - 1) * stride
-    if unit.now_ps_at(d0) > unit.now_ps_at(last):
-        d0, stride = last, -stride
-
-    def latency(k: int) -> int:
-        return unit.now_ps_at(d0 + k * stride) - stamp
-
-    lo = bisect_run(latency, 0, 0, count)
-    hi = bisect_run(latency, sanity + 1, lo, count)
-    if hi > lo:
-        n = hi - lo
-        total = unit.sum_ps_at(d0 + lo * stride, n, stride) - n * stamp
-        histogram.record_run(lambda k: latency(lo + k), n, total)
-    return count - (hi - lo)
 
 
 class BurstController:
@@ -212,8 +178,8 @@ class BurstLane:
     lanes spawn the stock per-packet process instead (in registration
     order, preserving the packet datapath's scheduling order). Cheap
     invariants are re-checked every window; a mid-run violation (e.g.
-    host capture enabled while a lane is active) fails loudly rather
-    than silently dropping observations.
+    host capture or latency enabled while a lane is active) fails loudly
+    rather than silently dropping observations.
     """
 
     def __init__(self, controller: BurstController, engine) -> None:
@@ -254,7 +220,7 @@ class BurstLane:
     def _audit(self) -> bool:
         from ..osnt.generator.schedule import ConstantGap, LineRate
         from ..osnt.generator.source import TemplateSource
-        from ..osnt.monitor.capture import LATENCY_SANITY_PS, CapturePipeline
+        from ..osnt.monitor.capture import CapturePipeline
 
         engine = self.engine
         sim = self.sim
@@ -300,8 +266,9 @@ class BurstLane:
                     isinstance(owner, CapturePipeline)
                     and getattr(bound, "__func__", None) is CapturePipeline._on_frame
                     and not owner.enabled
-                    # Per-flow RTT keying needs real packets to hash.
-                    and owner.flow_latency is None
+                    # In-band latency (per port or per flow) reads each
+                    # frame's TX stamp, which a lane's frames never carry.
+                    and owner._latency_offset is None
                 ):
                     pipeline = owner
         if pipeline is None:
@@ -312,8 +279,6 @@ class BurstLane:
         self.link = link
         self.rx = rx
         self.pipeline = pipeline
-        self.unit = pipeline.timestamp_unit
-        self.sanity = LATENCY_SANITY_PS
         self.source = source
         self.template = source.template
         self.data = source.template.data
@@ -348,7 +313,6 @@ class BurstLane:
         self.parked: deque = deque()  # (first_d, count, stride) runs
         self.emitting = True
         self.last_event_time = now
-        self._tx_stamp_cache: dict = {}
         # The O(1) bulk path needs a stateless constant-gap schedule that
         # never queues (gap covers the wire slot) and can never tail-drop.
         gap = None
@@ -393,7 +357,7 @@ class BurstLane:
             and not self.link._impairments
             and self.link.bit_error_rate == 0
             and not pipeline.enabled
-            and pipeline.flow_latency is None
+            and pipeline._latency_offset is None
             and len(rx._sinks) == 1
             and getattr(rx._sinks[0], "__self__", None) is pipeline
         )
@@ -413,7 +377,7 @@ class BurstLane:
         if not ok:
             raise SimulationError(
                 f"generator {engine.name!r}: observation point armed while a "
-                "burst-datapath lane is active (spans/capture/faults/"
+                "burst-datapath lane is active (spans/capture/latency/faults/"
                 "flow transports must be configured before start, or run "
                 "with REPRO_DATAPATH=packet)"
             )
@@ -742,16 +706,16 @@ class BurstLane:
         """Apply RX-side effects for deliveries strictly before ``limit``.
 
         The RX MAC and monitor counters take one update for all the runs;
-        a run is walked on its own only for an armed waveform recorder or
-        latency histogram.
+        an armed waveform recorder takes one closed-form run each.
         """
         parked = self.parked
         if not parked or parked[0][0] >= limit:
             return
         first = parked[0][0]
-        per_run = (
-            self.sim.waves is not None or self.pipeline._latency_offset is not None
-        )
+        waves = self.sim.waves
+        wave = None
+        if waves is not None:
+            wave = waves.rate_series(f"{self.rx.name}.wire_bytes", unit="bytes")
         total = 0
         while parked:
             d0, n, stride = parked[0]
@@ -764,8 +728,8 @@ class BurstLane:
                 parked.appendleft((d0 + m * stride, n - m, stride))
                 n = m
                 last = d0 + (m - 1) * stride
-            if per_run:
-                self._apply_rx(d0, n, stride)
+            if wave is not None:
+                wave.record_run(d0, n, stride, self.fwb)
             total += n
         flen = self.flen
         rxs = self.rx.stats
@@ -781,33 +745,6 @@ class BurstLane:
         if mon.first_rx_ps is None:
             mon.first_rx_ps = first
         mon.last_rx_ps = last
-
-    def _apply_rx(self, d0: int, m: int, stride: int) -> None:
-        """Feed one delivery run to the waveform and latency histogram."""
-        waves = self.sim.waves
-        if waves is not None:
-            wave = waves.rate_series(f"{self.rx.name}.wire_bytes", unit="bytes")
-            wave.record_run(d0, m, stride, self.fwb)
-        offset = self.pipeline._latency_offset
-        if offset is not None:
-            stamp = self._tx_stamp_cache.get(offset)
-            if stamp is None:
-                data = self.data
-                if offset + _STAMP_BYTES <= len(data):
-                    stamp = raw_to_ps(
-                        int.from_bytes(data[offset : offset + _STAMP_BYTES], "big")
-                    )
-                else:
-                    stamp = -1  # stamp field does not fit: always skipped
-                self._tx_stamp_cache[offset] = stamp
-            if stamp < 0:
-                self.pipeline.latency_skipped += m
-            else:
-                skipped = bin_latency_run(
-                    self.unit, self.pipeline.latency, stamp, self.sanity, d0, m, stride
-                )
-                if skipped:
-                    self.pipeline.latency_skipped += skipped
 
     # -- exact-time duties -------------------------------------------------
 

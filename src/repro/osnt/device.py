@@ -23,7 +23,7 @@ Register map (one window per block)::
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from ..errors import ConfigError
 from ..hw.dma import DmaEngine
@@ -144,17 +144,19 @@ class OSNTDevice:
     def start_telemetry(
         self,
         rate_interval_ps: int = ms(1),
-        latency_offset: int = DEFAULT_OFFSET,
+        latency_offset: Optional[int] = DEFAULT_OFFSET,
     ) -> None:
         """Switch on the active telemetry paths.
 
         Arms every monitor's in-band latency histogram (expecting TX
-        stamps at ``latency_offset``) and starts one per-port RX rate
-        sampler, registered as gauges so rates appear in
-        :meth:`snapshot` output. Idempotent.
+        stamps at ``latency_offset``; ``None`` arms none, for traffic
+        that carries no stamps) and starts one per-port RX rate sampler,
+        registered as gauges so rates appear in :meth:`snapshot` output.
+        Idempotent.
         """
-        for monitor in self.monitors:
-            monitor.enable_latency(latency_offset)
+        if latency_offset is not None:
+            for monitor in self.monitors:
+                monitor.enable_latency(latency_offset)
         if not self.rate_monitors:
             for index, port in enumerate(self.ports):
                 stats = port.rx.stats

@@ -279,26 +279,6 @@ class Simulator:
 
     # -- execution -------------------------------------------------------
 
-    def step(self) -> bool:
-        """Fire the next event. Returns ``False`` when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self._now:  # pragma: no cover - internal invariant
-            raise SimulationError("event queue produced an event in the past")
-        self._now = event.time
-        event.fired = True
-        self.events_processed += 1
-        trace = self._trace_fire
-        if trace is not None:
-            trace(event)
-        profile = self._profile_dispatch
-        if profile is None:
-            event.callback(*event.args)
-        else:
-            profile(event)
-        return True
-
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` have fired.
@@ -322,10 +302,10 @@ class Simulator:
         profile = self._profile_dispatch
         fired = 0
         try:
-            # The dispatch loop inlines step() — one Python frame per
-            # fired event, with the queue methods pre-bound. The
-            # ``fired != max_events`` form also covers max_events=None
-            # (never equal), keeping that check to a single compare.
+            # One Python frame per fired event, with the queue methods
+            # pre-bound. The ``fired != max_events`` form also covers
+            # max_events=None (never equal), keeping that check to a
+            # single compare.
             while not self._stop_requested and fired != max_events:
                 next_time = peek_time()
                 if next_time is None:

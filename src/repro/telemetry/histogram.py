@@ -21,26 +21,11 @@ Bucket layout (HdrHistogram-style log-linear):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConfigError
 
 DEFAULT_SUBBUCKET_BITS = 5
-
-
-def bisect_run(value_at: Callable[[int], int], target: int, lo: int, hi: int) -> int:
-    """First ``k`` in ``[lo, hi)`` with ``value_at(k) >= target``, else ``hi``.
-
-    ``value_at`` must not decrease over ``[lo, hi)``; it is called
-    O(log(hi - lo)) times. (``bisect``'s ``key=`` needs Python 3.10.)
-    """
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if value_at(mid) < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 @dataclass
@@ -154,34 +139,6 @@ class LogLinearHistogram:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
-
-    def record_run(self, value_at: Callable[[int], int], count: int, total: int) -> None:
-        """Record ``value_at(k)`` for ``k`` in ``range(count)``, whose sum is ``total``.
-
-        Exactly equivalent to recording each value, for values that
-        never decrease with ``k`` and are non-negative: one bisection per
-        populated bucket finds where its run of values ends, so
-        ``value_at`` is called O(buckets touched · log count) times.
-        """
-        if count <= 0:
-            return
-        first = value_at(0)
-        if first < 0:
-            raise ConfigError(f"record_run needs non-negative values, got {first}")
-        counts = self._counts
-        k = 0
-        while k < count:
-            index = self._index_of(value_at(k))
-            end = bisect_run(value_at, self.bucket_bounds(index)[1], k + 1, count)
-            counts[index] = counts.get(index, 0) + end - k
-            k = end
-        last = value_at(count - 1)
-        self.count += count
-        self.total += total
-        if self.minimum is None or first < self.minimum:
-            self.minimum = first
-        if self.maximum is None or last > self.maximum:
-            self.maximum = last
 
     # -- bucket geometry ---------------------------------------------------
 

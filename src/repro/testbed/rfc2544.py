@@ -14,13 +14,13 @@ counts sequence-numbered frames end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..analysis.latency import latency_from_capture, loss_from_sequence_numbers
 from ..devices.legacy_switch import LegacySwitch
 from ..osnt.generator.field_modifiers import SequenceNumber
 from ..sim import RandomStreams, Simulator
-from ..units import ms
+from ..units import line_rate_goodput_bps, ms
 from .topology import legacy_testbed
 from .workloads import udp_template
 
@@ -53,50 +53,20 @@ class ThroughputResult:
     trials: List[Trial] = field(default_factory=list)
 
 
-SwitchFactory = Callable[[Simulator], LegacySwitch]
-
-
-def default_switch_factory(
-    fabric_rate_bps: Optional[float] = None, switch_seed: int = 1
-) -> SwitchFactory:
-    def build(sim: Simulator) -> LegacySwitch:
-        return LegacySwitch(
-            sim,
-            fabric_rate_bps=fabric_rate_bps,
-            rng=RandomStreams(switch_seed).stream("sw"),
-        )
-
-    return build
-
-
-def rfc2544_point(
-    frame_size: int,
-    fabric_rate_bps: Optional[float] = None,
-    duration_ps: int = ms(2),
-    resolution: float = 0.01,
-    switch_seed: int = 1,
-) -> ThroughputResult:
-    """One spec-friendly RFC 2544 search: all-data parameters, no
-    factory closures — what the ``rfc2544`` scenario runs per shard."""
-    return rfc2544_throughput(
-        frame_size,
-        switch_factory=default_switch_factory(
-            fabric_rate_bps=fabric_rate_bps, switch_seed=switch_seed
-        ),
-        duration_ps=duration_ps,
-        resolution=resolution,
-    )
-
-
 def _run_trial(
-    switch_factory: SwitchFactory,
     frame_size: int,
-    load: float,
+    fabric_rate_bps: Optional[float],
+    switch_seed: int,
     duration_ps: int,
+    load: float,
     with_timestamps: bool,
 ):
     sim = Simulator()
-    switch = switch_factory(sim)
+    switch = LegacySwitch(
+        sim,
+        fabric_rate_bps=fabric_rate_bps,
+        rng=RandomStreams(switch_seed).stream("sw"),
+    )
     # Generous DMA: the tester's own capture path must not lose packets,
     # or capture loss would be misattributed to the DUT. Cutting to 64
     # bytes keeps both the timestamp (42..49) and sequence (54..57).
@@ -126,28 +96,27 @@ def _run_trial(
     return sent, loss, bed.monitor.packets
 
 
-def rfc2544_throughput(
+def rfc2544_point(
     frame_size: int,
-    switch_factory: Optional[SwitchFactory] = None,
+    fabric_rate_bps: Optional[float] = None,
     duration_ps: int = ms(2),
     resolution: float = 0.01,
+    switch_seed: int = 1,
 ) -> ThroughputResult:
     """Binary-search the DUT's zero-loss throughput for one frame size.
 
-    ``resolution`` is the search's load granularity (fraction of line
-    rate). The returned latency figures are measured in a final trial at
-    the found rate with embedded timestamps.
+    The DUT is a :class:`~repro.devices.LegacySwitch` with a
+    ``fabric_rate_bps`` fabric (``None``: non-blocking) and RNG seed
+    ``switch_seed``, built afresh for every trial. ``resolution`` is the
+    search's load granularity (fraction of line rate). The returned
+    latency figures are measured in a final trial at the found rate with
+    embedded timestamps.
     """
     trials: List[Trial] = []
+    setup = (frame_size, fabric_rate_bps, switch_seed, duration_ps)
 
     def lossless_at(load: float) -> bool:
-        sent, loss, __ = _run_trial(
-            switch_factory or default_switch_factory(),
-            frame_size,
-            load,
-            duration_ps,
-            with_timestamps=False,
-        )
+        sent, loss, __ = _run_trial(*setup, load, with_timestamps=False)
         trials.append(Trial(load=load, sent=sent, received=sent - loss.lost))
         return loss.lost == 0
 
@@ -166,16 +135,8 @@ def rfc2544_throughput(
 
     # Latency at the found throughput (RFC 2544 §26.2).
     measure_load = max(best, resolution)
-    __, __, packets = _run_trial(
-        switch_factory or default_switch_factory(),
-        frame_size,
-        measure_load,
-        duration_ps,
-        with_timestamps=True,
-    )
+    __, __, packets = _run_trial(*setup, measure_load, with_timestamps=True)
     latency = latency_from_capture(packets).summary
-    from ..units import line_rate_goodput_bps
-
     return ThroughputResult(
         frame_size=frame_size,
         throughput_load=best,

@@ -96,7 +96,8 @@ def line_rate_point(
     connect(tester.port(0), tester.port(1))
     connect(tester.port(2), tester.port(3))
     if telemetry:
-        tester.start_telemetry()
+        # The line-rate frames carry no TX stamps: nothing to bin.
+        tester.start_telemetry(latency_offset=None)
     active = [0] if ports == 1 else list(range(ports))
     generators = []
     for port_index in active:

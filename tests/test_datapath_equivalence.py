@@ -5,16 +5,14 @@ for the per-packet generator process: same counters, same histograms,
 same telemetry snapshots, same final simulated time on every workload —
 including mid-run counter reads, `stop()` drains, FIFO-saturating
 schedules and latency measurement. Workloads that arm an observation
-point (spans, capture, faults on the loopback link) must transparently
-fall back to the per-packet path and still agree; an armed tracer reads
-no packets and keeps the burst path. These tests run the same workload
-under both `REPRO_DATAPATH` settings and assert the full observable
-state matches exactly — the same pattern tests/test_sim_queue_equivalence.py
-applies to the event queues. `TestSerialLane` drives the serial lane
-with scripted gaps that queue, drop and tie with the MAC's chain events.
-`TestLatencyRunBinning` holds the burst lane's closed-form RX latency
-binning to the per-frame loop it replaces, including runs where float
-rounding puts a reading across a tick edge.
+point (spans, capture, latency histograms, faults on the loopback link)
+must transparently fall back to the per-packet path and still agree; an
+armed tracer reads no packets and keeps the burst path. These tests run
+the same workload under both `REPRO_DATAPATH` settings and assert the
+full observable state matches exactly — the same pattern
+tests/test_sim_queue_equivalence.py applies to the event queues.
+`TestSerialLane` drives the serial lane with scripted gaps that queue,
+drop and tie with the MAC's chain events.
 """
 
 import dataclasses
@@ -23,20 +21,18 @@ import random
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.faults import FaultInjector
 from repro.hw import TimestampUnit, connect
-from repro.hw.burst import BurstLane, bin_latency_run
-from repro.hw.oscillator import Oscillator
+from repro.hw.burst import BurstLane
 from repro.hw.timestamp import ps_to_raw
 from repro.net import Packet
 from repro.obs import SpanRecorder
 from repro.osnt import OSNT
 from repro.osnt.generator import PortGenerator
 from repro.osnt.generator.schedule import PoissonGaps, Schedule
-from repro.osnt.monitor.capture import LATENCY_SANITY_PS
 from repro.sim import Simulator
-from repro.telemetry import LogLinearHistogram, Tracer, WaveformRecorder
+from repro.telemetry import Tracer, WaveformRecorder
 from repro.testbed.rfc2544 import rfc2544_point
 from repro.testbed.scenarios import legacy_latency_point, line_rate_point
 from repro.testbed.workloads import udp_template
@@ -258,8 +254,7 @@ class TestLoopbackWorkloads:
     def _static_stamp_run(self, stamp_ps=0, offset=42, events=()):
         """1 ms of 64 B line rate whose template carries a fixed TX stamp
         of ``stamp_ps``, into a latency-armed monitor; ``events`` are
-        ``(time, callback(tester))`` pairs scheduled mid-run. The lane
-        stays on the burst path: it bins each delivery run in closed form."""
+        ``(time, callback(tester))`` pairs scheduled mid-run."""
         data = bytearray(udp_template(64).data)
         data[42:50] = ps_to_raw(stamp_ps).to_bytes(8, "big")
 
@@ -274,45 +269,47 @@ class TestLoopbackWorkloads:
 
         return self._loopback(configure)
 
-    def test_latency_armed_with_a_static_stamp(self, monkeypatch):
-        """Deliveries before the stamp read negative deltas and are
-        skipped; the rest bin."""
-        state = _assert_equivalent(
-            lambda: self._static_stamp_run(stamp_ps=us(300)), monkeypatch
-        )
-        assert state["m1.lat_skipped"] > 0
-        assert state["m1.latency"]["count"] > 0
+    #: A frequency steer and a backward phase step mid-run.
+    CLOCK_STEPS = (
+        (us(200), lambda tester: tester.device.oscillator.adjust_rate(4e-4)),
+        (us(450), lambda tester: tester.device.oscillator.step_phase(-12_345)),
+        (us(700), lambda tester: tester.device.oscillator.adjust_rate(-9e-4)),
+    )
+    FROZEN_COUNTER = (
+        (us(300), lambda tester: tester.device.timestamp_unit.freeze()),
+        (us(600), lambda tester: tester.device.timestamp_unit.unfreeze()),
+    )
 
-    def test_latency_stamp_that_does_not_fit_the_frame(self, monkeypatch):
-        # 60 data bytes: an 8-byte stamp at offset 56 runs past the end.
+    @pytest.mark.parametrize(
+        "run, expect",
+        [
+            # Deliveries before the stamp read negative deltas and are
+            # skipped; the rest bin.
+            pytest.param({"stamp_ps": us(300)}, "some_skipped", id="static_stamp"),
+            # 60 data bytes: an 8-byte stamp at offset 56 runs past the end.
+            pytest.param({"offset": 56}, "all_skipped", id="past_end"),
+            pytest.param({"events": CLOCK_STEPS}, "all_binned", id="clock_steps"),
+            pytest.param({"events": FROZEN_COUNTER}, "all_binned", id="frozen_clock"),
+        ],
+    )
+    def test_latency_armed_falls_back(self, run, expect, monkeypatch, audits):
+        """An armed latency histogram reads every frame's TX stamp: the
+        lane falls back and the capture path bins frame by frame."""
         state = _assert_equivalent(
-            lambda: self._static_stamp_run(offset=56), monkeypatch
+            lambda: self._static_stamp_run(**run), monkeypatch
         )
-        assert state["m1.lat_skipped"] == state["g0.stats"][0]
-        assert state["m1.latency"]["count"] == 0
-
-    def test_latency_armed_across_clock_steps(self, monkeypatch):
-        """A frequency steer and a backward phase step mid-run start new
-        oscillator segments; every delivery run still bins exactly."""
-        events = (
-            (us(200), lambda tester: tester.device.oscillator.adjust_rate(4e-4)),
-            (us(450), lambda tester: tester.device.oscillator.step_phase(-12_345)),
-            (us(700), lambda tester: tester.device.oscillator.adjust_rate(-9e-4)),
-        )
-        state = _assert_equivalent(
-            lambda: self._static_stamp_run(events=events), monkeypatch
-        )
-        assert state["m1.latency"]["count"] == state["g0.stats"][0]
-
-    def test_latency_armed_across_a_frozen_counter(self, monkeypatch):
-        events = (
-            (us(300), lambda tester: tester.device.timestamp_unit.freeze()),
-            (us(600), lambda tester: tester.device.timestamp_unit.unfreeze()),
-        )
-        state = _assert_equivalent(
-            lambda: self._static_stamp_run(events=events), monkeypatch
-        )
-        assert state["m1.latency"]["count"] == state["g0.stats"][0]
+        assert audits == [False]
+        sent = state["g0.stats"][0]
+        binned = state["m1.latency"]["count"]
+        skipped = state["m1.lat_skipped"]
+        if expect == "some_skipped":
+            assert skipped > 0
+            assert binned > 0
+        elif expect == "all_skipped":
+            assert skipped == sent
+            assert binned == 0
+        else:
+            assert binned == sent
 
     def test_fifo_overflow_accounting(self, monkeypatch, audits):
         """A tiny TX FIFO fed faster than line rate drops frames; drop
@@ -357,7 +354,7 @@ class _Scripted(Schedule):
         self.index = 0
 
 
-def _scripted_run(impl, size, gaps, count, fifo_bytes, keep_every, stamp, steps, stop):
+def _scripted_run(impl, size, gaps, count, fifo_bytes, keep_every, steps, stop):
     """Counters and waveforms at each ``run(until=)`` step and at the end."""
     sim = Simulator()
     recorder = WaveformRecorder(keep_every=keep_every).arm(sim) if keep_every else None
@@ -365,13 +362,9 @@ def _scripted_run(impl, size, gaps, count, fifo_bytes, keep_every, stamp, steps,
     connect(tester.port(0), tester.port(1))
     if fifo_bytes is not None:
         tester.port(0).tx.fifo.capacity_bytes = fifo_bytes
-    data = bytearray(udp_template(size).data)
-    if stamp is not None:
-        data[42:50] = ps_to_raw(stamp).to_bytes(8, "big")
-        tester.monitor(1).enable_latency()
     tester.device.generator(0).datapath_impl = impl
     generator = tester.generator(0)
-    generator.load_template(Packet(bytes(data)), count=count)
+    generator.load_template(udp_template(size), count=count)
     generator.use_model(_Scripted(gaps)).start()
     snapshots = []
     for until in steps + [None]:
@@ -407,16 +400,15 @@ def _scripted_workloads(draw):
         "count": count,
         "fifo_bytes": None if frames is None else frames * size + 7,
         "keep_every": draw(st.sampled_from([0, 1, 3])),
-        "stamp": draw(st.none() | times),
         "steps": steps,
         "stop": bool(steps) and draw(st.booleans()),
     }
 
 
 def _serial_case(**case):
-    """A 64 B scripted workload without waves, latency or snapshots."""
-    base = dict(size=64, count=12, fifo_bytes=None, keep_every=0, stamp=None,
-                steps=[], stop=False)
+    """A 64 B scripted workload without waves or snapshots."""
+    base = dict(size=64, count=12, fifo_bytes=None, keep_every=0, steps=[],
+                stop=False)
     return dict(base, **case)
 
 
@@ -534,6 +526,22 @@ class TestObservationPointFallback:
         state, __ = _assert_equivalent(workload, monkeypatch)
         assert state["p1.rx"][0] < state["g0.stats"][0]  # losses happened
 
+    def test_latency_armed_mid_run_raises(self, monkeypatch):
+        """The lane's frames were never stamped: latency armed on the far
+        monitor while the lane is active must raise, not bin them."""
+        monkeypatch.setenv("REPRO_DATAPATH", "burst")
+        sim = Simulator()
+        tester = OSNT(sim)
+        connect(tester.port(0), tester.port(1))
+        generator = tester.generator(0)
+        generator.load_template(udp_template(64))
+        generator.at_line_rate().for_duration(ms(1))
+        generator.start()
+        sim.run(until=us(10))  # lane audited clean and engaged
+        tester.monitor(1).enable_latency()
+        with pytest.raises(SimulationError, match="latency"):
+            sim.run()
+
     def test_tracer_armed_keeps_the_burst_lane(self, monkeypatch, audits):
         """The tracer reads no packets: an armed one leaves the lane on
         the burst path, every counter still matches the per-packet path,
@@ -578,10 +586,15 @@ class TestScenarioEquivalence:
         row, extras = _assert_equivalent(workload, monkeypatch)
         assert row.achieved_pps > 1e6
         if telemetry:
-            assert "osnt.time_ps" in extras["telemetry"]
+            snapshot = extras["telemetry"]
+            assert "osnt.time_ps" in snapshot
+            # Unstamped frames: no latency histogram is armed.
+            for port in range(4):
+                assert snapshot[f"osnt.p{port}.mon.latency_ps"]["count"] == 0
+                assert snapshot[f"osnt.p{port}.mon.latency_skipped"] == 0
 
     def test_e1_multi_port(self, monkeypatch):
-        # 3 ms spans three telemetry windows, so each lane's latency
+        # 3 ms spans three telemetry windows, so each lane's delivery
         # runs are cut at the rate ticks.
         for frame_size, duration_ps in ((512, ms(1)), (1518, ms(3))):
 
@@ -614,122 +627,6 @@ class TestScenarioEquivalence:
 
         result = _assert_equivalent(workload, monkeypatch)
         assert result.throughput_load > 0
-
-
-# -- closed-form RX latency binning ------------------------------------
-
-
-def _unit(clock, anchor=0.0, rate=1.0):
-    """A timestamp unit whose oscillator segment starts at true time 0
-    with device reading ``anchor`` and slope ``rate``; ``"bare"`` has no
-    oscillator and ``"frozen"`` latches the anchor's reading."""
-    sim = Simulator()
-    oscillator = Oscillator(sim)
-    oscillator._anchor_device = anchor
-    oscillator._rate = rate
-    unit = TimestampUnit(sim, None if clock == "bare" else oscillator)
-    if clock == "frozen":
-        unit.freeze()
-    return unit
-
-
-def _binned(unit, stamp, sanity, d0, count, stride):
-    histogram = LogLinearHistogram(unit="ps")
-    skipped = bin_latency_run(unit, histogram, stamp, sanity, d0, count, stride)
-    return histogram.to_dict(), skipped
-
-
-def _per_frame(unit, stamp, sanity, d0, count, stride):
-    """The reference: the capture path's per-packet latency loop."""
-    histogram = LogLinearHistogram(unit="ps")
-    skipped = 0
-    for k in range(count):
-        delta = unit.now_ps_at(d0 + k * stride) - stamp
-        if 0 <= delta <= sanity:
-            histogram.record(delta)
-        else:
-            skipped += 1
-    return histogram.to_dict(), skipped
-
-
-#: The oscillator slopes an OSNT card runs at: a 30 ppm crystal, steered
-#: within the GPS servo's 500 ppm clamp.
-RATES = (1.0, 1 + 3e-5, 1 - 3e-5, 1 + 5e-4, 1 - 5e-4)
-
-
-class TestLatencyRunBinning:
-    """A burst lane bins a delivery run's RX latencies in closed form;
-    the result must equal the per-frame loop's, histogram and skips."""
-
-    @seed(2015)
-    @settings(max_examples=300, deadline=None)
-    @given(
-        clock=st.sampled_from(["oscillator", "oscillator", "bare", "frozen"]),
-        anchor=st.floats(min_value=0, max_value=1e12)
-        | st.integers(min_value=0, max_value=10**12).map(float),
-        rate=st.sampled_from(RATES),
-        first=st.integers(min_value=0, max_value=10**10),
-        stride=st.sampled_from([0, 1, 6_250, 67_200])
-        | st.integers(min_value=1, max_value=10**6),
-        count=st.integers(min_value=1, max_value=3_000),
-        data=st.data(),
-    )
-    def test_matches_the_per_frame_loop(
-        self, clock, anchor, rate, first, stride, count, data
-    ):
-        unit = _unit(clock, anchor, rate)
-        # A stamp near some frame's reading puts the lower sanity edge
-        # inside the run, and a bound up to the run's span the upper one.
-        # That frame's latency may also sit on either side of a bucket
-        # edge, (32 + offset) << shift at the default 5 subbucket bits.
-        lead = data.draw(st.integers(min_value=0, max_value=count - 1))
-        latency = data.draw(
-            st.integers(min_value=-10_000, max_value=10_000)
-            | st.builds(
-                lambda offset, shift, below: ((32 + offset) << shift) - below,
-                st.integers(min_value=0, max_value=31),
-                st.integers(min_value=1, max_value=36),
-                st.sampled_from([0, 1]),
-            )
-        )
-        stamp = max(0, unit.now_ps_at(first + lead * stride) - latency)
-        sanity = data.draw(
-            st.just(LATENCY_SANITY_PS)
-            | st.integers(min_value=0, max_value=count * stride + 10_000)
-        )
-        args = (stamp, sanity, first, count, stride)
-        assert _binned(unit, *args) == _per_frame(unit, *args)
-
-    def test_clock_running_backward(self):
-        """A negative rate reads backward along the run, which is then
-        walked from its end; both sanity edges fall inside this run."""
-        unit = _unit("oscillator", anchor=1e11, rate=-(1 + 3e-5))
-        stamp = unit.now_ps_at(10**6 + 600 * 67_200)
-        args = (stamp, 2 * 10**7, 10**6, 1_000, 67_200)
-        binned = _binned(unit, *args)
-        assert binned == _per_frame(unit, *args)
-        assert 0 < binned[0]["count"] < 1_000
-
-    @pytest.mark.parametrize("x", [300_000_007, 1_000_012_345, 123_456_789_012])
-    @pytest.mark.parametrize("stride", [1, 67_200])
-    def test_reading_rounded_across_a_tick_edge(self, x, stride):
-        """Rate ``M / 2**52`` puts ``x * r`` a hair below the edge
-        ``h = 6250 * j - 1/2``; the float product rounds onto ``h`` and
-        ``round`` lifts it to the next tick, one tick above the exact
-        floor sum. The run must fall back and still match."""
-        edges = 0
-        for j in range(x // 6_250, x // 6_250 + 100):
-            rate_num, remainder = divmod((12_500 * j - 1) << 51, x)
-            if remainder >= x // 4:
-                continue
-            unit = _unit("oscillator", rate=rate_num / 2**52)
-            exact = 6_250 * ((2 * x * rate_num + 2**52) // (12_500 * 2**52))
-            assert unit.now_ps_at(x) == exact + 6_250
-            # Frame 3 of the run arrives at x.
-            args = (0, LATENCY_SANITY_PS, x - 3 * stride, 8, stride)
-            assert _binned(unit, *args) == _per_frame(unit, *args)
-            edges += 1
-        assert edges > 5
 
 
 # -- the escape hatch ---------------------------------------------------

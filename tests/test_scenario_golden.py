@@ -141,8 +141,8 @@ GOLDEN = {
     "legacy_latency-0": "b518827df9ea78813146b975948562b149373ff33f1c5142c553a0f4c0d88aea",
     "legacy_latency-1": "7bd1bf6aa6c424011012f0a8205ae52e0860989a6a7c242b23dee80521f5f235",
     "legacy_latency-pinned_seed": "7a6fe0085b7620b00678ea09ac8bd3c4fba6bb65ef643d92261f9d2de1457712",
-    "line_rate-0": "cbd95a35c0453348c934fac9e90609b4bc804eabd0b23542c3fdb3a38283e6cc",
-    "line_rate-1": "be4171796394d782f8442e7a9f0313c7bc5a0662e0f42c7acd4fb8062b02be94",
+    "line_rate-0": "5ba86b901e16c773cf5c09afdb10668431198a93b58c9a2eef82563a0482cd21",
+    "line_rate-1": "9ff1a1f3dcd473736c2d46e68acdd245a9f0f3547547212607accd1ecbfd111d",
     "lossy_link_latency-0": "a764cbb1cd7fd9673a5bfee4b3d227c94d6d223b21aadac7e142e23e4873ab8f",
     "lossy_link_latency-1": "a2889a5a2d5339e46b0188785c0f2818ade6f107e181765c055c8b767bbbae15",
     "lossy_link_latency-default_loss_rate": "e9320797e1b919f67c07362f7f3d8f5403d445e54af7e885ece27d2f55961841",

@@ -235,22 +235,18 @@ class TestMultiCardSync:
 
 class TestRfc2544:
     def test_nonblocking_switch_full_line_rate(self):
-        from repro.testbed import rfc2544_throughput
+        from repro.testbed import rfc2544_point
 
-        result = rfc2544_throughput(512, duration_ps=ms(1))
+        result = rfc2544_point(512, duration_ps=ms(1))
         assert result.throughput_load == 1.0
         assert result.latency_mean_us < 5
         assert len(result.trials) == 1  # line rate passed first try
 
     def test_oversubscribed_fabric_found(self):
-        from repro.testbed import default_switch_factory, rfc2544_throughput
+        from repro.testbed import rfc2544_point
         from repro.units import GBPS
 
-        result = rfc2544_throughput(
-            512,
-            switch_factory=default_switch_factory(fabric_rate_bps=5 * GBPS),
-            duration_ps=ms(2),
-        )
+        result = rfc2544_point(512, fabric_rate_bps=5 * GBPS, duration_ps=ms(2))
         # The binary search converges near the 5G fabric limit (short
         # trials overshoot slightly while buffers absorb the excess).
         assert 0.45 < result.throughput_load < 0.62
@@ -260,20 +256,14 @@ class TestRfc2544:
         )
 
     def test_lower_fabric_lower_throughput(self):
-        from repro.testbed import default_switch_factory, rfc2544_throughput
+        from repro.testbed import rfc2544_point
         from repro.units import GBPS
 
-        fast = rfc2544_throughput(
-            512,
-            switch_factory=default_switch_factory(fabric_rate_bps=6 * GBPS),
-            duration_ps=ms(1),
-            resolution=0.05,
+        fast = rfc2544_point(
+            512, fabric_rate_bps=6 * GBPS, duration_ps=ms(1), resolution=0.05
         )
-        slow = rfc2544_throughput(
-            512,
-            switch_factory=default_switch_factory(fabric_rate_bps=3 * GBPS),
-            duration_ps=ms(1),
-            resolution=0.05,
+        slow = rfc2544_point(
+            512, fabric_rate_bps=3 * GBPS, duration_ps=ms(1), resolution=0.05
         )
         assert slow.throughput_load < fast.throughput_load
 
