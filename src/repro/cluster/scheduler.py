@@ -24,7 +24,7 @@ import traceback
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
-from ..errors import FaultError, SweepError
+from ..errors import ConfigError, FaultError, SweepError
 from ..obs.flight import DEFAULT_HEARTBEAT_S, HeartbeatWriter, heartbeat_path
 from ..runner.execution import run_shard
 from ..runner.report import STATUS_FAILED, STATUS_OK, ShardResult
@@ -51,9 +51,10 @@ def _run_attempt(
 
     The payload is ``{"status": "ok", "result": ...}``, or a failure
     with its error text, traceback and ``retry`` flag. A spec the
-    scenario rejects (:class:`~repro.errors.SweepError`) or a fault
-    spec that does not arm (:class:`~repro.errors.FaultError`) fails
-    the same way on every attempt, so it is not retried. With
+    scenario rejects (:class:`~repro.errors.SweepError`), a value it
+    refuses (:class:`~repro.errors.ConfigError`) or a fault spec that
+    does not arm (:class:`~repro.errors.FaultError`) fails the same way
+    on every attempt, so it is not retried. With
     ``flight_path`` set, a :class:`~repro.obs.HeartbeatWriter` ticks in
     a daemon thread for the flight tailer.
     """
@@ -71,7 +72,7 @@ def _run_attempt(
             "status": STATUS_FAILED,
             "error": f"{type(exc).__name__}: {exc}",
             "traceback": traceback.format_exc(),
-            "retry": not isinstance(exc, (SweepError, FaultError)),
+            "retry": not isinstance(exc, (SweepError, FaultError, ConfigError)),
         }
     finally:
         if writer is not None:

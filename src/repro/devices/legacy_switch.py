@@ -24,7 +24,7 @@ from ..hw.port import EthernetPort
 from ..net.fields import is_multicast_mac, mac_to_str
 from ..net.packet import Packet
 from ..sim import Simulator
-from ..units import TEN_GBPS, ns, seconds
+from ..units import TEN_GBPS, ns, seconds, wire_time_ps
 
 
 class MacTable:
@@ -138,8 +138,6 @@ class LegacySwitch:
             # Its input buffering is bounded: above capacity the backlog
             # fills and frames tail-drop, which is what an RFC 2544
             # search detects as the achievable bandwidth.
-            from ..units import wire_time_ps
-
             frame_bytes = packet.frame_length
             if self._fabric_backlog_bytes + frame_bytes > self.fabric_buffer_bytes:
                 self.dropped_fabric += 1

@@ -6,9 +6,11 @@ the standard way to do that is RFC 2544: binary-search the highest
 offered load the DUT forwards with zero loss (throughput), then report
 latency at that rate.
 
-Each trial builds a fresh testbed (RFC 2544 trials are independent),
-offers a fixed load of one frame size for the trial duration, and
-counts sequence-numbered frames end to end.
+Each trial builds a fresh testbed (RFC 2544 trials are independent)
+and offers a fixed load of one frame size for the trial duration. A
+search trial counts frames as RFC 2544 §26.1 does: the generator's
+sent count against the monitor's hardware RX counter, with host capture
+off. Only the final latency trial embeds TX timestamps and captures.
 """
 
 from __future__ import annotations
@@ -16,17 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..analysis.latency import latency_from_capture, loss_from_sequence_numbers
+from ..analysis.latency import latency_from_capture
 from ..devices.legacy_switch import LegacySwitch
-from ..osnt.generator.field_modifiers import SequenceNumber
+from ..errors import ConfigError
 from ..sim import RandomStreams, Simulator
 from ..units import line_rate_goodput_bps, ms
 from .topology import legacy_testbed
 from .workloads import udp_template
-
-#: Where the sequence number lives in the probe frames (clear of the
-#: default timestamp offset at 42..49).
-SEQUENCE_OFFSET = 54
 
 
 @dataclass
@@ -67,33 +65,28 @@ def _run_trial(
         fabric_rate_bps=fabric_rate_bps,
         rng=RandomStreams(switch_seed).stream("sw"),
     )
-    # Generous DMA: the tester's own capture path must not lose packets,
-    # or capture loss would be misattributed to the DUT. Cutting to 64
-    # bytes keeps both the timestamp (42..49) and sequence (54..57).
+    # Generous DMA for the latency trial's capture: the tester's own
+    # capture path must not lose stamped frames.
     bed = legacy_testbed(
         sim, switch=switch, dma_bandwidth_bps=40e9, dma_ring_slots=1 << 14
     )
     bed.teach_mac_table("02:00:00:00:00:02")
-    bed.monitor.start_capture(snaplen=64)
     generator = bed.generator
-    generator.load_template(
-        udp_template(frame_size),
-        modifiers=[SequenceNumber(SEQUENCE_OFFSET)],
-    )
+    generator.load_template(udp_template(frame_size))
     if load >= 1.0:
         generator.at_line_rate()
     else:
         generator.set_load(load)
     if with_timestamps:
+        # A search trial reads the monitor's RX counter, which counts
+        # every frame with capture off. Cutting the latency trial's
+        # capture to 64 bytes keeps the timestamp (42..49).
+        bed.monitor.start_capture(snaplen=64)
         generator.embed_timestamps()
     generator.for_duration(duration_ps)
     generator.start()
     sim.run()
-    sent = generator.packets_sent
-    loss = loss_from_sequence_numbers(
-        bed.monitor.packets, offset=SEQUENCE_OFFSET, expected_count=sent
-    )
-    return sent, loss, bed.monitor.packets
+    return generator.packets_sent, bed.monitor
 
 
 def rfc2544_point(
@@ -108,17 +101,22 @@ def rfc2544_point(
     The DUT is a :class:`~repro.devices.LegacySwitch` with a
     ``fabric_rate_bps`` fabric (``None``: non-blocking) and RNG seed
     ``switch_seed``, built afresh for every trial. ``resolution`` is the
-    search's load granularity (fraction of line rate). The returned
-    latency figures are measured in a final trial at the found rate with
-    embedded timestamps.
+    search's load granularity (fraction of line rate, in (0, 1)) and
+    ``duration_ps`` must be positive. The returned latency figures are
+    measured in a final trial at the found rate with embedded
+    timestamps.
     """
+    if not 0 < resolution < 1:
+        raise ConfigError(f"resolution must be in (0, 1), got {resolution!r}")
+    if not duration_ps > 0:
+        raise ConfigError(f"duration must be positive, got {duration_ps!r} ps")
     trials: List[Trial] = []
     setup = (frame_size, fabric_rate_bps, switch_seed, duration_ps)
 
     def lossless_at(load: float) -> bool:
-        sent, loss, __ = _run_trial(*setup, load, with_timestamps=False)
-        trials.append(Trial(load=load, sent=sent, received=sent - loss.lost))
-        return loss.lost == 0
+        sent, monitor = _run_trial(*setup, load, with_timestamps=False)
+        trials.append(Trial(load=load, sent=sent, received=monitor.rx_packets))
+        return trials[-1].lossless
 
     low, high = 0.0, 1.0
     if lossless_at(1.0):
@@ -135,8 +133,8 @@ def rfc2544_point(
 
     # Latency at the found throughput (RFC 2544 §26.2).
     measure_load = max(best, resolution)
-    __, __, packets = _run_trial(*setup, measure_load, with_timestamps=True)
-    latency = latency_from_capture(packets).summary
+    __, monitor = _run_trial(*setup, measure_load, with_timestamps=True)
+    latency = latency_from_capture(monitor.packets).summary
     return ThroughputResult(
         frame_size=frame_size,
         throughput_load=best,

@@ -395,9 +395,10 @@ class TestFaultTolerance:
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_rejected_params_are_not_retried(self, workers):
-        """A scenario that rejects its params (here a misspelled key)
-        fails the same way on every attempt: one attempt per shard, and
-        the shard table shows the whole error, accepted keys included."""
+        """A scenario that rejects its params (a misspelled key, or a
+        value its point function refuses) fails the same way on every
+        attempt: one attempt per shard, and the shard table shows the
+        whole error, accepted keys included."""
         spec = ExperimentSpec(
             name="typo",
             scenario="line_rate",
@@ -413,6 +414,20 @@ class TestFaultTolerance:
         summary = report.summary()
         assert "unknown key 'durations'; accepted:" in summary
         assert "frame_size" in summary
+
+        for scenario in ("line_rate", "rfc2544"):
+            spec = ExperimentSpec(
+                name="negative",
+                scenario=scenario,
+                params={"duration": -5, "frame_size": 64},
+                retries=1,
+                timeout_s=30.0,
+            )
+            report = run_spec(spec, workers=workers)
+            (shard,) = report.shards
+            assert shard.attempts == 1
+            assert report.scheduler_stats.get("retried", 0) == 0
+            assert shard.error.startswith("ConfigError: duration must be non-negative")
 
 
 class TestReport:

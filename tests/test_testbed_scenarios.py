@@ -267,6 +267,52 @@ class TestRfc2544:
         )
         assert slow.throughput_load < fast.throughput_load
 
+    def test_only_latency_trial_captures(self, monkeypatch):
+        """Search trials count frames at the monitor's RX counter; host
+        capture is armed once, for the final latency trial."""
+        from repro.osnt.api import TrafficMonitor
+        from repro.testbed import rfc2544_point
+        from repro.units import GBPS
+
+        snaplens = []
+        start_capture = TrafficMonitor.start_capture
+
+        def counting(monitor, snaplen=None, **kwargs):
+            snaplens.append(snaplen)
+            return start_capture(monitor, snaplen, **kwargs)
+
+        monkeypatch.setattr(TrafficMonitor, "start_capture", counting)
+        result = rfc2544_point(256, fabric_rate_bps=5 * GBPS, duration_ps=us(500))
+        assert snaplens == [64]
+        assert len(result.trials) == 8
+        assert any(not trial.lossless for trial in result.trials)
+        assert all(0 < trial.received <= trial.sent for trial in result.trials)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"resolution": 0},
+            {"resolution": -0.1},
+            {"resolution": 1.0},
+            {"resolution": float("nan")},
+            {"duration_ps": 0, "resolution": 0.25},
+            {"duration_ps": -5},
+        ],
+        ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_degenerate_inputs_rejected(self, monkeypatch, kwargs):
+        """A non-positive resolution never ends a lossy search, and an
+        empty trial has no latency: both are rejected before the first
+        trial, so a stubbed trial fails the test instead of hanging it."""
+        import repro.testbed.rfc2544 as rfc2544
+
+        def no_trial(*args, **kw):
+            raise AssertionError("rfc2544_point ran a trial")
+
+        monkeypatch.setattr(rfc2544, "_run_trial", no_trial)
+        with pytest.raises(ConfigError):
+            rfc2544.rfc2544_point(64, **kwargs)
+
 
 class TestFabricModel:
     def test_fabric_drops_counted(self):
