@@ -3,21 +3,45 @@
 Lookup follows the 1.0 spec: the highest-priority matching entry wins
 (exact-match entries effectively sort above wildcards because they are
 installed with distinct priorities by controllers; here priority alone
-decides, spec-style). Modification commands implement the ADD / MODIFY /
-MODIFY_STRICT / DELETE / DELETE_STRICT semantics, including overlap
-checking and capacity limits — a full table is how OFLOPS provokes
+decides, spec-style), and among equal priorities the first in table
+order. Modification commands implement the ADD / MODIFY / MODIFY_STRICT
+/ DELETE / DELETE_STRICT semantics, including overlap checking and
+capacity limits — a full table is how OFLOPS provokes
 ``OFPFMFC_ALL_TABLES_FULL`` errors.
+
+Lookup is a tuple-space search: one dict per rule *shape* (the fields a
+rule fixes and its nw prefix lengths) maps projected field values to the
+best entry, so a lookup is one hash probe per shape. The index is rebuilt
+at the first lookup after a mutation bumps :attr:`FlowTable.version`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List, Optional
 
 from ..errors import OpenFlowError
+from ..net.fields import ipv4_to_int
 from ..openflow import constants as ofp
-from ..openflow.actions import Action
+from ..openflow.actions import Action, OutputAction
 from ..openflow.match import Match
+
+#: (wildcard bit, field) of the ten fields a rule fixes or leaves wild
+#: whole; nw_src and nw_dst wildcard by prefix length instead.
+_SIMPLE_FIELDS = (
+    (ofp.OFPFW_IN_PORT, "in_port"),
+    (ofp.OFPFW_DL_SRC, "dl_src"),
+    (ofp.OFPFW_DL_DST, "dl_dst"),
+    (ofp.OFPFW_DL_VLAN, "dl_vlan"),
+    (ofp.OFPFW_DL_VLAN_PCP, "dl_vlan_pcp"),
+    (ofp.OFPFW_DL_TYPE, "dl_type"),
+    (ofp.OFPFW_NW_TOS, "nw_tos"),
+    (ofp.OFPFW_NW_PROTO, "nw_proto"),
+    (ofp.OFPFW_TP_SRC, "tp_src"),
+    (ofp.OFPFW_TP_DST, "tp_dst"),
+)
+_SIMPLE_BITS = sum(bit for bit, _ in _SIMPLE_FIELDS)
 
 
 @dataclass
@@ -62,6 +86,10 @@ class FlowTable:
         #: Bumped on every mutation (add/modify/delete/expire). Lookup
         #: memoizers key their caches on this to stay coherent.
         self.version = 0
+        #: One (projection, bucket) per rule shape; a bucket maps field
+        #: values to the winning ((-priority, position), entry).
+        self._index: List[tuple] = []
+        self._index_version = -1
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -69,19 +97,40 @@ class FlowTable:
     # -- datapath ---------------------------------------------------------
 
     def lookup(self, key: Match, now_ps: int, nbytes: int = 0) -> Optional[FlowEntry]:
-        """Highest-priority entry matching an exact ``key``."""
+        """Highest-priority entry matching an exact ``key``; the first in
+        table order wins a tie."""
         self.lookups += 1
-        best: Optional[FlowEntry] = None
-        for entry in self.entries:
-            if entry.match.matches(key):
-                if best is None or entry.priority > best.priority:
-                    best = entry
+        if self._index_version != self.version:
+            self._build_index()
+        best = None
+        for project, bucket in self._index:
+            held = bucket.get(project(key))
+            if held is not None and (best is None or held[0] < best[0]):
+                best = held
         if best is None:
             self.misses += 1
-        else:
-            self.hits += 1
-            best.note_hit(now_ps, nbytes)
-        return best
+            return None
+        self.hits += 1
+        best[1].note_hit(now_ps, nbytes)
+        return best[1]
+
+    def _build_index(self) -> None:
+        shapes = {}
+        for position, entry in enumerate(self.entries):
+            match = entry.match
+            shape = (match.wildcards & _SIMPLE_BITS, match.nw_src_prefix_len,
+                     match.nw_dst_prefix_len)
+            slot = shapes.get(shape)
+            if slot is None:
+                slot = shapes[shape] = (_projection(*shape), {})
+            project, bucket = slot
+            value = project(match)
+            rank = (-entry.priority, position)
+            held = bucket.get(value)
+            if held is None or rank < held[0]:
+                bucket[value] = (rank, entry)
+        self._index = list(shapes.values())
+        self._index_version = self.version
 
     # -- modification -----------------------------------------------------
 
@@ -93,10 +142,11 @@ class FlowTable:
                     existing.match, entry.match
                 ):
                     raise OverlapError("overlapping entry at equal priority")
+        strict_key = entry.match.normalised_tuple()
         for index, existing in enumerate(self.entries):
             if (
                 existing.priority == entry.priority
-                and existing.match.is_strict_equal(entry.match)
+                and existing.match.normalised_tuple() == strict_key
             ):
                 self.entries[index] = entry  # ADD over identical = replace
                 self.version += 1
@@ -167,6 +217,25 @@ class FlowTable:
         return expired
 
 
+def _projection(simple_wild: int, src_len: int, dst_len: int):
+    """The key of one rule shape: a match's fixed simple fields, plus the
+    top ``*_len`` bits of nw_src / nw_dst for each nonzero prefix."""
+    names = [name for bit, name in _SIMPLE_FIELDS if not simple_wild & bit]
+    fields = attrgetter(*names) if names else (lambda match: ())
+    if not (src_len or dst_len):
+        return fields
+    src_shift, dst_shift = 32 - src_len, 32 - dst_len
+
+    def project(match: Match) -> tuple:
+        return (
+            fields(match),
+            ipv4_to_int(match.nw_src) >> src_shift if src_len else None,
+            ipv4_to_int(match.nw_dst) >> dst_shift if dst_len else None,
+        )
+
+    return project
+
+
 def _mod_selects(
     entry: FlowEntry, match: Match, priority: int, out_port: int, strict: bool
 ) -> bool:
@@ -181,8 +250,6 @@ def _mod_selects(
         if not _subsumes(match, entry.match):
             return False
     if out_port != ofp.OFPP_NONE:
-        from ..openflow.actions import OutputAction
-
         if not any(
             isinstance(action, OutputAction) and action.port == out_port
             for action in entry.actions
@@ -193,19 +260,7 @@ def _mod_selects(
 
 def _subsumes(filter_match: Match, entry_match: Match) -> bool:
     """True if every constraint of ``filter_match`` holds for the entry."""
-    simple = [
-        (ofp.OFPFW_IN_PORT, "in_port"),
-        (ofp.OFPFW_DL_SRC, "dl_src"),
-        (ofp.OFPFW_DL_DST, "dl_dst"),
-        (ofp.OFPFW_DL_VLAN, "dl_vlan"),
-        (ofp.OFPFW_DL_VLAN_PCP, "dl_vlan_pcp"),
-        (ofp.OFPFW_DL_TYPE, "dl_type"),
-        (ofp.OFPFW_NW_TOS, "nw_tos"),
-        (ofp.OFPFW_NW_PROTO, "nw_proto"),
-        (ofp.OFPFW_TP_SRC, "tp_src"),
-        (ofp.OFPFW_TP_DST, "tp_dst"),
-    ]
-    for bit, name in simple:
+    for bit, name in _SIMPLE_FIELDS:
         if not filter_match.wildcards & bit:
             if entry_match.wildcards & bit:
                 return False
@@ -217,8 +272,6 @@ def _subsumes(filter_match: Match, entry_match: Match) -> bool:
         if filter_len:
             if entry_len < filter_len:
                 return False
-            from ..net.fields import ipv4_to_int
-
             mask = ((1 << filter_len) - 1) << (32 - filter_len)
             filter_ip = ipv4_to_int(getattr(filter_match, f"nw_{which}"))
             entry_ip = ipv4_to_int(getattr(entry_match, f"nw_{which}"))
@@ -233,24 +286,10 @@ def _overlaps(first: Match, second: Match) -> bool:
     Conservative field-by-field check: they overlap unless some field is
     fixed to different values in both.
     """
-    simple = [
-        (ofp.OFPFW_IN_PORT, "in_port"),
-        (ofp.OFPFW_DL_SRC, "dl_src"),
-        (ofp.OFPFW_DL_DST, "dl_dst"),
-        (ofp.OFPFW_DL_VLAN, "dl_vlan"),
-        (ofp.OFPFW_DL_VLAN_PCP, "dl_vlan_pcp"),
-        (ofp.OFPFW_DL_TYPE, "dl_type"),
-        (ofp.OFPFW_NW_TOS, "nw_tos"),
-        (ofp.OFPFW_NW_PROTO, "nw_proto"),
-        (ofp.OFPFW_TP_SRC, "tp_src"),
-        (ofp.OFPFW_TP_DST, "tp_dst"),
-    ]
-    for bit, name in simple:
+    for bit, name in _SIMPLE_FIELDS:
         if not first.wildcards & bit and not second.wildcards & bit:
             if getattr(first, name) != getattr(second, name):
                 return False
-    from ..net.fields import ipv4_to_int
-
     for which in ("src", "dst"):
         common = min(
             getattr(first, f"nw_{which}_prefix_len"),

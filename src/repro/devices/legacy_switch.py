@@ -24,7 +24,7 @@ from ..hw.port import EthernetPort
 from ..net.fields import is_multicast_mac, mac_to_str
 from ..net.packet import Packet
 from ..sim import Simulator
-from ..units import TEN_GBPS, ns, seconds, wire_time_ps
+from ..units import TEN_GBPS, WireTimeTable, ns, seconds
 
 
 class MacTable:
@@ -40,13 +40,13 @@ class MacTable:
         self.evicted = 0
 
     def learn(self, mac: str, port: int, now: int) -> None:
-        if mac not in self._entries and len(self._entries) >= self.capacity:
-            # Evict the oldest entry (hardware uses hash buckets; oldest
-            # is a fair stand-in with the same "table full" consequence).
-            oldest = min(self._entries, key=lambda m: self._entries[m][1])
-            del self._entries[oldest]
-            self.evicted += 1
         if mac not in self._entries:
+            if len(self._entries) >= self.capacity:
+                # Evict the oldest entry (hardware uses hash buckets; oldest
+                # is a fair stand-in with the same "table full" consequence).
+                oldest = min(self._entries, key=lambda m: self._entries[m][1])
+                del self._entries[oldest]
+                self.evicted += 1
             self.learned += 1
         self._entries[mac] = (port, now)
 
@@ -90,9 +90,6 @@ class LegacySwitch:
         self.name = name
         self.switching_latency_ps = switching_latency_ps
         self.latency_jitter_ps = latency_jitter_ps
-        #: Aggregate forwarding capacity. ``None`` = non-blocking fabric;
-        #: a value below num_ports x line rate models an oversubscribed
-        #: switch, whose achievable bandwidth RFC 2544 searches find.
         self.fabric_rate_bps = fabric_rate_bps
         self.fabric_buffer_bytes = buffer_bytes_per_port
         self._fabric_clear_ps = 0
@@ -120,6 +117,17 @@ class LegacySwitch:
         # entries never go stale; the dict is merely bounded.
         self._hdr_cache: Dict[bytes, Tuple[str, str, bool]] = {}
 
+    @property
+    def fabric_rate_bps(self) -> Optional[float]:
+        """Aggregate forwarding capacity; ``None`` = non-blocking. Below
+        num_ports x line rate it models an oversubscribed switch, whose
+        achievable bandwidth RFC 2544 searches find."""
+        return self._crossing_ps.rate_bps
+
+    @fabric_rate_bps.setter
+    def fabric_rate_bps(self, rate_bps: Optional[float]) -> None:
+        self._crossing_ps = WireTimeTable(rate_bps)
+
     def port(self, index: int) -> EthernetPort:
         return self.ports[index]
 
@@ -143,7 +151,7 @@ class LegacySwitch:
                 self.dropped_fabric += 1
                 return
             self._fabric_backlog_bytes += frame_bytes
-            crossing = wire_time_ps(frame_bytes, self.fabric_rate_bps)
+            crossing = self._crossing_ps[frame_bytes]
             start = max(self.sim.now + delay, self._fabric_clear_ps)
             self._fabric_clear_ps = start + crossing
             delay = (start + crossing) - self.sim.now

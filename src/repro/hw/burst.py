@@ -68,7 +68,6 @@ from collections import deque
 from typing import Optional
 
 from ..errors import ConfigError, SimulationError
-from ..units import ETH_PREAMBLE_BYTES, frame_wire_bytes, wire_time_ps
 
 #: Selectable datapath implementations (see module docstring). Burst is
 #: the default (like the timing-wheel event queue); ``REPRO_DATAPATH=packet``
@@ -285,10 +284,7 @@ class BurstLane:
         # Packet.frame_length semantics: FCS included, sub-minimum
         # frames padded to 64 — the value every stock counter records.
         self.flen = max(len(self.data) + 4, 64)
-        self.fwb = frame_wire_bytes(self.flen)
-        rate = tx.rate_bps
-        self.slot = wire_time_ps(self.fwb, rate)
-        self.serialize = wire_time_ps(ETH_PREAMBLE_BYTES + max(self.flen, 64), rate)
+        self.serialize, self.slot, self.fwb = tx.wire_times[self.flen]
         self.dconst = self.serialize + tx._delivery_delay_ps
         self.capacity = tx.fifo.capacity_bytes
         self.schedule = engine.schedule

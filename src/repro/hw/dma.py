@@ -17,7 +17,7 @@ from typing import Callable, Deque, Optional
 from ..errors import ConfigError
 from ..net.packet import Packet
 from ..sim import Simulator
-from ..units import GBPS, wire_time_ps
+from ..units import GBPS, WireTimeTable
 
 #: OSNT prepends a metadata word (timestamp, port, caplen) to each
 #: captured packet; descriptors add further per-packet PCIe overhead.
@@ -70,6 +70,15 @@ class DmaEngine:
         self._stalled_until = 0
         self._slot_clamp: Optional[int] = None
         self._waves_cache = None
+
+    @property
+    def bandwidth_bps(self) -> float:
+        """Host-link bandwidth; assigning it starts a fresh transfer-time table."""
+        return self._transfer_ps.rate_bps
+
+    @bandwidth_bps.setter
+    def bandwidth_bps(self, rate_bps: float) -> None:
+        self._transfer_ps = WireTimeTable(rate_bps)
 
     def _wave_ring(self, waves):
         """The ring-depth waveform under the armed recorder."""
@@ -166,8 +175,7 @@ class DmaEngine:
         if self.sim.now < self._stalled_until:
             self.sim.call_at(self._stalled_until, self._start_next)
             return
-        packet = self._ring[0]
-        transfer_ps = wire_time_ps(self._transfer_bytes(packet), self.bandwidth_bps)
+        transfer_ps = self._transfer_ps[self._transfer_bytes(self._ring[0])]
         self.sim.call_after(transfer_ps, self._complete)
 
     def _complete(self) -> None:

@@ -11,13 +11,14 @@ which is also the instant the OSNT monitor timestamps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..net.packet import Packet
 from ..sim import Simulator
 from ..units import (
     ETH_PREAMBLE_BYTES,
     TEN_GBPS,
+    WireTimeTable,
     frame_wire_bytes,
     wire_time_ps,
 )
@@ -46,14 +47,6 @@ class MacStats:
     first_activity_ps: Optional[int] = None
     last_activity_ps: Optional[int] = None
 
-    def note(self, now: int, frame_bytes: int) -> None:
-        self.packets += 1
-        self.bytes += frame_bytes
-        self.wire_bytes += frame_wire_bytes(frame_bytes)
-        if self.first_activity_ps is None:
-            self.first_activity_ps = now
-        self.last_activity_ps = now
-
     def register_metrics(self, registry, prefix: str) -> None:
         """Publish these counters as pull gauges under ``prefix``."""
         registry.gauge(f"{prefix}.packets", lambda: self.packets)
@@ -63,6 +56,17 @@ class MacStats:
         registry.gauge(f"{prefix}.drops.overflow", lambda: self.drops_overflow)
         registry.gauge(f"{prefix}.drops.injected", lambda: self.drops_injected)
         registry.gauge(f"{prefix}.busy_ps", lambda: self.busy_ps)
+
+
+def _frame_wire_times(frame_len: int, rate_bps: float) -> Tuple[int, int, int]:
+    """(serialize_ps, slot_ps, wire_bytes) of one frame. The last bit leaves
+    after preamble + padded frame; the IFG only gates the *next* start."""
+    wire_bytes = frame_wire_bytes(frame_len)
+    return (
+        wire_time_ps(ETH_PREAMBLE_BYTES + max(frame_len, 64), rate_bps),
+        wire_time_ps(wire_bytes, rate_bps),
+        wire_bytes,
+    )
 
 
 class TxMac:
@@ -98,6 +102,16 @@ class TxMac:
         #: (recorder, fifo waveform, wire-rate waveform) cache — rebuilt
         #: when a different WaveformRecorder is armed on the simulator.
         self._waves_cache = None
+
+    @property
+    def rate_bps(self) -> float:
+        """Line rate; assigning it starts a fresh :attr:`wire_times` table."""
+        return self.wire_times.rate_bps
+
+    @rate_bps.setter
+    def rate_bps(self, rate_bps: float) -> None:
+        #: frame length -> (serialize_ps, slot_ps, wire_bytes) at this rate.
+        self.wire_times = WireTimeTable(rate_bps, _frame_wire_times)
 
     def attach_delivery(self, deliver: Callable[[Packet], None], propagation_ps: int) -> None:
         self._deliver = deliver
@@ -155,15 +169,16 @@ class TxMac:
         if self.on_start_of_frame is not None:
             self.on_start_of_frame(packet)
         frame_len = packet.frame_length
-        # Last bit leaves after preamble + padded frame; the IFG only
-        # gates when the *next* frame may start.
-        preamble_and_frame = ETH_PREAMBLE_BYTES + max(frame_len, 64)
-        serialize_ps = wire_time_ps(preamble_and_frame, self.rate_bps)
-        wire_bytes = frame_wire_bytes(frame_len)
-        slot_ps = wire_time_ps(wire_bytes, self.rate_bps)
+        serialize_ps, slot_ps, wire_bytes = self.wire_times[frame_len]
         now = self.sim.now
-        self.stats.note(now, frame_len)
-        self.stats.busy_ps += slot_ps
+        stats = self.stats
+        stats.packets += 1
+        stats.bytes += frame_len
+        stats.wire_bytes += wire_bytes
+        stats.busy_ps += slot_ps
+        if stats.first_activity_ps is None:
+            stats.first_activity_ps = now
+        stats.last_activity_ps = now
         waves = self.sim.waves
         if waves is not None:
             cache = self._waves_cache
@@ -199,7 +214,15 @@ class RxMac:
 
     def receive(self, packet: Packet) -> None:
         now = self.sim.now
-        self.stats.note(now, packet.frame_length)
+        frame_len = packet.frame_length
+        wire_bytes = frame_wire_bytes(frame_len)
+        stats = self.stats
+        stats.packets += 1
+        stats.bytes += frame_len
+        stats.wire_bytes += wire_bytes
+        if stats.first_activity_ps is None:
+            stats.first_activity_ps = now
+        stats.last_activity_ps = now
         waves = self.sim.waves
         if waves is not None:
             cache = self._waves_cache
@@ -208,7 +231,7 @@ class RxMac:
                     waves,
                     waves.rate_series(f"{self.name}.wire_bytes", unit="bytes").record,
                 )
-            cache[1](now, frame_wire_bytes(packet.frame_length))
+            cache[1](now, wire_bytes)
         spans = self.sim.spans
         if spans is not None:
             spans.hop(now, packet, "mac_rx", {"mac": self.name})

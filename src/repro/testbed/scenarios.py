@@ -260,6 +260,8 @@ def legacy_latency_point(
     1.0 the queue saturates: latency plateaus at the buffer depth and
     the switch drops — exactly the shape a hardware DUT shows.
     """
+    if not duration_ps > 0:
+        raise ConfigError(f"duration must be positive, got {duration_ps!r} ps")
     sim = Simulator()
     switch = LegacySwitch(
         sim, rng=RandomStreams(switch_seed).stream("sw"), **(switch_kwargs or {})
@@ -489,6 +491,8 @@ def timestamp_placement_point(
 ) -> Tuple[PlacementRow, Extras]:
     """One E7 point: hardware vs host-side latency spread at one load —
     quantifying the "queueing noise" the MAC-side stamp eliminates."""
+    if not duration_ps > 0:
+        raise ConfigError(f"duration must be positive, got {duration_ps!r} ps")
     sim = Simulator()
     switch = LegacySwitch(sim, rng=RandomStreams(switch_seed).stream("sw"))
     bed = legacy_testbed(
@@ -556,6 +560,8 @@ def router_latency_point(
     reflects the LPM walk depth — the router-specific effect a tester
     can resolve thanks to sub-µs timestamping.
     """
+    if not duration_ps > 0:
+        raise ConfigError(f"duration must be positive, got {duration_ps!r} ps")
     from ..devices.router import Router
 
     sim = Simulator()

@@ -206,6 +206,22 @@ def wire_time_ps(nbytes: int, rate_bps: float) -> int:
     return quotient
 
 
+class WireTimeTable(dict):
+    """``cost(nbytes, rate_bps)`` memoized by byte count, at one fixed rate.
+
+    A device has one rate and a run sees few frame lengths. An owner
+    whose rate changes starts a fresh table."""
+
+    def __init__(self, rate_bps: float, cost=wire_time_ps) -> None:
+        super().__init__()
+        self.rate_bps = rate_bps
+        self.cost = cost
+
+    def __missing__(self, nbytes: int):
+        value = self[nbytes] = self.cost(nbytes, self.rate_bps)
+        return value
+
+
 # -- Ethernet framing constants ---------------------------------------------
 
 #: Preamble (7) + start-frame delimiter (1).

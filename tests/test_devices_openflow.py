@@ -147,6 +147,33 @@ class TestFlowTable:
         assert len(expired) == 1
         assert expired[0][1] == ofp.OFPRR_IDLE_TIMEOUT
 
+    def test_full_table_lookup_calls_no_match(self, monkeypatch):
+        """A lookup probes one hash bucket per rule shape: at capacity
+        (4,095 rules of one shape plus a catch-all) it returns the right
+        entry without calling ``Match.matches`` on any rule."""
+        table = FlowTable()
+        for port in range(table.capacity - 1):
+            table.add(
+                FlowEntry(
+                    match=Match.exact(dl_type=0x0800, nw_proto=17, tp_dst=port),
+                    priority=100 + port,
+                    actions=[OutputAction(2)],
+                )
+            )
+        catch_all = table.add(FlowEntry(match=Match(), priority=1))
+        assert len(table) == table.capacity
+        calls = []
+        original = Match.matches
+        monkeypatch.setattr(
+            Match, "matches", lambda rule, key: calls.append(rule) or original(rule, key)
+        )
+        udp = Match(wildcards=0, dl_type=0x0800, nw_proto=17, tp_dst=1234)
+        tcp = Match(wildcards=0, dl_type=0x0800, nw_proto=6, tp_dst=1234)
+        assert table.lookup(udp, now_ps=0) is table.entries[1234]
+        assert table.lookup(tcp, now_ps=0) is catch_all
+        assert calls == []
+        assert (table.lookups, table.hits, table.misses) == (2, 2, 0)
+
 
 class SwitchRig:
     """An OF switch with a recording controller and endpoint ports."""

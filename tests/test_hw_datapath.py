@@ -187,6 +187,33 @@ class TestMacTiming:
         sim.run()
         assert arrivals == [ns(576)]
 
+    def test_rate_assigned_after_build_retimes_later_frames(self):
+        """A topology link sets ``tx.rate_bps`` on MACs that already
+        exist: frames sent afterwards serialize, occupy the serializer
+        and count wire bytes at the new rate, not a remembered one."""
+        sim = Simulator()
+        a, b = linked_pair(sim, propagation_ps=0)
+        arrivals = []
+        b.add_rx_sink(lambda p: arrivals.append(sim.now))
+        a.send(build_udp(frame_size=64))
+        sim.run()
+        for port in (a, b):  # as Topology._build_link assigns a link rate
+            port.rate_bps = GBPS
+            port.tx.rate_bps = GBPS
+        start = sim.now
+        a.send(build_udp(frame_size=64))
+        a.send(build_udp(frame_size=1518))
+        sim.run()
+        # 10G: preamble + 64 B frame = 57.6 ns. 1G: ten times that, and
+        # the 1518 B frame starts one 84-byte slot (672 ns) later.
+        assert arrivals[0] == ns(57.6)
+        assert arrivals[1] - start == ns(576)
+        assert arrivals[2] - start == ns(672) + wire_time_ps(8 + 1518, GBPS)
+        assert a.tx.stats.busy_ps == (
+            wire_time_ps(84, TEN_GBPS) + wire_time_ps(84, GBPS) + wire_time_ps(1538, GBPS)
+        )
+        assert a.tx.stats.wire_bytes == b.rx.stats.wire_bytes == 84 + 84 + 1538
+
 
 class TestWireByteAccounting:
     """``MacStats.wire_bytes`` tracks padded wire bytes (frame + padding

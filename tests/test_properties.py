@@ -6,7 +6,7 @@ wire format, schedule arithmetic, and FIFO conservation.
 """
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.devices import FlowEntry, FlowTable
 from repro.net import Packet, build_udp
@@ -153,6 +153,141 @@ class TestFlowTableProperties:
             except TableFullError:
                 pass
             assert len(table) <= 5
+
+
+#: Few values per field, so rules share shapes, collide and overlap,
+#: and random keys hit them.
+few_ips = st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.1.1", "10.1.0.1", "192.168.0.1"])
+few_priorities = st.sampled_from([1, 2, 0x8000])
+timeouts_s = st.integers(min_value=0, max_value=2)
+
+
+@st.composite
+def table_rules(draw):
+    """Matches of mixed shapes over few values, with nw prefixes.
+
+    A /0 prefix wildcards the address under another wildcard encoding
+    than an omitted one: the two rules match alike but are not strict
+    duplicates, so equal-priority ties inside one shape occur."""
+    fields = {}
+    for name, values in (
+        ("in_port", st.integers(min_value=1, max_value=2)),
+        ("dl_type", st.just(0x0800)),
+        ("nw_proto", st.sampled_from([6, 17])),
+        ("tp_dst", st.integers(min_value=5000, max_value=5001)),
+    ):
+        if draw(st.booleans()):
+            fields[name] = draw(values)
+    prefixes = {}
+    for name in ("nw_src", "nw_dst"):
+        prefix_len = draw(st.sampled_from([None, 0, 8, 16, 24, 32]))
+        if prefix_len is not None:
+            fields[name] = draw(few_ips)
+            prefixes[name] = prefix_len
+    match = Match.exact(**fields)
+    if "nw_src" in prefixes:
+        match.set_nw_src_prefix(prefixes["nw_src"])
+    if "nw_dst" in prefixes:
+        match.set_nw_dst_prefix(prefixes["nw_dst"])
+    return match
+
+
+@st.composite
+def table_keys(draw):
+    """Exact keys over the same few values."""
+    return Match(
+        wildcards=0,
+        in_port=draw(st.integers(min_value=1, max_value=2)),
+        dl_type=draw(st.sampled_from([0x0800, 0x0806])),
+        nw_proto=draw(st.sampled_from([6, 17])),
+        tp_dst=draw(st.integers(min_value=5000, max_value=5001)),
+        nw_src=draw(few_ips),
+        nw_dst=draw(few_ips),
+    )
+
+
+table_adds = st.tuples(st.just("add"), table_rules(), few_priorities, timeouts_s, timeouts_s)
+table_ops = st.one_of(
+    table_adds,
+    st.tuples(st.just("replace"), st.integers(min_value=0, max_value=63)),
+    st.tuples(st.just("modify"), table_rules(), few_priorities, st.booleans()),
+    st.tuples(st.just("delete"), table_rules(), few_priorities, st.booleans()),
+    st.tuples(st.just("expire")),
+)
+
+
+class TestFlowTableClassifier:
+    """The tuple-space index against the scan it replaced."""
+
+    @staticmethod
+    def scan(table, key):
+        """The first highest-priority matching entry in table order."""
+        best = None
+        for entry in table.entries:
+            if entry.match.matches(key) and (best is None or entry.priority > best.priority):
+                best = entry
+        return best
+
+    @settings(max_examples=200, deadline=None)
+    # A tie across shapes: the first in table order wins, even when its
+    # shape's first rule comes after the other shape's.
+    @example(
+        adds=[
+            ("add", Match.exact(tp_dst=5000), 2, 0, 0),
+            ("add", Match.exact(dl_type=0x0800), 2, 0, 0),
+            ("add", Match.exact(tp_dst=5001), 2, 0, 0),
+        ],
+        ops=[],
+        keys=[Match(wildcards=0, dl_type=0x0800, tp_dst=5001)],
+    )
+    @given(
+        st.lists(table_adds, min_size=4, max_size=12),
+        st.lists(table_ops, max_size=16),
+        st.lists(table_keys(), min_size=4, max_size=8),
+    )
+    def test_lookup_agrees_with_scan_after_every_mutation(self, adds, ops, keys):
+        from repro.devices import TableFullError
+
+        table = FlowTable(capacity=16)
+        now = 0
+        counts = [0, 0, 0]  # lookups, hits, misses
+        for op in adds + ops:
+            if op[0] == "add":
+                __, match, priority, hard_s, idle_s = op
+                try:
+                    table.add(
+                        FlowEntry(
+                            match=match,
+                            priority=priority,
+                            actions=[OutputAction(1)],
+                            hard_timeout=hard_s,
+                            idle_timeout=idle_s,
+                            installed_at_ps=now,
+                            last_used_ps=now,
+                        )
+                    )
+                except TableFullError:
+                    pass
+            elif op[0] == "replace" and table.entries:
+                # ADD over an identical rule: a fresh entry takes its slot.
+                old = table.entries[op[1] % len(table.entries)]
+                copy = Match.unpack(old.match.pack())
+                table.add(FlowEntry(match=copy, priority=old.priority, actions=[OutputAction(2)]))
+            elif op[0] == "modify":
+                __, match, priority, strict = op
+                table.modify(match, priority, [OutputAction(3)], strict)
+            elif op[0] == "delete":
+                __, match, priority, strict = op
+                table.delete(match, priority, strict=strict)
+            elif op[0] == "expire":
+                now += 10**12
+                table.expire(now)
+            for key in keys:
+                want = self.scan(table, key)
+                assert table.lookup(key, now) is want
+                counts[0] += 1
+                counts[1 if want is not None else 2] += 1
+            assert [table.lookups, table.hits, table.misses] == counts
 
 
 class TestScheduleProperties:

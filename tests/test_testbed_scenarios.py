@@ -21,6 +21,7 @@ from repro.testbed import (
     measure_forwarding_consistency,
     multi_flow_source,
     openflow_testbed,
+    router_latency_point,
     timestamp_placement_point,
 )
 from repro.sim import Simulator
@@ -199,6 +200,31 @@ class TestE7TimestampPlacement:
         # statistics blow up with DMA/host queueing.
         assert high.hw_std_us < 0.1
         assert high.host_std_us > low.host_std_us
+
+
+class TestLatencyPointDurations:
+    @pytest.mark.parametrize("duration_ps", [0, -5])
+    @pytest.mark.parametrize(
+        "point, args",
+        [
+            (legacy_latency_point, (64, 0.5)),
+            (timestamp_placement_point, (0.5,)),
+            (router_latency_point, (8,)),
+        ],
+        ids=["e3", "e7", "e9"],
+    )
+    def test_non_positive_duration_rejected(self, monkeypatch, point, args, duration_ps):
+        """A run that sends no probe has no latency to report: E3, E7 and
+        E9 refuse it before building a testbed, so a stubbed simulator
+        fails the test instead of an AttributeError deep in a summary."""
+        import repro.testbed.scenarios as scenarios
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the point built a simulator")
+
+        monkeypatch.setattr(scenarios, "Simulator", no_build)
+        with pytest.raises(ConfigError, match="duration must be positive"):
+            point(*args, duration_ps=duration_ps)
 
 
 class TestTopologies:
