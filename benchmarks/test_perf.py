@@ -31,7 +31,7 @@ from repro.obs import SimProfiler, SpanRecorder, observe_simulators
 from repro.osnt import OSNT
 from repro.runner import ExperimentSpec, run_spec
 from repro.sim import Simulator
-from repro.telemetry import Tracer, Waveform, WaveformRecorder
+from repro.telemetry import Tracer, WaveformRecorder
 from repro.testbed.scenarios import legacy_latency_point
 from repro.testbed.workloads import udp_template
 from repro.units import ms
@@ -234,23 +234,6 @@ def disarmed(name=None):
     yield chained(sim)
 
 
-def constant_run(closed_form=False, n=10_000):
-    """Side: a constant run of ``n`` samples 100 ps apart, the wire-rate
-    shape where every sample after the first is suppressed. Fed sample
-    by sample, or folded by ``record_run`` in constant time, which keeps
-    burst lanes O(1) per window. Work: one run."""
-    wave = Waveform("run")
-    yield
-    if closed_form:
-        wave.record(0, 512)
-        wave.record_run(100, n - 1, 100, 512, 0)
-    else:
-        for i in range(n):
-            wave.record(i * 100, 512)
-    yield 1
-    return tuple(wave.points()), wave.recorded
-
-
 # -- sweeps ------------------------------------------------------------------
 
 
@@ -346,8 +329,6 @@ BUDGETS = [
     ("profiler-disarmed/chained", disarmed, partial(disarmed, "profiler"), ("<", 1.05), 7),
     ("spans-disarmed/chained", disarmed, partial(disarmed, "spans"), ("<", 1.05), 7),
     ("waves-disarmed/chained", disarmed, partial(disarmed, "waves"), ("<", 1.05), 10),
-    ("closed-form-run/waveform", partial(constant_run, closed_form=True), constant_run,
-     (">=", 10.0), 1),
     # About ten times a development machine's wall time: only a real
     # regression (per-segment allocation, timer churn, O(n^2) reassembly)
     # trips it.

@@ -20,7 +20,6 @@ older source tree.
 Layout of a store directory::
 
     store/
-      index.jsonl              # one append-only line per put (advisory)
       objects/ab/ab12...ef.json  # the entry, fan-out by key prefix
 
 Entries are written atomically (temp file + fsync + rename) and carry
@@ -46,7 +45,6 @@ from ..spec import digest
 from .version import code_version
 
 _OBJECTS = "objects"
-_INDEX = "index.jsonl"
 #: Store format version, embedded in every entry.
 STORE_VERSION = 1
 
@@ -140,7 +138,6 @@ class ResultStore:
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.objects = self.directory / _OBJECTS
-        self.index_path = self.directory / _INDEX
         try:
             self.objects.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -200,21 +197,7 @@ class ResultStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
-        self._index_append(
-            {
-                "key": key,
-                "scenario": scenario,
-                "created_s": entry["created_s"],
-                "bytes": path.stat().st_size,
-            }
-        )
         return True
-
-    def _index_append(self, line: Dict[str, Any]) -> None:
-        # O_APPEND single-line writes are atomic enough for an advisory
-        # index; gc() rewrites it from the objects (the ground truth).
-        with open(self.index_path, "a") as handle:
-            handle.write(json.dumps(line, sort_keys=True) + "\n")
 
     # -- read ----------------------------------------------------------------
 
@@ -261,7 +244,7 @@ class ResultStore:
             yield path
 
     def stats(self) -> StoreStats:
-        """Scan the objects tree (not the advisory index) and summarize."""
+        """Scan the objects tree and summarize."""
         stats = StoreStats()
         now = time.time()
         for path in self._iter_entries():
@@ -290,12 +273,10 @@ class ResultStore:
         Corrupt/quarantined entries are always removed. Temp files that
         a writer killed inside :meth:`put` left behind are removed once
         they are older than the same age (a younger one may belong to a
-        live writer) and reported by file name. The advisory index is
-        rewritten from the surviving objects afterwards.
+        live writer) and reported by file name.
         """
         cutoff = time.time() - parse_age_s(older_than_s)
         removed: List[str] = []
-        survivors: List[Dict[str, Any]] = []
         for path in self._iter_entries():
             try:
                 entry = json.loads(path.read_text())
@@ -309,15 +290,6 @@ class ResultStore:
                 removed.append(entry.get("key", path.stem))
                 if not dry_run:
                     path.unlink(missing_ok=True)
-            else:
-                survivors.append(
-                    {
-                        "key": entry.get("key", path.stem),
-                        "scenario": entry.get("scenario", ""),
-                        "created_s": created,
-                        "bytes": path.stat().st_size,
-                    }
-                )
         for orphan in sorted(self.objects.glob("??/.*.tmp.*")):
             try:
                 if orphan.stat().st_mtime >= cutoff:
@@ -330,11 +302,4 @@ class ResultStore:
         if not dry_run:
             for stale in self.objects.glob("??/*.corrupt"):
                 stale.unlink(missing_ok=True)
-            tmp = self.directory / f".{_INDEX}.tmp.{os.getpid()}"
-            with open(tmp, "w") as handle:
-                for line in survivors:
-                    handle.write(json.dumps(line, sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.index_path)
         return removed

@@ -164,8 +164,9 @@ class FlowTable:
         fall back to an ADD, per the 1.0 spec).
         """
         changed = 0
+        strict_key = match.normalised_tuple() if strict else None
         for entry in self.entries:
-            if _mod_selects(entry, match, priority, ofp.OFPP_NONE, strict):
+            if _mod_selects(entry, match, strict_key, priority, ofp.OFPP_NONE):
                 entry.actions = list(actions)
                 changed += 1
         if changed:
@@ -180,10 +181,11 @@ class FlowTable:
         strict: bool = False,
     ) -> List[FlowEntry]:
         """DELETE(_STRICT): remove matching entries; returns them."""
+        strict_key = match.normalised_tuple() if strict else None
         removed = [
             entry
             for entry in self.entries
-            if _mod_selects(entry, match, priority, out_port, strict)
+            if _mod_selects(entry, match, strict_key, priority, out_port)
         ]
         if removed:
             self.entries = [entry for entry in self.entries if entry not in removed]
@@ -237,10 +239,15 @@ def _projection(simple_wild: int, src_len: int, dst_len: int):
 
 
 def _mod_selects(
-    entry: FlowEntry, match: Match, priority: int, out_port: int, strict: bool
+    entry: FlowEntry,
+    match: Match,
+    strict_key: Optional[tuple],
+    priority: int,
+    out_port: int,
 ) -> bool:
-    if strict:
-        if entry.priority != priority or not entry.match.is_strict_equal(match):
+    if strict_key is not None:
+        # Strict: the command's ``normalised_tuple()``, built once per command.
+        if entry.priority != priority or entry.match.normalised_tuple() != strict_key:
             return False
     else:
         # Non-strict: the command's match acts as a filter; entries whose

@@ -15,16 +15,15 @@ Full :class:`~repro.net.packet.Packet` objects are never materialized on
 an eligible lane; observation points that need them (capture buffers,
 spans, filters, fault hooks) make a lane ineligible and it falls back
 to the stock per-packet path, so results stay bit-identical by
-construction (proven by tests/test_datapath_equivalence.py). An armed
-in-band latency histogram is one of them: a lane exists only while the
-generator's TX timestamper is off, so its frames carry no TX stamp, and
-only the capture path bins latency, frame by frame. Two observation
-planes stay on the fast path. The tracer (``sim.tracer``) reads no
-packets, so it records the controller events an eligible lane actually
-runs. The waveform recorder (``sim.waves``) needs only scalar state, so
-eligible lanes feed it closed-form runs that reproduce the per-packet
-probes' sample streams bit-identically (also proven by the equivalence
-tests).
+construction (proven by tests/test_datapath_equivalence.py). Two more
+observation planes make a lane fall back. An armed in-band latency
+histogram: a lane exists only while the generator's TX timestamper is
+off, so its frames carry no TX stamp, and only the capture path bins
+latency, frame by frame. An armed waveform recorder (``sim.waves``):
+the per-packet probes in the MACs, the DMA engine, the switches and the
+flow transports are the one producer of waveforms. The tracer
+(``sim.tracer``) reads no packets, so it stays on the fast path and
+records the controller events an eligible lane actually runs.
 
 Constant-gap schedules and exactly periodic trains that never queue
 advance in closed form. Any other schedule (Poisson gaps, scripted
@@ -177,8 +176,8 @@ class BurstLane:
     lanes spawn the stock per-packet process instead (in registration
     order, preserving the packet datapath's scheduling order). Cheap
     invariants are re-checked every window; a mid-run violation (e.g.
-    host capture or latency enabled while a lane is active) fails loudly
-    rather than silently dropping observations.
+    host capture, latency or a waveform recorder armed while a lane is
+    active) fails loudly rather than silently dropping observations.
     """
 
     def __init__(self, controller: BurstController, engine) -> None:
@@ -191,28 +190,6 @@ class BurstLane:
         self.finished = False
         self.pending_finish_at: Optional[int] = None
         self.tx = None
-        self._tx_waves_cache = None
-
-    def _tx_waves(self):
-        """The TX MAC's ``(fifo_bytes, wire_bytes)`` waveforms.
-
-        An armed :class:`repro.telemetry.WaveformRecorder` (``sim.waves``)
-        deliberately does NOT appear in the eligibility audit: unlike
-        spans it needs no materialized packets, so the lane stays on the
-        closed-form path and reconstructs the exact per-packet sample
-        streams from parked scalar state. Call only with a recorder
-        armed and a sample to record: like :meth:`TxMac.enqueue`, that
-        registers the series at their first sample.
-        """
-        waves = self.sim.waves
-        cache = self._tx_waves_cache
-        if cache is None or cache[0] is not waves:
-            cache = self._tx_waves_cache = (
-                waves,
-                waves.series(f"{self.tx.name}.fifo_bytes", unit="bytes"),
-                waves.rate_series(f"{self.tx.name}.wire_bytes", unit="bytes"),
-            )
-        return cache
 
     # -- eligibility -------------------------------------------------------
 
@@ -234,6 +211,7 @@ class BurstLane:
             )
         ok = (
             sim.spans is None
+            and sim.waves is None
             # Closed-loop sources (repro.flows transports) react to
             # every delivery; batched window advancement is unsafe
             # anywhere in the same simulation.
@@ -349,6 +327,7 @@ class BurstLane:
         pipeline = self.pipeline
         ok = (
             sim.spans is None
+            and sim.waves is None
             and not getattr(sim, "_closed_loop_sources", 0)
             and not self.link._impairments
             and self.link.bit_error_rate == 0
@@ -373,9 +352,9 @@ class BurstLane:
         if not ok:
             raise SimulationError(
                 f"generator {engine.name!r}: observation point armed while a "
-                "burst-datapath lane is active (spans/capture/latency/faults/"
-                "flow transports must be configured before start, or run "
-                "with REPRO_DATAPATH=packet)"
+                "burst-datapath lane is active (spans/waveforms/capture/latency/"
+                "faults/flow transports must be configured before start, or "
+                "run with REPRO_DATAPATH=packet)"
             )
 
     def _fallback(self) -> None:
@@ -461,7 +440,6 @@ class BurstLane:
         # The open delivery run ends at the last accepted frame's
         # delivery, one slot before ``clear + queued * slot + dconst``.
         d0, n = parked.pop()[:2] if parked else (clear + queued * slot + dconst, 0)
-        waves = self.sim.waves
         dropped = peak = 0
         fresh = True  # w is a new generator step, not a zero-gap push
         while w < stop_w and index < stop_index:
@@ -477,8 +455,6 @@ class BurstLane:
                     m = (due - clear) // slot + 1
                     if m > queued:
                         m = queued
-                    if waves is not None:
-                        self._record_starts(clear, m, queued)
                     queued -= m
                     clear += m * slot
             if queued >= room:
@@ -487,8 +463,6 @@ class BurstLane:
                 queued += 1
                 if queued > peak:
                     peak = queued
-                if waves is not None:
-                    self._tx_waves()[1].record(w, queued * flen)
                 n += 1
             else:
                 # The frame finds the serializer idle and starts now; its
@@ -499,11 +473,6 @@ class BurstLane:
                     d0, n = w + dconst, 0
                 n += 1
                 clear = w + slot
-                if waves is not None:
-                    __, fifo_wave, wire_wave = self._tx_waves()
-                    fifo_wave.record(w, flen)
-                    fifo_wave.record(w, 0)
-                    wire_wave.record(w, self.fwb)
             index += 1
             gap = gap_after(flen)
             fresh = gap > 0
@@ -563,13 +532,6 @@ class BurstLane:
             s_last = w + (n - 1) * gap
             self._note_sent(n, flen)
             self._note_starts(n, w, s_last)
-            if self.sim.waves is not None:
-                # Per frame the packet path pushes (occupancy flen) and
-                # immediately pops back to 0 at the same instant, and
-                # clocks one wire-slot of bytes at the start time.
-                __, fifo_wave, wire_wave = self._tx_waves()
-                fifo_wave.record_toggle_run(w, n, gap, flen, 0)
-                wire_wave.record_run(w, n, gap, self.fwb)
             self.clear = clear = s_last + self.slot
             if clear > self.last_event_time:
                 self.last_event_time = clear
@@ -632,14 +594,10 @@ class BurstLane:
             dconst = self.dconst
             t0 = self.t0
             parked = self.parked
-            waves = self._tx_waves() if self.sim.waves is not None else None
             for burst in range(i // n, last // n + 1):
                 lo = max(i, burst * n)
                 hi = min(last, burst * n + n - 1)
                 s0 = t0 + burst * period + (lo - burst * n) * intra
-                if waves is not None:
-                    waves[1].record_toggle_run(s0, hi - lo + 1, intra, flen, 0)
-                    waves[2].record_run(s0, hi - lo + 1, intra, self.fwb)
                 parked.append((s0 + dconst, hi - lo + 1, intra))
             d_last = s_last + dconst
             if d_last > self.last_event_time:
@@ -676,12 +634,6 @@ class BurstLane:
             txs.first_activity_ps = first
         txs.last_activity_ps = last
 
-    def _record_starts(self, clear: int, m: int, queued: int) -> None:
-        """Waveform samples of ``m`` back-to-back starts from ``clear``."""
-        __, fifo_wave, wire_wave = self._tx_waves()
-        fifo_wave.record_run(clear, m, self.slot, (queued - 1) * self.flen, -self.flen)
-        wire_wave.record_run(clear, m, self.slot, self.fwb)
-
     def _drain_starts(self, t) -> None:
         """Start serialization of queued frames whose start time is <= t."""
         queued = self.queued
@@ -692,8 +644,6 @@ class BurstLane:
         if m > queued:
             m = queued
         self._note_starts(m, clear, clear + (m - 1) * self.slot)
-        if self.sim.waves is not None:
-            self._record_starts(clear, m, queued)
         self.queued = queued = queued - m
         self.clear = clear + m * self.slot
         self.fifo.occupancy_bytes = queued * self.flen
@@ -701,17 +651,12 @@ class BurstLane:
     def _apply_deliveries(self, limit) -> None:
         """Apply RX-side effects for deliveries strictly before ``limit``.
 
-        The RX MAC and monitor counters take one update for all the runs;
-        an armed waveform recorder takes one closed-form run each.
+        The RX MAC and monitor counters take one update for all the runs.
         """
         parked = self.parked
         if not parked or parked[0][0] >= limit:
             return
         first = parked[0][0]
-        waves = self.sim.waves
-        wave = None
-        if waves is not None:
-            wave = waves.rate_series(f"{self.rx.name}.wire_bytes", unit="bytes")
         total = 0
         while parked:
             d0, n, stride = parked[0]
@@ -724,8 +669,6 @@ class BurstLane:
                 parked.appendleft((d0 + m * stride, n - m, stride))
                 n = m
                 last = d0 + (m - 1) * stride
-            if wave is not None:
-                wave.record_run(d0, n, stride, self.fwb)
             total += n
         flen = self.flen
         rxs = self.rx.stats

@@ -14,9 +14,10 @@ Observability hooks in: a simulator has one slot per recorder kind
 (``tracer``, ``profiler``, ``spans``, ``waves``), and only the
 recorders' ``arm(sim)`` / ``disarm()`` fill or clear them (the protocol
 is :class:`_Recorder`). An empty slot costs each hook site one ``None``
-check. Only ``spans`` records packets, one record per hop, so it is
-the one armed slot that moves burst-datapath lanes onto the per-packet
-path (see :mod:`repro.hw.burst`).
+check. ``spans`` records packets, one record per hop, and ``waves``
+samples the per-packet probes, so these two armed slots move
+burst-datapath lanes onto the per-packet path (see
+:mod:`repro.hw.burst`).
 """
 
 from __future__ import annotations
@@ -162,9 +163,10 @@ class Simulator:
         self.spans: Optional[Any] = None
         #: Armed :class:`repro.telemetry.WaveformRecorder`, or None.
         #: Same pattern as ``spans``: probe sites read ``sim.waves`` and
-        #: skip on None. Unlike spans, an armed recorder keeps
-        #: burst-datapath lanes eligible — burst lanes feed the same
-        #: series closed-form (see :mod:`repro.hw.burst`).
+        #: skip on None. Like spans, an armed recorder makes
+        #: burst-datapath lanes fall back to the per-packet path, whose
+        #: probes are the one producer of waveforms (see
+        #: :mod:`repro.hw.burst`).
         self.waves: Optional[Any] = None
         #: Number of attached closed-loop traffic sources (flow
         #: transports — see :mod:`repro.flows`). The burst-datapath

@@ -25,14 +25,11 @@ Two series kinds:
   are deltas; each completed window commits one ``(window_end, sum)``
   point, empty windows are skipped.
 
-The burst datapath (:mod:`repro.hw.burst`) never walks frames one at a
-time, so both classes also accept *closed-form runs*:
-:meth:`Waveform.record_run` / :meth:`Waveform.record_toggle_run` /
-:meth:`RateWaveform.record_run` are arithmetically exact equivalents of
-the corresponding per-sample loops, costing ``O(points_retained)``
-instead of ``O(samples)`` — that is how a burst lane reconstructs the
-per-packet path's waveforms from parked scalar state, bit-identically
-(proven by ``tests/test_datapath_equivalence.py``).
+Every sample comes from a per-packet probe: the MACs, the DMA engine,
+the OpenFlow switch and the flow transports. An armed recorder makes a
+burst-datapath lane fall back to the per-packet path (see
+:mod:`repro.hw.burst`), so those probes are the one producer of every
+series.
 
 Exports: Chrome ``trace_event`` counter ("C"-phase) tracks that merge
 into :func:`repro.telemetry.chrome_trace` beside span and kernel
@@ -156,118 +153,6 @@ class Waveform:
         }
         return [entries[index] for index in sorted(entries)]
 
-    # -- closed-form runs (the burst datapath's feed) ----------------------
-
-    def record_run(self, t0: int, n: int, stride: int, v0, dv) -> None:
-        """Exactly ``for i in range(n): record(t0+i*stride, v0+i*dv)``.
-
-        For monotonic runs (``dv != 0``) the cost is proportional to the
-        points *retained*, not to ``n`` — whole decimation buckets of a
-        monotonic run keep only their first and last point.
-        """
-        if n <= 0:
-            return
-        self.recorded += n
-        if dv == 0:
-            # One state change at most: the run holds a single value.
-            if v0 == self._last:
-                return
-            self.recorded -= 1  # record() re-counts this sample
-            self.record(t0, v0)
-            return
-        skip = 1 if v0 == self._last else 0
-        m = n - skip
-        if m <= 0:
-            return
-        self.committed += m
-        self._last = v0 + (n - 1) * dv
-        k = self.keep_every
-        points = self._points
-        if k == 1:
-            # Only the trailing ``capacity`` commits can survive the ring.
-            start = skip + m - self.capacity if m > self.capacity else skip
-            for i in range(start, n):
-                points.append((t0 + i * stride, v0 + i * dv))
-            self.retained += m
-            return
-        i = skip
-        while i < n and self._fill:  # finish the open bucket per-point
-            self._feed_run_point(t0, stride, v0, dv, i)
-            i += 1
-        whole = (n - i) // k
-        if whole:
-            # Monotonic whole bucket => min/max are its ends: retain
-            # exactly (first, last). Skip buckets the ring would evict.
-            b0 = whole - (self.capacity // 2 + 1) if 2 * whole > self.capacity else 0
-            for b in range(b0, whole):
-                first = i + b * k
-                last = first + k - 1
-                points.append((t0 + first * stride, v0 + first * dv))
-                points.append((t0 + last * stride, v0 + last * dv))
-            self.retained += 2 * whole
-            i += whole * k
-        while i < n:  # trailing partial bucket
-            self._feed_run_point(t0, stride, v0, dv, i)
-            i += 1
-
-    def _feed_run_point(self, t0, stride, v0, dv, i) -> None:
-        self._feed(t0 + i * stride, v0 + i * dv)
-
-    def record_toggle_run(self, t0: int, n: int, stride: int, hi, lo) -> None:
-        """Exactly ``for i in range(n): record(t, hi); record(t, lo)``.
-
-        The never-queueing TX FIFO's shape under the per-packet path:
-        each frame pushes (occupancy ``hi``) and immediately pops back
-        to ``lo`` at the same instant. Cost is proportional to points
-        retained — with ``keep_every >= 2`` that is ``O(n / keep_every)``.
-        """
-        if n <= 0:
-            return
-        if hi == lo:
-            raise ConfigError(f"waveform {self.name!r}: toggle needs hi != lo")
-        self.recorded += 2 * n
-        skip = 1 if hi == self._last else 0
-        m = 2 * n - skip
-        self.committed += m
-        self._last = lo
-
-        def pt(o: int) -> Tuple[int, Any]:
-            # Original sample index o: frame o>>1, hi on even, lo on odd.
-            return (t0 + (o >> 1) * stride, lo if o & 1 else hi)
-
-        k = self.keep_every
-        end = 2 * n
-        points = self._points
-        if k == 1:
-            start = skip + m - self.capacity if m > self.capacity else skip
-            for o in range(start, end):
-                points.append(pt(o))
-            self.retained += m
-            return
-        o = skip
-        while o < end and self._fill:
-            self._feed(*pt(o))
-            o += 1
-        whole = (end - o) // k
-        if whole:
-            # Alternating bucket: min (first lo) and max (first hi) sit
-            # at relative indices {0, 1}; the last point closes it.
-            per_bucket = 2 if k == 2 else 3
-            b0 = 0
-            if per_bucket * whole > self.capacity:
-                b0 = whole - (self.capacity // per_bucket + 1)
-            for b in range(b0, whole):
-                start_o = o + b * k
-                entries = {0: pt(start_o), 1: pt(start_o + 1)}
-                entries[k - 1] = pt(start_o + k - 1)
-                for ri in sorted(entries):
-                    points.append(entries[ri])
-            self.retained += per_bucket * whole
-            o += whole * k
-        while o < end:
-            self._feed(*pt(o))
-            o += 1
-
     # -- export ------------------------------------------------------------
 
     @property
@@ -352,37 +237,6 @@ class RateWaveform:
             self.retained += 1
         self._acc = 0
 
-    def record_run(self, t0: int, n: int, stride: int, delta) -> None:
-        """Exactly ``for i in range(n): record(t0+i*stride, delta)``.
-
-        Cost is proportional to the number of windows the run touches.
-        """
-        if n <= 0:
-            return
-        if stride < 0:
-            raise ConfigError(f"waveform {self.name!r}: run stride must be >= 0")
-        self.recorded += n
-        window = self.window_ps
-        if stride == 0:
-            w = t0 // window
-            if w != self._win:
-                self._close_window()
-                self._win = w
-            self._acc += n * delta
-            return
-        i = 0
-        while i < n:
-            w = (t0 + i * stride) // window
-            if w != self._win:
-                self._close_window()
-                self._win = w
-            # Last run index still inside window w.
-            j = ((w + 1) * window - 1 - t0) // stride
-            if j > n - 1:
-                j = n - 1
-            self._acc += (j - i + 1) * delta
-            i = j + 1
-
     # -- export ------------------------------------------------------------
 
     @property
@@ -430,10 +284,9 @@ class WaveformRecorder(_Recorder):
 
     Arming sets ``sim.waves``; every probe site reads that attribute, so
     the disarmed datapath pays one attribute load + ``None`` check (the
-    ``sim.spans`` / tracer pattern). Unlike spans and tracers, an armed
-    recorder does **not** disqualify burst-datapath lanes: burst lanes
-    feed the same series closed-form at window edges (see
-    :mod:`repro.hw.burst`), bit-identically to the per-packet probes.
+    ``sim.spans`` / tracer pattern). Like spans, an armed recorder makes
+    burst-datapath lanes fall back to the per-packet path, whose probes
+    feed every series (see :mod:`repro.hw.burst`).
 
     Recording never schedules events, never mutates packets and never
     touches RNG streams, so arming leaves every scenario result

@@ -5,11 +5,11 @@ for the per-packet generator process: same counters, same histograms,
 same telemetry snapshots, same final simulated time on every workload —
 including mid-run counter reads, `stop()` drains, FIFO-saturating
 schedules and latency measurement. Workloads that arm an observation
-point (spans, capture, latency histograms, faults on the loopback link)
-must transparently fall back to the per-packet path and still agree; an
-armed tracer reads no packets and keeps the burst path. These tests run
-the same workload under both `REPRO_DATAPATH` settings and assert the
-full observable state matches exactly — the same pattern
+point (spans, waveforms, capture, latency histograms, faults on the
+loopback link) must transparently fall back to the per-packet path and
+still agree; an armed tracer reads no packets and keeps the burst path.
+These tests run the same workload under both `REPRO_DATAPATH` settings
+and assert the full observable state matches exactly — the same pattern
 tests/test_sim_queue_equivalence.py applies to the event queues.
 `TestSerialLane` drives the serial lane with scripted gaps that queue,
 drop and tie with the MAC's chain events.
@@ -354,10 +354,9 @@ class _Scripted(Schedule):
         self.index = 0
 
 
-def _scripted_run(impl, size, gaps, count, fifo_bytes, keep_every, steps, stop):
-    """Counters and waveforms at each ``run(until=)`` step and at the end."""
+def _scripted_run(impl, size, gaps, count, fifo_bytes, steps, stop):
+    """Counters at each ``run(until=)`` step and at the end."""
     sim = Simulator()
-    recorder = WaveformRecorder(keep_every=keep_every).arm(sim) if keep_every else None
     tester = OSNT(sim)
     connect(tester.port(0), tester.port(1))
     if fifo_bytes is not None:
@@ -371,8 +370,7 @@ def _scripted_run(impl, size, gaps, count, fifo_bytes, keep_every, steps, stop):
         if until is None and stop:
             generator.stop()
         sim.run(until=until)
-        waves = recorder.to_dict() if recorder else None
-        snapshots.append((_osnt_state(sim, tester), waves))
+        snapshots.append(_osnt_state(sim, tester))
     return snapshots
 
 
@@ -399,16 +397,14 @@ def _scripted_workloads(draw):
         "gaps": gaps,
         "count": count,
         "fifo_bytes": None if frames is None else frames * size + 7,
-        "keep_every": draw(st.sampled_from([0, 1, 3])),
         "steps": steps,
         "stop": bool(steps) and draw(st.booleans()),
     }
 
 
 def _serial_case(**case):
-    """A 64 B scripted workload without waves or snapshots."""
-    base = dict(size=64, count=12, fifo_bytes=None, keep_every=0, steps=[],
-                stop=False)
+    """A 64 B scripted workload without snapshots."""
+    base = dict(size=64, count=12, fifo_bytes=None, steps=[], stop=False)
     return dict(base, **case)
 
 
@@ -425,10 +421,14 @@ class TestSerialLane:
     # a step, and the wake one slot later was scheduled by that step; in
     # the second, the wake at 134,400 ps was scheduled at 2 ps, before the
     # start at 67,200 ps. The pushes see the head frame still queued:
-    # drops in the 256 B FIFO, a 128 B FIFO sample at 134,400 ps.
+    # drops in the 256 B FIFO, two frames waiting at 134,400 ps.
     @example(workload=_serial_case(gaps=[134_400, 0, 67_200, 0], count=33,
                                    fifo_bytes=256))
-    @example(workload=_serial_case(gaps=[1, 1, 134_398, 672_000], keep_every=1))
+    @example(workload=_serial_case(gaps=[1, 1, 134_398, 672_000]))
+    # The second tie leaves every counter as the other order would; two
+    # zero gaps after it make the step push three frames behind the
+    # waiting one, a FIFO peak of 256 B where the other order gives 192 B.
+    @example(workload=_serial_case(gaps=[1, 1, 134_398, 0, 0, 672_000]))
     # Stopped at 50 µs, the run ends at the killed generator's next wake.
     @example(workload=_serial_case(size=128, gaps=[2_000_000], count=80,
                                    steps=[us(50)], stop=True))
@@ -540,6 +540,22 @@ class TestObservationPointFallback:
         sim.run(until=us(10))  # lane audited clean and engaged
         tester.monitor(1).enable_latency()
         with pytest.raises(SimulationError, match="latency"):
+            sim.run()
+
+    def test_waves_armed_mid_run_raises(self, monkeypatch):
+        """The lane samples no waveforms: a recorder armed while it is
+        active must raise, not leave the MACs' series empty."""
+        monkeypatch.setenv("REPRO_DATAPATH", "burst")
+        sim = Simulator()
+        tester = OSNT(sim)
+        connect(tester.port(0), tester.port(1))
+        generator = tester.generator(0)
+        generator.load_template(udp_template(64))
+        generator.at_line_rate().for_duration(ms(1))
+        generator.start()
+        sim.run(until=us(10))  # lane audited clean and engaged
+        WaveformRecorder().arm(sim)
+        with pytest.raises(SimulationError, match="waveforms"):
             sim.run()
 
     def test_tracer_armed_keeps_the_burst_lane(self, monkeypatch, audits):
@@ -661,15 +677,13 @@ class TestEscapeHatch:
 
 
 class TestWaveformEquivalence:
-    """An armed WaveformRecorder must not disqualify the burst lanes
-    (unlike spans/capture/faults, which force the per-packet fallback):
-    the closed-form feeds at window edges must reproduce the per-packet
-    probes *bit-identically* — same points, same decimation envelopes,
-    same digest — and recording must not perturb the run itself."""
+    """An armed WaveformRecorder makes every burst lane fall back, like
+    spans, capture and faults: the per-packet probes are the one
+    producer of waveforms. Each lane case checks that its lane fell back
+    and that both datapaths record the same points, decimation envelopes
+    and digest; recording must not perturb the run itself."""
 
     def _loopback_with_waves(self, configure, keep_every=1, capacity=1 << 14):
-        from repro.telemetry import WaveformRecorder
-
         sim = Simulator()
         recorder = WaveformRecorder(capacity=capacity, keep_every=keep_every)
         recorder.arm(sim)
@@ -684,7 +698,7 @@ class TestWaveformEquivalence:
         )
 
     @pytest.mark.parametrize("keep_every", [1, 4])
-    def test_line_rate_bulk_lane(self, keep_every, monkeypatch):
+    def test_line_rate_bulk_lane(self, keep_every, monkeypatch, audits):
         def workload():
             def configure(sim, tester):
                 generator = tester.generator(0)
@@ -695,12 +709,13 @@ class TestWaveformEquivalence:
             return self._loopback_with_waves(configure, keep_every=keep_every)
 
         state, series, digest = _assert_equivalent(workload, monkeypatch)
+        assert audits == [False]
         assert len(digest) == 64
         fifo = series["series"]["osnt.p0.tx.fifo_bytes"]
         assert fifo["points"]
 
     @pytest.mark.parametrize("keep_every", [1, 4])
-    def test_burst_train_lane(self, keep_every, monkeypatch):
+    def test_burst_train_lane(self, keep_every, monkeypatch, audits):
         def workload():
             def configure(sim, tester):
                 generator = tester.generator(0)
@@ -711,11 +726,12 @@ class TestWaveformEquivalence:
             return self._loopback_with_waves(configure, keep_every=keep_every)
 
         _assert_equivalent(workload, monkeypatch)
+        assert audits == [False]
 
     @pytest.mark.parametrize("mean_gap", ["2us", "50ns"])
-    def test_poisson_serial_lane(self, mean_gap, monkeypatch):
-        """Random gaps use the serial emit path; hot 50ns gaps also
-        exercise the backlog-drain probes."""
+    def test_poisson_serial_lane(self, mean_gap, monkeypatch, audits):
+        """Random gaps would take the serial lane; hot 50ns gaps also
+        fill the TX FIFO."""
 
         def workload():
             def configure(sim, tester):
@@ -727,10 +743,11 @@ class TestWaveformEquivalence:
             return self._loopback_with_waves(configure)
 
         _assert_equivalent(workload, monkeypatch)
+        assert audits == [False]
 
-    def test_small_capacity_eviction(self, monkeypatch):
-        """Ring eviction through the closed-form feeds must land on the
-        same retained window as the per-packet probes."""
+    def test_small_capacity_eviction(self, monkeypatch, audits):
+        """Ring eviction lands on the same retained window on both
+        datapaths."""
 
         def workload():
             def configure(sim, tester):
@@ -742,8 +759,9 @@ class TestWaveformEquivalence:
             return self._loopback_with_waves(configure, capacity=61, keep_every=3)
 
         _assert_equivalent(workload, monkeypatch)
+        assert audits == [False]
 
-    def test_fifo_waveform_peak_matches_hardware_counter(self, monkeypatch):
+    def test_fifo_waveform_peak_matches_hardware_counter(self, monkeypatch, audits):
         def workload():
             def configure(sim, tester):
                 generator = tester.generator(0)
@@ -754,6 +772,7 @@ class TestWaveformEquivalence:
             return self._loopback_with_waves(configure)
 
         state, series, __ = _assert_equivalent(workload, monkeypatch)
+        assert audits == [False]
         fifo_points = series["series"]["osnt.p0.tx.fifo_bytes"]["points"]
         assert max(v for __t, v in fifo_points) == state["p0.fifo"][3]
 

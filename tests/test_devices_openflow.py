@@ -100,6 +100,26 @@ class TestFlowTable:
         assert changed == 1
         assert table.entries[0].actions[0].port == 7
 
+    def test_strict_flow_mod_builds_the_command_key_once(self, monkeypatch):
+        # One normalised tuple per entry, plus one for the command.
+        n = 16
+        table = FlowTable()
+        for port in range(n):
+            table.add(entry(Match.exact(tp_dst=port), priority=5))
+        builds = []
+        normalised_tuple = Match.normalised_tuple
+
+        def counted(match):
+            builds.append(match)
+            return normalised_tuple(match)
+
+        monkeypatch.setattr(Match, "normalised_tuple", counted)
+        assert table.modify(Match.exact(tp_dst=3), 5, [OutputAction(7)], strict=True) == 1
+        assert len(builds) == n + 1
+        builds.clear()
+        assert len(table.delete(Match.exact(tp_dst=3), priority=5, strict=True)) == 1
+        assert len(builds) == n + 1
+
     def test_modify_loose_rewrites_all_within_filter(self):
         table = FlowTable()
         table.add(entry(Match.exact(nw_proto=17, tp_dst=80), priority=1))

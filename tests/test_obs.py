@@ -604,7 +604,7 @@ class TestArmingProtocol:
         with pytest.raises(AttributeError):
             sim.profiler = SimProfiler()
 
-    @pytest.mark.parametrize("name", ["spans", "tracer"])
+    @pytest.mark.parametrize("name", ["spans", "tracer", "waves"])
     def test_generator_built_inside_observe_runs_burst_after_exit(
         self, name, monkeypatch
     ):

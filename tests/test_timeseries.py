@@ -1,18 +1,16 @@
 """Tests for repro.telemetry.timeseries — the sim-time waveform recorder.
 
 Covers the Waveform/RateWaveform primitives (state-change suppression,
-min/max/last decimation envelopes, bounded eviction, closed-form run
-recording vs the per-sample loop), the WaveformRecorder exports (CSV,
-JSONL, Chrome counter tracks, OpenMetrics gauges, SHA-256 digests), the
-arming protocol (``arm``/``disarm`` and ``observe_simulators``), the
-incast acceptance path (egress-queue waveform peak == the scenario's
-hardware queue-peak counter), sweep-wide digest folding, and the
-interaction between decimated waveform export and HistogramBank
-``(overflow)`` folding.
+min/max/last decimation envelopes, bounded eviction), the
+WaveformRecorder exports (CSV, JSONL, Chrome counter tracks, OpenMetrics
+gauges, SHA-256 digests), the arming protocol (``arm``/``disarm`` and
+``observe_simulators``), the incast acceptance path (egress-queue
+waveform peak == the scenario's hardware queue-peak counter),
+sweep-wide digest folding, and the interaction between decimated
+waveform export and HistogramBank ``(overflow)`` folding.
 """
 
 import json
-import random
 
 import pytest
 
@@ -30,14 +28,6 @@ from repro.telemetry import (
 )
 from repro.testbed.attacks import incast_burst_point
 from repro.units import ms, us
-
-
-def replay(points, capacity=1 << 14, keep_every=1):
-    """A Waveform fed one record() per sample — the reference path."""
-    wf = Waveform("ref", capacity=capacity, keep_every=keep_every)
-    for t, v in points:
-        wf.record(t, v)
-    return wf
 
 
 class TestWaveform:
@@ -96,58 +86,6 @@ class TestWaveform:
         with pytest.raises(ConfigError):
             Waveform("q", keep_every=0)
 
-    def test_record_run_matches_loop(self):
-        rng = random.Random(7)
-        for __ in range(200):
-            cap = rng.choice([4, 16, 1 << 14])
-            k = rng.choice([1, 2, 3, 5])
-            n = rng.randint(1, 40)
-            t0 = rng.randint(0, 10**9)
-            stride = rng.randint(1, 10**6)
-            v0 = rng.randint(0, 100)
-            dv = rng.choice([-3, -1, 0, 1, 2, 64])
-            pre = [(t0 - 5, rng.randint(0, 100))] if rng.random() < 0.5 else []
-            a = replay(pre, capacity=cap, keep_every=k)
-            b = replay(pre, capacity=cap, keep_every=k)
-            a.record_run(t0, n, stride, v0, dv)
-            for i in range(n):
-                b.record(t0 + i * stride, v0 + i * dv)
-            assert a.points() == b.points(), (cap, k, n, t0, stride, v0, dv)
-            assert a.recorded == b.recorded
-            assert a.committed == b.committed
-            assert a.last == b.last
-
-    def test_record_toggle_run_matches_loop(self):
-        rng = random.Random(11)
-        for __ in range(200):
-            cap = rng.choice([3, 8, 1 << 14])
-            k = rng.choice([1, 2, 4, 7])
-            n = rng.randint(1, 40)
-            t0 = rng.randint(0, 10**9)
-            stride = rng.randint(1, 10**6)
-            hi, lo = rng.randint(1, 2000), 0
-            pre = [(t0 - 5, rng.choice([0, hi]))] if rng.random() < 0.5 else []
-            a = replay(pre, capacity=cap, keep_every=k)
-            b = replay(pre, capacity=cap, keep_every=k)
-            a.record_toggle_run(t0, n, stride, hi, lo)
-            for i in range(n):
-                b.record(t0 + i * stride, hi)
-                b.record(t0 + i * stride, lo)
-            assert a.points() == b.points(), (cap, k, n, t0, stride, hi)
-            assert a.recorded == b.recorded
-            assert a.last == b.last
-        # The wire-rate shape at length: 10k toggles, every 4th point kept.
-        a, b = Waveform("a", keep_every=4), Waveform("b", keep_every=4)
-        a.record_toggle_run(0, 10_000, 100, 512, 0)
-        for i in range(10_000):
-            b.record(i * 100, 512)
-            b.record(i * 100, 0)
-        assert a.points() == b.points()
-
-    def test_toggle_run_rejects_equal_levels(self):
-        with pytest.raises(ConfigError):
-            Waveform("q").record_toggle_run(0, 3, 10, 5, 5)
-
     def test_to_dict_schema(self):
         wf = Waveform("q", unit="bytes")
         wf.record(5, 1)
@@ -165,26 +103,6 @@ class TestRateWaveform:
         wf.record(250, 64)  # skips window 1 entirely (zero windows elided)
         assert wf.points() == [(100, 128), (300, 64)]
         assert wf.last == 64
-
-    def test_record_run_matches_loop(self):
-        rng = random.Random(3)
-        for __ in range(200):
-            window = rng.choice([1, 7, 100, 10_000])
-            a = RateWaveform("w", window_ps=window)
-            b = RateWaveform("w", window_ps=window)
-            t0 = rng.randint(0, 10**6)
-            n = rng.randint(1, 60)
-            stride = rng.choice([0, 1, 3, 97, 12_345]) if n > 1 else 0
-            delta = rng.randint(1, 1518)
-            a.record_run(t0, n, stride, delta)
-            for i in range(n):
-                b.record(t0 + i * stride, delta)
-            assert a.points() == b.points(), (window, t0, n, stride, delta)
-            assert a.last == b.last
-
-    def test_run_rejects_negative_stride(self):
-        with pytest.raises(ConfigError):
-            RateWaveform("w").record_run(0, 4, -10, 64)
 
     def test_eviction(self):
         wf = RateWaveform("w", capacity=2, window_ps=10)
