@@ -5,7 +5,6 @@ from .flowstats import FlowAccounting, FlowRecord, flows_from_capture, merge_cap
 from .latency import (
     LatencyResult,
     LossResult,
-    arrival_jitter_ps,
     latency_from_capture,
     loss_from_sequence_numbers,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "LatencyResult",
     "LossResult",
     "SummaryStats",
-    "arrival_jitter_ps",
     "fct_report",
     "flows_from_capture",
     "format_microseconds",

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 from ..errors import ReproError
 from ..net.packet import Packet
 from ..osnt.generator.tx_timestamp import DEFAULT_OFFSET, STAMP_BYTES, extract_ps
-from .stats import SummaryStats, gap_jitter_std, rfc3550_jitter
+from .stats import SummaryStats, rfc3550_jitter
 
 
 @dataclass
@@ -32,9 +32,6 @@ class LatencyResult:
     @property
     def jitter_rfc3550_ps(self) -> float:
         return rfc3550_jitter(self.samples)
-
-    def as_microseconds(self) -> List[float]:
-        return [sample / 1e6 for sample in self.samples]
 
 
 def latency_from_capture(
@@ -116,9 +113,3 @@ def loss_from_sequence_numbers(
     else:
         result.lost = (highest + 1) - unique if highest >= 0 else 0
     return result
-
-
-def arrival_jitter_ps(packets: Sequence[Packet]) -> float:
-    """Std-dev of RX inter-arrival gaps, from hardware RX timestamps."""
-    stamps = [p.rx_timestamp for p in packets if p.rx_timestamp is not None]
-    return gap_jitter_std(stamps)

@@ -12,21 +12,20 @@ serializer clear time, FIFO occupancy, parked delivery runs — through
 generator scheduling, TX-MAC serialization, link delay and RX delivery
 arithmetically, touching the kernel only where ordering is observable.
 Full :class:`~repro.net.packet.Packet` objects are never materialized on
-an eligible lane; observation points that need them (capture buffers,
-spans, filters, fault hooks) make a lane ineligible and it falls back
-to the stock per-packet path, so results stay bit-identical by
-construction (proven by tests/test_datapath_equivalence.py). Two more
-observation planes make a lane fall back. An armed in-band latency
-histogram: a lane exists only while the generator's TX timestamper is
-off, so its frames carry no TX stamp, and only the capture path bins
-latency, frame by frame. An armed waveform recorder (``sim.waves``):
-the per-packet probes in the MACs, the DMA engine, the switches and the
-flow transports are the one producer of waveforms. The tracer
+an eligible lane. Whatever needs them (capture buffers, spans, waveform
+probes, in-band latency, fault hooks, modifiers, TX stamps) makes a lane
+fall back to the stock per-packet path, so results stay bit-identical by
+construction (proven by tests/test_datapath_equivalence.py). One ordered
+rule, :meth:`BurstLane._broken`, names the first broken condition with
+one of :data:`FALLBACK_CODES`: the audit keeps it on ``lane.fallback``,
+and every later window's recheck raises a
+:class:`~repro.errors.SimulationError` naming it. The tracer
 (``sim.tracer``) reads no packets, so it stays on the fast path and
 records the controller events an eligible lane actually runs.
 
 Constant-gap schedules and exactly periodic trains that never queue
-advance in closed form. Any other schedule (Poisson gaps, scripted
+advance in closed form, through one body that each feeds only its
+timeline of frame starts. Any other schedule (Poisson gaps, scripted
 gaps, FIFO-saturating loads) takes the serial lane, whose only per-frame
 work is the gap draw and a few integer comparisons: the TX FIFO is the
 Lindley recursion ``start_k = max(push_k, clear_{k-1})``, the deliveries
@@ -61,6 +60,7 @@ Correctness rules the controller honours:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import deque
@@ -74,7 +74,27 @@ from ..errors import ConfigError, SimulationError
 DATAPATH_IMPLS = ("packet", "burst")
 DEFAULT_DATAPATH_IMPL = "burst"
 
+#: Why a lane runs per packet, in the order :meth:`BurstLane._broken`
+#: checks. The ``*_swapped`` codes and ``limit_changed`` apply only to an
+#: engaged lane and ``mac_busy`` only to its audit.
+FALLBACK_CODES = (
+    "spans", "waves", "closed_loop",  # the simulator
+    "schedule_swapped", "source_swapped", "source_kind", "template_swapped",
+    "modifiers", "limit_changed", "no_limit", "timestamper",  # the generator
+    "unconnected", "mac_busy", "impairment",  # the port and its link
+    "peer_not_capture", "capture_enabled", "latency",  # the far end
+)
+
 _INF = math.inf
+
+
+@functools.cache
+def _lane_kinds():
+    """The lane's source and sink classes (their packages import this one)."""
+    from ..osnt.generator.source import TemplateSource
+    from ..osnt.monitor.capture import CapturePipeline
+
+    return TemplateSource, CapturePipeline
 
 
 def resolve_datapath(explicit: Optional[str] = None) -> str:
@@ -173,11 +193,12 @@ class BurstLane:
     """Arithmetic emulation of one generator → TX MAC → link → RX path.
 
     Eligibility is audited at the first controller firing; ineligible
-    lanes spawn the stock per-packet process instead (in registration
-    order, preserving the packet datapath's scheduling order). Cheap
-    invariants are re-checked every window; a mid-run violation (e.g.
-    host capture, latency or a waveform recorder armed while a lane is
-    active) fails loudly rather than silently dropping observations.
+    lanes record why on :attr:`fallback` and spawn the stock per-packet
+    process instead (in registration order, preserving the packet
+    datapath's scheduling order). The same rule is re-checked every
+    window; a mid-run violation (e.g. host capture, latency or a
+    waveform recorder armed while a lane is active) fails loudly rather
+    than silently dropping observations.
     """
 
     def __init__(self, controller: BurstController, engine) -> None:
@@ -186,76 +207,107 @@ class BurstLane:
         self.engine = engine
         self.audited = False
         self.complete = False
-        self.emitting = False
+        self.emitting = True
         self.finished = False
         self.pending_finish_at: Optional[int] = None
         self.tx = None
+        #: The audit's verdict: the first broken condition's code from
+        #: :data:`FALLBACK_CODES`, or None when the lane engaged.
+        self.fallback: Optional[str] = None
 
     # -- eligibility -------------------------------------------------------
 
-    def _audit(self) -> bool:
-        from ..osnt.generator.schedule import ConstantGap, LineRate
-        from ..osnt.generator.source import TemplateSource
-        from ..osnt.monitor.capture import CapturePipeline
+    def _broken(self) -> Optional[str]:
+        """The code of the first broken lane condition, or None.
 
-        engine = self.engine
+        The audit applies it before the lane engages (``self.tx`` is None)
+        and each window's recheck after, when the generator must also keep
+        the schedule, source, template and limits the lane read. Generator-side
+        conditions lapse once emission ends: a finished engine may be
+        reconfigured while its old lane drains.
+        """
+        TemplateSource, CapturePipeline = _lane_kinds()
         sim = self.sim
+        engine = self.engine
         port = engine.port
         tx = port.tx
-        source = engine.source
         link = port.link
+        engaged = self.tx is not None
+        if sim.spans is not None:
+            return "spans"
+        if sim.waves is not None:
+            return "waves"
+        # Closed-loop sources (repro.flows transports) react to every
+        # delivery; batched window advancement is unsafe anywhere in the
+        # same simulation.
+        if sim._closed_loop_sources:
+            return "closed_loop"
+        if self.emitting:
+            source = engine.source
+            if engaged and engine.schedule is not self.schedule:
+                return "schedule_swapped"
+            if engaged and source is not self.source:
+                return "source_swapped"
+            if type(source) is not TemplateSource:
+                return "source_kind"
+            if engaged and (
+                source.template is not self.template
+                or self.template.data is not self.data
+            ):
+                return "template_swapped"
+            if source.modifiers:
+                return "modifiers"
+            limits = (engine.limit_count, engine.limit_duration_ps, source.count)
+            if engaged and limits != self.limits:
+                return "limit_changed"
+            if limits == (None, None, None):
+                return "no_limit"
+            stamper = engine.timestamper
+            if tx.on_start_of_frame is not stamper or stamper.enabled:
+                return "timestamper"
+        if link is None or tx._deliver is None:
+            return "unconnected"
+        if not engaged and (tx._busy or not tx.fifo.is_empty):
+            return "mac_busy"
+        if link._impairments or link.bit_error_rate:
+            return "impairment"
+        sinks = link.peer_of(port).rx._sinks
+        sink = sinks[0] if len(sinks) == 1 else None
+        pipeline = getattr(sink, "__self__", None)
+        if (
+            not isinstance(pipeline, CapturePipeline)
+            or getattr(sink, "__func__", None) is not CapturePipeline._on_frame
+        ):
+            return "peer_not_capture"
+        if pipeline.enabled:
+            return "capture_enabled"
+        # In-band latency (per port or per flow) reads each frame's TX
+        # stamp, which a lane's frames never carry.
+        if pipeline._latency_offset is not None:
+            return "latency"
+        return None
+
+    def _audit(self) -> bool:
+        """Engage the lane if no condition is broken; else name the first."""
+        from ..osnt.generator.schedule import ConstantGap, LineRate
+
+        engine = self.engine
+        port = engine.port
+        tx = port.tx
         if tx._burst_lane is not None:
             raise SimulationError(
                 f"generator {engine.name!r} restarted while a previous burst "
                 "lane is still draining its MAC; run with REPRO_DATAPATH=packet"
             )
-        ok = (
-            sim.spans is None
-            and sim.waves is None
-            # Closed-loop sources (repro.flows transports) react to
-            # every delivery; batched window advancement is unsafe
-            # anywhere in the same simulation.
-            and not getattr(sim, "_closed_loop_sources", 0)
-            and type(source) is TemplateSource
-            and not source.modifiers
-            and (
-                engine.limit_count is not None
-                or engine.limit_duration_ps is not None
-                or source.count is not None
-            )
-            and tx.on_start_of_frame is engine.timestamper
-            and not engine.timestamper.enabled
-            and tx._deliver is not None
-            and not tx._busy
-            and tx.fifo.is_empty
-            and link is not None
-            and not link._impairments
-            and link.bit_error_rate == 0
-        )
-        pipeline = None
-        if ok:
-            rx = link.peer_of(port).rx
-            sinks = rx._sinks
-            if len(sinks) == 1:
-                bound = sinks[0]
-                owner = getattr(bound, "__self__", None)
-                if (
-                    isinstance(owner, CapturePipeline)
-                    and getattr(bound, "__func__", None) is CapturePipeline._on_frame
-                    and not owner.enabled
-                    # In-band latency (per port or per flow) reads each
-                    # frame's TX stamp, which a lane's frames never carry.
-                    and owner._latency_offset is None
-                ):
-                    pipeline = owner
-        if pipeline is None:
+        self.fallback = self._broken()
+        if self.fallback is not None:
             return False
 
+        source = engine.source
         self.tx = tx
         self.fifo = tx.fifo
-        self.link = link
-        self.rx = rx
-        self.pipeline = pipeline
+        self.rx = port.link.peer_of(port).rx
+        self.pipeline = self.rx._sinks[0].__self__
         self.source = source
         self.template = source.template
         self.data = source.template.data
@@ -266,14 +318,12 @@ class BurstLane:
         self.dconst = self.serialize + tx._delivery_delay_ps
         self.capacity = tx.fifo.capacity_bytes
         self.schedule = engine.schedule
+        self.limits = (engine.limit_count, engine.limit_duration_ps, source.count)
         counts = [c for c in (engine.limit_count, source.count) if c is not None]
         self.max_count = min(counts) if counts else None
-        now = sim.now
-        self.deadline = (
-            now + engine.limit_duration_ps
-            if engine.limit_duration_ps is not None
-            else None
-        )
+        now = self.sim.now
+        duration = engine.limit_duration_ps
+        self.deadline = None if duration is None else now + duration
         self.index = 0
         self.next_wake = now + self.schedule.initial_gap()
         # The TX FIFO: ``queued`` frames wait and start back to back from
@@ -285,79 +335,42 @@ class BurstLane:
         self.prev_step = now
         self.late = -1
         self.parked: deque = deque()  # (first_d, count, stride) runs
-        self.emitting = True
         self.last_event_time = now
-        # The O(1) bulk path needs a stateless constant-gap schedule that
-        # never queues (gap covers the wire slot) and can never tail-drop.
-        gap = None
-        if type(self.schedule) in (LineRate, ConstantGap):
-            gap = self.schedule.gap_after(self.flen)
-        self.bulk_gap = (
-            gap
-            if gap is not None and gap > 0 and gap >= self.slot and self.flen <= self.capacity
-            else None
-        )
-        # Exactly periodic burst trains get closed-form windows too: the
-        # schedule publishes (n, intra, period) and the lane checks that
-        # no frame can ever queue (every start-to-start spacing covers
-        # the wire slot) or tail-drop.
-        self.train = None
+        # Closed-form windows need a timeline on which no frame can ever
+        # queue (every start-to-start spacing covers the wire slot) or
+        # tail-drop. A constant gap (the O(1) bulk path) is a train of
+        # one-frame bursts; an exactly periodic schedule publishes its
+        # (n, intra, period).
+        self.bulk_gap = self.train = None
         self.t0 = self.next_wake  # the first step: any lane's first start
-        if self.bulk_gap is None:
+        constant = type(self.schedule) in (LineRate, ConstantGap)
+        if constant:
+            gap = self.schedule.gap_after(self.flen)
+            profile = (1, gap, gap)
+        else:
             profile = self.schedule.train_profile(self.flen)
-            if profile is not None:
-                n, intra, period = profile
-                tail = period - (n - 1) * intra
-                if (
-                    n >= 1
-                    and intra >= self.slot
-                    and tail >= self.slot
-                    and self.flen <= self.capacity
-                ):
+        if profile is not None and self.flen <= self.capacity:
+            n, intra, period = profile
+            if n >= 1 and intra >= self.slot and period - (n - 1) * intra >= self.slot:
+                if constant:
+                    self.bulk_gap = gap
+                else:
                     self.train = (int(n), int(intra), int(period))
         engine.stats.started_at_ps = now
         tx._burst_lane = self
         return True
 
     def _recheck(self) -> None:
-        engine = self.engine
-        sim = self.sim
-        source = self.source
-        rx = self.rx
-        pipeline = self.pipeline
-        ok = (
-            sim.spans is None
-            and sim.waves is None
-            and not getattr(sim, "_closed_loop_sources", 0)
-            and not self.link._impairments
-            and self.link.bit_error_rate == 0
-            and not pipeline.enabled
-            and pipeline._latency_offset is None
-            and len(rx._sinks) == 1
-            and getattr(rx._sinks[0], "__self__", None) is pipeline
-        )
-        if ok and self.emitting:
-            # Generator-side invariants only matter while frames are
-            # still being emitted; a finished engine may legitimately be
-            # reconfigured while its old lane drains.
-            ok = (
-                not engine.timestamper.enabled
-                and self.tx.on_start_of_frame is engine.timestamper
-                and engine.schedule is self.schedule
-                and engine.source is source
-                and not source.modifiers
-                and source.template is self.template
-                and self.template.data is self.data
-            )
-        if not ok:
+        code = self._broken()
+        if code is not None:
             raise SimulationError(
-                f"generator {engine.name!r}: observation point armed while a "
-                "burst-datapath lane is active (spans/waveforms/capture/latency/"
-                "faults/flow transports must be configured before start, or "
-                "run with REPRO_DATAPATH=packet)"
+                f"generator {self.engine.name!r}: burst-datapath lane broken by "
+                f"{code!r} while active (configure spans, waveforms, capture, "
+                "latency, faults, flow transports and the generator before "
+                "start, or run with REPRO_DATAPATH=packet)"
             )
 
-    def _fallback(self) -> None:
+    def _run_per_packet(self) -> None:
         from ..sim import spawn
 
         engine = self.engine
@@ -375,17 +388,12 @@ class BurstLane:
         if not self.audited:
             self.audited = True
             if not self._audit():
-                self._fallback()
+                self._run_per_packet()
                 return
         else:
             self._recheck()
         if self.emitting:
-            if self.bulk_gap is not None:
-                self._emit_bulk(limit)
-            elif self.train is not None:
-                self._emit_train(limit)
-            else:
-                self._emit_serial(limit)
+            self._emit(limit)
         work_limit = limit
         if self.pending_finish_at is not None:
             # Until the finish fires (at its exact time), stay at or
@@ -413,6 +421,15 @@ class BurstLane:
             # per-packet path.
             return self.last_event_time
         return limit
+
+    def _emit(self, limit) -> None:
+        """Emit every frame the generator steps strictly before ``limit``."""
+        if self.bulk_gap is not None:
+            self._emit_bulk(limit)
+        elif self.train is not None:
+            self._emit_train(limit)
+        else:
+            self._emit_serial(limit)
 
     def _emit_serial(self, limit) -> None:
         """Per-frame emission: any schedule, queueing and drops allowed.
@@ -510,103 +527,79 @@ class BurstLane:
             self.engine.stats.tx_fifo_drops += dropped
         self.fifo.occupancy_bytes = queued * flen
 
+    # -- closed-form emission ----------------------------------------------
+
     def _emit_bulk(self, limit) -> None:
         """O(1) emission for constant-gap, never-queueing schedules."""
         gap = self.bulk_gap
-        w = self.next_wake
-        flen = self.flen
-        remaining = _INF
-        if self.max_count is not None:
-            remaining = self.max_count - self.index
-        if self.deadline is not None:
-            by_deadline = (
-                0 if self.deadline <= w else (self.deadline - 1 - w) // gap + 1
-            )
-            if by_deadline < remaining:
-                remaining = by_deadline
-        in_window = _INF if limit == _INF else (
-            0 if limit <= w else (limit - 1 - w) // gap + 1
-        )
-        n = int(min(remaining, in_window))
-        if n:
-            s_last = w + (n - 1) * gap
-            self._note_sent(n, flen)
-            self._note_starts(n, w, s_last)
-            self.clear = clear = s_last + self.slot
-            if clear > self.last_event_time:
-                self.last_event_time = clear
-            d_first = w + self.dconst
-            self.parked.append((d_first, n, gap))
-            d_last = d_first + (n - 1) * gap
-            if d_last > self.last_event_time:
-                self.last_event_time = d_last
-            self.index += n
-            self.next_wake = w = w + n * gap
-        if n == remaining:
-            # Count or deadline reached: the next wake is the finishing one.
-            self._begin_finish(w)
+        t0 = self.t0
+        dconst = self.dconst
 
-    # -- closed-form burst trains ------------------------------------------
+        def before(t):
+            return 0 if t <= t0 else (t - 1 - t0) // gap + 1
 
-    def _train_count_before(self, t: int) -> int:
-        """Frames whose start time is strictly before ``t``."""
-        n, intra, period = self.train
-        dt = t - self.t0
-        if dt <= 0:
-            return 0
-        full, rem = divmod(dt - 1, period)
-        return full * n + min(n, rem // intra + 1)
+        def start(k):
+            return t0 + k * gap
 
-    def _train_start(self, i: int) -> int:
-        """Start time of frame ``i`` of the periodic train timeline."""
-        n, intra, period = self.train
-        full, pos = divmod(i, n)
-        return self.t0 + full * period + pos * intra
+        def runs(first, last):
+            return ((start(first) + dconst, last - first + 1, gap),)
+
+        self._emit_closed(limit, before, start, runs)
 
     def _emit_train(self, limit) -> None:
         """O(bursts) emission for exactly periodic, never-queueing trains."""
         n, intra, period = self.train
+        t0 = self.t0
+        dconst = self.dconst
+
+        def before(t):
+            if t <= t0:
+                return 0
+            full, rem = divmod(t - 1 - t0, period)
+            return full * n + min(n, rem // intra + 1)
+
+        def start(k):
+            full, pos = divmod(k, n)
+            return t0 + full * period + pos * intra
+
+        def runs(first, last):
+            # One parked delivery run per (partial) burst: constant
+            # intra-burst stride, arbitrary inter-burst spacing.
+            for burst in range(first // n, last // n + 1):
+                lo = max(first, burst * n)
+                hi = min(last, burst * n + n - 1)
+                d0 = t0 + burst * period + (lo - burst * n) * intra + dconst
+                yield d0, hi - lo + 1, intra
+
+        self._emit_closed(limit, before, start, runs)
+
+    def _emit_closed(self, limit, before, start, runs) -> None:
+        """Emission along a timeline on which no frame queues or drops:
+        ``before(t)`` counts the frames that start before ``t``,
+        ``start(k)`` is frame ``k``'s start (the next wake is frame
+        ``index``'s) and ``runs(first, last)`` yields the parked delivery
+        runs of frames ``first`` to ``last``."""
         i = self.index
-        w = self.next_wake
-        flen = self.flen
-        remaining = _INF
-        if self.max_count is not None:
-            remaining = self.max_count - i
+        remaining = _INF if self.max_count is None else self.max_count - i
         if self.deadline is not None:
-            by_deadline = self._train_count_before(self.deadline) - i
-            if by_deadline < remaining:
-                remaining = by_deadline
-        in_window = (
-            _INF if limit == _INF else self._train_count_before(limit) - i
-        )
+            remaining = min(remaining, before(self.deadline) - i)
+        in_window = _INF if limit == _INF else before(limit) - i
         m = int(min(remaining, in_window))
         if m > 0:
             last = i + m - 1
-            s_first = self._train_start(i)
-            s_last = self._train_start(last)
-            self._note_sent(m, flen)
-            self._note_starts(m, s_first, s_last)
-            self.clear = clear = s_last + self.slot
-            if clear > self.last_event_time:
-                self.last_event_time = clear
-            # One parked delivery run per (partial) burst: constant
-            # intra-burst stride, arbitrary inter-burst spacing.
-            dconst = self.dconst
-            t0 = self.t0
-            parked = self.parked
-            for burst in range(i // n, last // n + 1):
-                lo = max(i, burst * n)
-                hi = min(last, burst * n + n - 1)
-                s0 = t0 + burst * period + (lo - burst * n) * intra
-                parked.append((s0 + dconst, hi - lo + 1, intra))
-            d_last = s_last + dconst
-            if d_last > self.last_event_time:
-                self.last_event_time = d_last
+            s_last = start(last)
+            self._note_sent(m, self.flen)
+            self._note_starts(m, self.next_wake, s_last)
+            self.clear = s_last + self.slot
+            self.parked.extend(runs(i, last))
+            self.last_event_time = max(
+                self.last_event_time, self.clear, s_last + self.dconst
+            )
             self.index = last + 1
-            self.next_wake = w = self._train_start(last + 1)
+            self.next_wake = start(last + 1)
         if m == remaining:
             # Count or deadline reached: the next wake is the finishing one.
-            self._begin_finish(w)
+            self._begin_finish(self.next_wake)
 
     def _begin_finish(self, wake: int) -> None:
         self.pending_finish_at = wake
@@ -689,14 +682,7 @@ class BurstLane:
 
     def finish(self, now: int) -> None:
         """Run the generator's finish at its exact simulated time."""
-        self.pending_finish_at = None
-        if now > self.last_event_time:
-            self.last_event_time = now
-        # Same-time serializer/delivery work precedes the finish in the
-        # per-packet event order; apply it so woken waiters see it.
-        self._drain_starts(now)
-        self._apply_deliveries(now + 1)
-        self.finished = True
+        self._end_emission(now, now)
         engine = self.engine
         if engine._burst_lane is self:
             engine._burst_lane = None
@@ -717,20 +703,23 @@ class BurstLane:
         if self.emitting:
             # Emissions at exactly `now` precede the stopping call in the
             # per-packet event order; include them, then cut the stream.
-            if self.bulk_gap is not None:
-                self._emit_bulk(now + 1)
-            elif self.train is not None:
-                self._emit_train(now + 1)
-            else:
-                self._emit_serial(now + 1)
-        self.pending_finish_at = None
-        self.emitting = False
+            self._emit(now + 1)
         # The per-packet path kills the generator process but leaves its
         # next wake queued, and that wake still advances the clock.
-        end = max(now, self.next_wake)
+        self._end_emission(now, max(now, self.next_wake))
+        self.controller.wake_at(now)
+
+    def _end_emission(self, now: int, end: int) -> None:
+        """Stop emitting at ``now``; the run lasts at least until ``end``.
+
+        Same-time serializer and delivery work precedes the finish (or
+        the stopping call) in the per-packet event order; apply it so
+        woken waiters see it.
+        """
+        self.pending_finish_at = None
+        self.emitting = False
         if end > self.last_event_time:
             self.last_event_time = end
         self._drain_starts(now)
         self._apply_deliveries(now + 1)
         self.finished = True
-        self.controller.wake_at(now)

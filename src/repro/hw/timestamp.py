@@ -31,6 +31,21 @@ def raw_to_ps(raw: int) -> int:
     return (raw * PS_PER_SEC) // FRACTION_SCALE
 
 
+#: A TX stamp embedded in a frame: the raw 64-bit counter, in
+#: ``STAMP_BYTES`` bytes of ``STAMP_ORDER``.
+STAMP_BYTES = 8
+STAMP_ORDER = "big"
+
+
+def read_stamp(data: bytes, offset: int) -> Optional[int]:
+    """The raw stamp at ``offset`` in frame bytes ``data``; None if the
+    frame ends before the stamp does."""
+    end = offset + STAMP_BYTES
+    if end > len(data):
+        return None
+    return int.from_bytes(data[offset:end], STAMP_ORDER)
+
+
 class TimestampUnit:
     """Produces hardware timestamps quantised to the 160 MHz clock.
 

@@ -48,7 +48,6 @@ DEFAULT_SPAN_CAPACITY = 1 << 14
 #: Default byte offset of the embedded TX stamp (the OSNT tools'
 #: 14 + 20 + 8 = start of a minimal UDP payload).
 DEFAULT_STAMP_OFFSET = 42
-_STAMP_BYTES = 8
 
 #: Fault actions that end a packet's life on the wire: the span is
 #: closed with outcome ``fault_<action>`` when one touches it.
@@ -141,6 +140,10 @@ class SpanRecorder(_Recorder):
             raise ConfigError(f"sample_one_in must be >= 1, got {sample_one_in}")
         if stamp_offset < 0:
             raise ConfigError(f"stamp_offset must be >= 0, got {stamp_offset}")
+        # Bound once: ``repro.obs`` imports no hardware module at load.
+        from ..hw.timestamp import read_stamp
+
+        self._read_stamp = read_stamp
         self.capacity = capacity
         self.sample_one_in = sample_one_in
         self.stamp_offset = stamp_offset
@@ -191,15 +194,12 @@ class SpanRecorder(_Recorder):
         """
         span = self._by_packet.get(packet.packet_id)
         if span is None and self._by_stamp:
-            data = packet.data
-            offset = self.stamp_offset
-            if offset + _STAMP_BYTES <= len(data):
-                raw = int.from_bytes(data[offset : offset + _STAMP_BYTES], "big")
-                span = self._by_stamp.get(raw)
-                if span is not None:
-                    self._by_packet[packet.packet_id] = span
-                    span.packet_ids.append(packet.packet_id)
-                    self.stamp_matches += 1
+            # A frame too short to carry a stamp reads None: no span.
+            span = self._by_stamp.get(self._read_stamp(packet.data, self.stamp_offset))
+            if span is not None:
+                self._by_packet[packet.packet_id] = span
+                span.packet_ids.append(packet.packet_id)
+                self.stamp_matches += 1
         return span
 
     def hop(

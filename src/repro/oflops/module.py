@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..errors import OflopsError
-from ..units import ms, seconds
+from ..errors import OflopsError, SweepError
+from ..units import ms, seconds, us
 from .context import OflopsContext
 
 #: Simulated time the runner advances between ``is_finished`` polls.
@@ -113,3 +113,64 @@ class ModuleRunner:
                 results["simulated_ps"]
             )
         return results
+
+
+def oflops_point(
+    module: str,
+    dut: Optional[str] = None,
+    barrier_mode: str = "spec",
+    firmware_delay_ps: int = us(10),
+    table_write_ps: int = us(100),
+    control_latency_ps: int = us(50),
+    impairments: Optional[list] = None,
+    n_rules: int = 32,
+    max_duration_ps: Optional[int] = None,
+    seed: int = 0,
+    telemetry: bool = False,
+) -> Dict[str, Any]:
+    """The ``oflops`` scenario: one module run against a DUT profile.
+
+    ``dut`` names one of :data:`~repro.devices.openflow_switch.PROFILES`;
+    without it the switch takes ``barrier_mode``, ``firmware_delay_ps``
+    and ``table_write_ps``. ``n_rules`` sizes the table modules, and
+    ``max_duration_ps`` caps a run (degradable modules run out the full
+    deadline on a faulted channel). ``telemetry`` adds the context's
+    metrics snapshot under ``"telemetry"``.
+    """
+    from ..devices.openflow_switch import PROFILES, SwitchProfile
+    from .modules import ALL_MODULES
+
+    if module not in ALL_MODULES:
+        raise SweepError(
+            f"unknown oflops module {module!r}; known: {', '.join(sorted(ALL_MODULES))}"
+        )
+    if dut is None:
+        profile = SwitchProfile(
+            barrier_mode=barrier_mode,
+            firmware_delay_ps=firmware_delay_ps,
+            table_write_ps=table_write_ps,
+        )
+    elif dut in PROFILES:
+        profile = PROFILES[dut]
+    else:
+        raise SweepError(
+            f"unknown oflops dut {dut!r}; known: {', '.join(sorted(PROFILES))}"
+        )
+    ctx = OflopsContext(
+        profile=profile,
+        control_latency_ps=control_latency_ps,
+        impairments=impairments,
+        seed=seed,
+        root_seed=seed,
+    )
+    module_cls = ALL_MODULES[module]
+    if module in ("flow_mod_latency", "forwarding_consistency"):
+        measurement = module_cls(n_rules=n_rules)
+    else:
+        measurement = module_cls()
+    if max_duration_ps is not None:
+        measurement.max_duration_ps = max_duration_ps
+    result = dict(ModuleRunner(ctx).run(measurement))
+    if telemetry:
+        result["telemetry"] = ctx.snapshot()
+    return result

@@ -15,7 +15,14 @@ arrange so stamped packets are not dropped as corrupt.
 from __future__ import annotations
 
 from ...errors import GeneratorError
-from ...hw.timestamp import TimestampUnit, ps_to_raw, raw_to_ps
+from ...hw.timestamp import (
+    STAMP_BYTES,
+    STAMP_ORDER,
+    TimestampUnit,
+    ps_to_raw,
+    raw_to_ps,
+    read_stamp,
+)
 from ...net.packet import Packet
 from ...net.parser import header_offsets
 from ...net.udp import UDP_HEADER_LEN
@@ -25,7 +32,6 @@ from .field_modifiers import _zero_udp_checksum
 #: tools default to the start of a minimal UDP payload:
 #: 14 (eth) + 20 (ipv4) + 8 (udp).
 DEFAULT_OFFSET = 42
-STAMP_BYTES = 8
 
 
 def embed_raw(data: bytes, offset: int, raw: int) -> bytes:
@@ -34,16 +40,18 @@ def embed_raw(data: bytes, offset: int, raw: int) -> bytes:
         raise GeneratorError(
             f"timestamp at offset {offset} does not fit a {len(data)}-byte frame"
         )
-    return data[:offset] + raw.to_bytes(STAMP_BYTES, "big") + data[offset + STAMP_BYTES :]
+    stamp = raw.to_bytes(STAMP_BYTES, STAMP_ORDER)
+    return data[:offset] + stamp + data[offset + STAMP_BYTES :]
 
 
 def extract_raw(data: bytes, offset: int = DEFAULT_OFFSET) -> int:
     """Read the 64-bit embedded stamp at ``offset``."""
-    if offset < 0 or offset + STAMP_BYTES > len(data):
+    raw = read_stamp(data, offset) if offset >= 0 else None
+    if raw is None:
         raise GeneratorError(
             f"no timestamp at offset {offset} in a {len(data)}-byte frame"
         )
-    return int.from_bytes(data[offset : offset + STAMP_BYTES], "big")
+    return raw
 
 
 def extract_ps(data: bytes, offset: int = DEFAULT_OFFSET) -> int:

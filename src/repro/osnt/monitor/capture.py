@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 from ...errors import CaptureError
 from ...hw.dma import DmaEngine
 from ...hw.port import EthernetPort
-from ...hw.timestamp import TimestampUnit, raw_to_ps
+from ...hw.timestamp import TimestampUnit, raw_to_ps, read_stamp
 from ...net.packet import Packet
 from ...net.pcap import PcapRecord, PcapWriter
 from ...sim import Simulator
@@ -29,7 +29,6 @@ from .reducers import HashUnit, PacketCutter, Thinner
 #: Latency samples beyond this are treated as garbage (no stamp embedded
 #: where the extractor looked), mirroring a hardware range check.
 LATENCY_SANITY_PS = 10**13  # 10 seconds
-_STAMP_BYTES = 8
 
 #: Flow-key extractors for per-flow latency banks: packet bytes → str.
 #: String keys survive a JSON round-trip unchanged, so shard merges are
@@ -227,9 +226,9 @@ class CapturePipeline:
             # In-band aggregation: extract the embedded TX stamp and bin
             # the delta without ever shipping the sample to the host.
             data = packet.data
-            if offset + _STAMP_BYTES <= len(data):
-                tx_ps = raw_to_ps(int.from_bytes(data[offset : offset + _STAMP_BYTES], "big"))
-                delta = packet.rx_timestamp - tx_ps
+            raw = read_stamp(data, offset)
+            if raw is not None:
+                delta = packet.rx_timestamp - raw_to_ps(raw)
                 if 0 <= delta <= LATENCY_SANITY_PS:
                     self.latency.record(delta)
                     if self.flow_latency is not None:

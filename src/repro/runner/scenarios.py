@@ -32,10 +32,8 @@ true`` asks supporting scenarios to include the card's metrics snapshot
 under the ``"telemetry"`` result key, which
 :meth:`~repro.runner.SweepReport.merged_telemetry` folds across shards.
 
-Also here: ``oflops``, one OFLOPS-turbo module run against a DUT
-profile, which rejects any key it does not read; and ``echo``,
-``sleep`` and ``flaky_marker``, tiny operational scenarios used by the
-runner's own tests.
+Also here: ``echo``, ``sleep`` and ``flaky_marker``, tiny operational
+scenarios used by the runner's own tests.
 
 Every scenario registered here needs a small spec in the ``SMOKE``
 table of ``tests/test_invariance.py``, which checks that its merged
@@ -53,7 +51,7 @@ import time
 from typing import Any, Callable, Dict, Iterable
 
 from ..errors import SweepError
-from ..units import duration_ps, rate_bps, us
+from ..units import duration_ps, rate_bps
 from .registry import register_scenario, scenario
 
 #: scenario -> (module, point function, description).
@@ -113,6 +111,12 @@ _POINTS = {
         "repro.testbed.rfc2544",
         "rfc2544_point",
         "E8: RFC 2544 zero-loss throughput search for one frame size.",
+    ),
+    # -- OFLOPS-turbo
+    "oflops": (
+        "repro.oflops.module",
+        "oflops_point",
+        "One OFLOPS-turbo module run against a configured DUT profile.",
     ),
     # -- attack workloads
     "syn_flood_flowmod": (
@@ -286,72 +290,3 @@ def _flaky_marker(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     with open(marker, "w") as handle:
         handle.write("attempted\n")
     raise RuntimeError(f"transient failure (marker {marker} planted)")
-
-
-# -- OFLOPS-turbo modules ----------------------------------------------------
-
-#: The keys the ``oflops`` scenario reads.
-_OFLOPS_KEYS = (
-    "module",
-    "dut",
-    "barrier_mode",
-    "firmware_delay",
-    "table_write",
-    "control_latency",
-    "impairments",
-    "n_rules",
-    "max_duration",
-    "seed",
-    "telemetry",
-)
-
-
-@scenario("oflops")
-def _oflops(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """One OFLOPS-turbo module run against a configured DUT profile."""
-    from ..devices.openflow_switch import PROFILES, SwitchProfile
-    from ..oflops.context import OflopsContext
-    from ..oflops.module import ModuleRunner
-    from ..oflops.modules import ALL_MODULES
-
-    for key in params:
-        if key not in _OFLOPS_KEYS:
-            raise _bad_key("oflops", f"unknown key {key!r}", _OFLOPS_KEYS)
-    name = params["module"]
-    if name not in ALL_MODULES:
-        raise SweepError(
-            f"unknown oflops module {name!r}; known: {', '.join(sorted(ALL_MODULES))}"
-        )
-    dut = params.get("dut")
-    if dut is not None:
-        if dut not in PROFILES:
-            raise SweepError(
-                f"unknown oflops dut {dut!r}; known: {', '.join(sorted(PROFILES))}"
-            )
-        profile = PROFILES[dut]
-    else:
-        profile = SwitchProfile(
-            barrier_mode=params.get("barrier_mode", "spec"),
-            firmware_delay_ps=duration_ps(params.get("firmware_delay", us(10))),
-            table_write_ps=duration_ps(params.get("table_write", us(100))),
-        )
-    ctx = OflopsContext(
-        profile=profile,
-        control_latency_ps=duration_ps(params.get("control_latency", us(50))),
-        impairments=params.get("impairments"),
-        seed=_seed(params, seed),
-        root_seed=_seed(params, seed),
-    )
-    module_cls = ALL_MODULES[name]
-    if name in ("flow_mod_latency", "forwarding_consistency"):
-        module = module_cls(n_rules=params.get("n_rules", 32))
-    else:
-        module = module_cls()
-    if params.get("max_duration") is not None:
-        # Degradable modules run out the full deadline on a faulted
-        # channel; impaired sweeps cap it to keep shards fast.
-        module.max_duration_ps = duration_ps(params["max_duration"])
-    result = dict(ModuleRunner(ctx).run(module))
-    if params.get("telemetry"):
-        result["telemetry"] = ctx.snapshot()
-    return result

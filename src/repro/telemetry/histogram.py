@@ -314,9 +314,6 @@ class HistogramBank:
     def record(self, key: object, value: int) -> None:
         self._histogram_for(key).record(value)
 
-    def record_repeat(self, key: object, value: int, repeat: int) -> None:
-        self._histogram_for(key).record_repeat(value, repeat)
-
     def get(self, key: object) -> Optional[LogLinearHistogram]:
         return self._histograms.get(key)
 

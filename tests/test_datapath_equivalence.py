@@ -8,6 +8,8 @@ schedules and latency measurement. Workloads that arm an observation
 point (spans, waveforms, capture, latency histograms, faults on the
 loopback link) must transparently fall back to the per-packet path and
 still agree; an armed tracer reads no packets and keeps the burst path.
+`TestObservationPointFallback` also trips every code in
+`repro.hw.burst.FALLBACK_CODES`, at start() and, where it can, mid-run.
 These tests run the same workload under both `REPRO_DATAPATH` settings
 and assert the full observable state matches exactly — the same pattern
 tests/test_sim_queue_equivalence.py applies to the event queues.
@@ -17,6 +19,7 @@ drop and tie with the MAC's chain events.
 
 import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
@@ -24,18 +27,26 @@ from hypothesis import example, given, seed, settings, strategies as st
 from repro.errors import ConfigError, SimulationError
 from repro.faults import FaultInjector
 from repro.hw import TimestampUnit, connect
-from repro.hw.burst import BurstLane
+from repro.flows import FlowEndpoint
+from repro.hw.burst import FALLBACK_CODES, BurstLane
 from repro.hw.timestamp import ps_to_raw
 from repro.net import Packet
 from repro.obs import SpanRecorder
 from repro.osnt import OSNT
-from repro.osnt.generator import PortGenerator
+from repro.osnt.generator import (
+    ConstantGap,
+    PacketListSource,
+    PortGenerator,
+    SequenceNumber,
+    TemplateSource,
+)
 from repro.osnt.generator.schedule import PoissonGaps, Schedule
 from repro.sim import Simulator
 from repro.telemetry import Tracer, WaveformRecorder
 from repro.testbed.rfc2544 import rfc2544_point
 from repro.testbed.scenarios import legacy_latency_point, line_rate_point
 from repro.testbed.workloads import udp_template
+from repro.topology import Topology
 from repro.units import ms, us
 
 IMPLS = ("packet", "burst")
@@ -452,6 +463,81 @@ class TestSerialLane:
 # -- observation points force the per-packet fallback -------------------
 
 
+def _fallback_lane(trip=None, wired=True):
+    """A 20 µs, 64 B line-rate lane out of port 0 of a loopback tester,
+    with ``trip(lane)`` applied before start()."""
+    sim = Simulator()
+    tester = OSNT(sim)
+    if wired:
+        connect(tester.port(0), tester.port(1))
+    engine = tester.device.generator(0)
+    engine.configure(TemplateSource(udp_template(64)), duration_ps=us(20))
+    lane = SimpleNamespace(sim=sim, tester=tester, engine=engine)
+    if trip is not None:
+        trip(lane)
+    engine.start()
+    return lane
+
+
+def _attach_transport(lane):
+    hosts = Topology(name="pair").host("h1").host("h2").link("h1", "h2").build(lane.sim)
+    FlowEndpoint(hosts.node("h1"))
+
+
+def _swap_schedule(lane):
+    lane.engine.schedule = ConstantGap(us(1))
+
+
+def _swap_source(lane):
+    lane.engine.source = TemplateSource(udp_template(64))
+
+
+def _swap_template(lane):
+    lane.engine.source.template = udp_template(64)
+
+
+def _change_limit(lane):
+    lane.engine.limit_count = 5
+
+
+def _stamp_frames(lane):
+    lane.engine.timestamper.enabled = True
+
+
+#: Per code, the smallest change that breaks its condition.
+_FALLBACK_TRIPS = {
+    "spans": lambda lane: SpanRecorder().arm(lane.sim),
+    "waves": lambda lane: WaveformRecorder().arm(lane.sim),
+    "closed_loop": _attach_transport,
+    "schedule_swapped": _swap_schedule,
+    "source_swapped": _swap_source,
+    "source_kind": lambda lane: lane.engine.configure(
+        PacketListSource([udp_template(64)]), duration_ps=us(20)
+    ),
+    "template_swapped": _swap_template,
+    "modifiers": lambda lane: lane.engine.source.modifiers.append(SequenceNumber(42)),
+    "limit_changed": _change_limit,
+    "no_limit": lambda lane: lane.engine.configure(TemplateSource(udp_template(64))),
+    "timestamper": _stamp_frames,
+    "unconnected": None,  # the lane's port is left unwired
+    # An idle MAC starts serializing a frame the moment it is sent.
+    "mac_busy": lambda lane: lane.tester.port(0).send(udp_template(64)),
+    "impairment": lambda lane: lane.tester.port(0).link.add_impairment(
+        lambda packet, port: None
+    ),
+    "peer_not_capture": lambda lane: lane.tester.port(1).add_rx_sink(
+        lambda packet: None
+    ),
+    "capture_enabled": lambda lane: lane.tester.monitor(1).start_capture(),
+    "latency": lambda lane: lane.tester.monitor(1).enable_latency(),
+}
+#: Conditions only the audit checks, and those only an engaged lane has.
+_AT_START_ONLY = {"source_kind", "no_limit", "unconnected", "mac_busy"}
+_MID_RUN_ONLY = {
+    "schedule_swapped", "source_swapped", "template_swapped", "limit_changed"
+}
+
+
 class TestObservationPointFallback:
     def test_spans_armed(self, monkeypatch):
         """Span recording needs real Packet objects: the lane must fall
@@ -582,6 +668,35 @@ class TestObservationPointFallback:
         assert burst_state == packet_state
         assert burst_state["g0.stats"][0] > 0
         assert 0 < burst_fired < packet_fired
+
+    @pytest.mark.parametrize("code", FALLBACK_CODES)
+    def test_each_fallback_code_names_its_condition(self, code, monkeypatch):
+        """The smallest lane that breaks each condition keeps its code on
+        ``lane.fallback``; one broken after start() raises a
+        SimulationError naming the code at the lane's next window."""
+        assert set(_FALLBACK_TRIPS) == set(FALLBACK_CODES)
+        monkeypatch.setenv("REPRO_DATAPATH", "burst")
+        audited = []
+        audit = BurstLane._audit
+
+        def recorded_audit(lane):
+            audited.append(lane)
+            return audit(lane)
+
+        monkeypatch.setattr(BurstLane, "_audit", recorded_audit)
+        trip = _FALLBACK_TRIPS[code]
+        if code not in _MID_RUN_ONLY:
+            lane = _fallback_lane(trip, wired=code != "unconnected")
+            lane.sim.run(until=us(5))
+            assert [burst.fallback for burst in audited] == [code]
+        if code not in _AT_START_ONLY:
+            audited.clear()
+            lane = _fallback_lane()
+            lane.sim.run(until=us(5))  # lane audited clean and engaged
+            assert [burst.fallback for burst in audited] == [None]
+            trip(lane)
+            with pytest.raises(SimulationError, match=f"'{code}'"):
+                lane.sim.run()
 
 
 # -- full scenarios across seeds ----------------------------------------

@@ -429,6 +429,21 @@ class TestFaultTolerance:
             assert report.scheduler_stats.get("retried", 0) == 0
             assert shard.error.startswith("ConfigError: duration must be non-negative")
 
+    def test_oflops_without_a_module_is_rejected_once(self):
+        """``oflops`` binds its params like every point scenario: a spec
+        without the required ``module`` key fails its one attempt with a
+        SweepError instead of crashing and being retried."""
+        spec = ExperimentSpec(
+            name="no-module", scenario="oflops", params={"n_rules": 4},
+            retries=1, timeout_s=30.0,
+        )
+        report = run_spec(spec, workers=0)
+        (shard,) = report.shards
+        assert shard.attempts == 1
+        assert shard.error.startswith(
+            "SweepError: scenario 'oflops': missing key 'module'"
+        )
+
 
 class TestReport:
     def test_collect_filters_result_keys(self):
