@@ -26,6 +26,7 @@ import random
 from typing import Callable, Dict, Optional, Tuple, Type
 
 from ..errors import FaultError
+from ..hw.port import DROP_FRAME, Link
 from ..units import duration_ps
 from .spec import FaultSpec
 
@@ -120,6 +121,54 @@ class FaultModel:
 # ---------------------------------------------------------------------------
 
 
+def impaired_port(link, direction: Optional[str]):
+    """The port whose arriving frames a directional link impairment
+    touches (``"a_to_b"``: ``port_b``, ``"b_to_a"``: ``port_a``), or None
+    when it touches both directions."""
+    if direction is None:
+        return None
+    return link.port_b if direction == "a_to_b" else link.port_a
+
+
+def book_fcs_failure(link, destination) -> None:
+    """Count a corrupted frame that reaches the far MAC and fails its FCS
+    check there: a corrupted frame on the link, an RX error *and* an
+    injected drop, exactly how a dirty fibre shows up to a real tester."""
+    link.frames_corrupted += 1
+    stats = destination.rx.stats
+    stats.errors += 1
+    stats.drops_injected += 1
+
+
+class GeometricBursts:
+    """Per-frame hits that come in bursts: a burst starts with probability
+    ``rate / burst`` and lasts a geometric number of frames with mean
+    ``burst`` (the starting frame included), so the long-run share of hit
+    frames is ``rate``. Every draw comes from ``rng``, in frame order."""
+
+    def __init__(self, rate: float, burst: float, rng: random.Random) -> None:
+        self.rate = rate
+        self.burst = burst
+        self.rng = rng
+        self.left = 0  # frames of the current burst still to hit
+
+    def hit(self) -> bool:
+        if self.left > 0:
+            self.left -= 1
+            return True
+        if self.rate <= 0.0:
+            return False
+        enter = min(1.0, self.rate / self.burst)
+        if self.rng.random() >= enter:
+            return False
+        length = 1
+        continue_p = 1.0 - 1.0 / self.burst
+        while continue_p > 0.0 and self.rng.random() < continue_p:
+            length += 1
+        self.left = length - 1
+        return True
+
+
 class _LinkModel(FaultModel):
     """Base for models that hook a link's per-frame delivery path.
 
@@ -144,27 +193,21 @@ class _LinkModel(FaultModel):
             )
 
     def arm(self, sim) -> None:
-        from ..hw.port import Link
-
         if not isinstance(self.target, Link):
             raise FaultError(
                 f"fault {self.name!r} ({self.kind}) needs a Link target, "
                 f"got {type(self.target).__name__}"
             )
+        self._only_to = impaired_port(self.target, self.direction)
         self.target.add_impairment(self._on_frame)
         super().arm(sim)
 
     def _on_frame(self, packet, destination) -> Optional[int]:
         if not self.active:
             return None
-        if self.direction is not None:
-            wanted = (
-                self.target.port_b
-                if self.direction == "a_to_b"
-                else self.target.port_a
-            )
-            if destination is not wanted:
-                return None
+        only_to = self._only_to
+        if only_to is not None and destination is not only_to:
+            return None
         return self.decide(packet, destination)
 
     def decide(self, packet, destination) -> Optional[int]:
@@ -193,31 +236,12 @@ class LinkLossModel(_LinkModel):
         self.burst = float(spec.params.get("burst", 1.0))
         if self.burst < 1.0:
             raise FaultError(f"fault {spec.name!r}: burst must be >= 1")
-        self._burst_left = 0
+        self._losses = GeometricBursts(self.rate, self.burst, rng)
         self.dropped = 0
 
     def decide(self, packet, destination) -> Optional[int]:
-        from ..hw.port import DROP_FRAME
-
-        if self._burst_left > 0:
-            self._burst_left -= 1
-            return self._drop(packet, destination)
-        if self.rate <= 0.0:
+        if not self._losses.hit():
             return None
-        enter = min(1.0, self.rate / self.burst)
-        if self.rng.random() >= enter:
-            return None
-        # Geometric burst length with mean ``burst`` (this frame included).
-        length = 1
-        continue_p = 1.0 - 1.0 / self.burst
-        while continue_p > 0.0 and self.rng.random() < continue_p:
-            length += 1
-        self._burst_left = length - 1
-        return self._drop(packet, destination)
-
-    def _drop(self, packet, destination):
-        from ..hw.port import DROP_FRAME
-
         self.dropped += 1
         destination.rx.stats.drops_injected += 1
         self.record("drop", bytes=packet.frame_length, packet=packet)
@@ -227,8 +251,7 @@ class LinkLossModel(_LinkModel):
 @fault_model("link_corrupt")
 class LinkCorruptModel(_LinkModel):
     """Per-frame FCS corruption: the frame reaches the far MAC but fails
-    the FCS check there — counted as an RX error *and* an injected drop,
-    exactly how a dirty fibre shows up to a real tester."""
+    the FCS check there (:func:`book_fcs_failure`)."""
 
     param_keys = _LinkModel.param_keys + ("rate",)
 
@@ -238,14 +261,10 @@ class LinkCorruptModel(_LinkModel):
         self.corrupted = 0
 
     def decide(self, packet, destination) -> Optional[int]:
-        from ..hw.port import DROP_FRAME
-
         if self.rate <= 0.0 or self.rng.random() >= self.rate:
             return None
         self.corrupted += 1
-        self.target.frames_corrupted += 1
-        destination.rx.stats.errors += 1
-        destination.rx.stats.drops_injected += 1
+        book_fcs_failure(self.target, destination)
         self.record("corrupt", bytes=packet.frame_length, packet=packet)
         return DROP_FRAME
 

@@ -12,13 +12,14 @@ corrupted frame into a transport-visible drop.
 :meth:`Link impairment hook <repro.hw.port.Link.add_impairment>`:
 
 * the *corruption pattern* is drawn from its own named RNG stream,
-  with optional geometric bursts exactly like
-  :class:`~repro.faults.models.LinkLossModel` — and it is drawn
+  with optional geometric bursts by the same
+  :class:`~repro.faults.models.GeometricBursts` draw
+  :class:`~repro.faults.models.LinkLossModel` uses — and it is drawn
   identically whether protection is on or off, so a protected and an
   unprotected run at the same seed corrupt the *same frames*;
-* ``protected=False``: the corrupted frame is dropped at the far MAC
-  (RX error + injected drop, like
-  :class:`~repro.faults.models.LinkCorruptModel`);
+* ``protected=False``: the corrupted frame is dropped at the far MAC,
+  booked as :class:`~repro.faults.models.LinkCorruptModel` books it
+  (:func:`~repro.faults.models.book_fcs_failure`);
 * ``protected=True``: the frame is delivered late instead — each local
   retransmit attempt costs :attr:`retx_delay_ps` and can itself be
   corrupted (drawn from a *second* stream so retries never perturb the
@@ -36,6 +37,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..errors import FlowError
+from ..faults.models import GeometricBursts, book_fcs_failure, impaired_port
 from ..hw.port import DROP_FRAME, EthernetPort, Link
 from ..sim import RandomStreams
 from ..units import us
@@ -74,10 +76,12 @@ class LinkGuardian:
         # Two independent streams: the corruption pattern must be
         # bit-identical with protection on or off at the same seed, so
         # retry draws may never advance the corruption stream.
-        self._corrupt_rng = streams.stream("linkguardian/corrupt")
+        self._corrupted_now = GeometricBursts(
+            corrupt_rate, burst, streams.stream("linkguardian/corrupt")
+        ).hit
         self._retx_rng = streams.stream("linkguardian/retx")
-        self._burst_left = 0
         self.link: Optional[Link] = None
+        self._only_to: Optional[EthernetPort] = None
         #: Per-destination-port release gate (FIFO holdback), in ps.
         self._release_ps: Dict[str, int] = {}
 
@@ -92,54 +96,27 @@ class LinkGuardian:
         if self.link is not None:
             raise FlowError("LinkGuardian is already attached to a link")
         self.link = link
+        self._only_to = impaired_port(link, self.direction)
         link.add_impairment(self._on_frame)
         return self
 
     # -- per-frame verdict ---------------------------------------------------
 
     def _on_frame(self, packet, destination: EthernetPort) -> Optional[object]:
-        if self.direction is not None:
-            wanted = (
-                self.link.port_b if self.direction == "a_to_b" else self.link.port_a
-            )
-            if destination is not wanted:
-                return None
+        only_to = self._only_to
+        if only_to is not None and destination is not only_to:
+            return None
         self.frames_seen += 1
         if self._corrupted_now():
             self.corrupted += 1
-            if not self.protected:
+            delay = self._recovery_delay() if self.protected else None
+            if delay is None:  # unprotected, or every local retransmit failed too
                 self.lost += 1
-                self.link.frames_corrupted += 1
-                destination.rx.stats.errors += 1
-                destination.rx.stats.drops_injected += 1
-                return DROP_FRAME
-            delay = self._recovery_delay()
-            if delay is None:  # every local retransmit failed too
-                self.lost += 1
-                self.link.frames_corrupted += 1
-                destination.rx.stats.errors += 1
-                destination.rx.stats.drops_injected += 1
+                book_fcs_failure(self.link, destination)
                 return DROP_FRAME
             self.recovered += 1
             return self._hold_fifo(destination, delay)
         return self._hold_fifo(destination, 0)
-
-    def _corrupted_now(self) -> bool:
-        if self._burst_left > 0:
-            self._burst_left -= 1
-            return True
-        if self.corrupt_rate <= 0.0:
-            return False
-        enter = min(1.0, self.corrupt_rate / self.burst)
-        if self._corrupt_rng.random() >= enter:
-            return False
-        # Geometric burst length with mean ``burst`` (this frame included).
-        length = 1
-        continue_p = 1.0 - 1.0 / self.burst
-        while continue_p > 0.0 and self._corrupt_rng.random() < continue_p:
-            length += 1
-        self._burst_left = length - 1
-        return True
 
     def _recovery_delay(self) -> Optional[int]:
         """Picoseconds until the local retransmit gets through, or None

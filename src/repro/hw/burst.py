@@ -289,8 +289,6 @@ class BurstLane:
 
     def _audit(self) -> bool:
         """Engage the lane if no condition is broken; else name the first."""
-        from ..osnt.generator.schedule import ConstantGap, LineRate
-
         engine = self.engine
         port = engine.port
         tx = port.tx
@@ -338,22 +336,17 @@ class BurstLane:
         self.last_event_time = now
         # Closed-form windows need a timeline on which no frame can ever
         # queue (every start-to-start spacing covers the wire slot) or
-        # tail-drop. A constant gap (the O(1) bulk path) is a train of
-        # one-frame bursts; an exactly periodic schedule publishes its
-        # (n, intra, period).
+        # tail-drop. An exactly periodic schedule publishes its
+        # (n, intra, period); a train of one-frame bursts, which is what
+        # a constant gap publishes, is the O(1) bulk path.
         self.bulk_gap = self.train = None
         self.t0 = self.next_wake  # the first step: any lane's first start
-        constant = type(self.schedule) in (LineRate, ConstantGap)
-        if constant:
-            gap = self.schedule.gap_after(self.flen)
-            profile = (1, gap, gap)
-        else:
-            profile = self.schedule.train_profile(self.flen)
+        profile = self.schedule.train_profile(self.flen)
         if profile is not None and self.flen <= self.capacity:
             n, intra, period = profile
             if n >= 1 and intra >= self.slot and period - (n - 1) * intra >= self.slot:
-                if constant:
-                    self.bulk_gap = gap
+                if n == 1:
+                    self.bulk_gap = period
                 else:
                     self.train = (int(n), int(intra), int(period))
         engine.stats.started_at_ps = now

@@ -160,12 +160,7 @@ class DmaEngine:
         return True
 
     def _transfer_bytes(self, packet: Packet) -> int:
-        captured = (
-            packet.capture_length
-            if packet.capture_length is not None
-            else len(packet.data)
-        )
-        return captured + self.per_packet_overhead
+        return len(packet.held_data) + self.per_packet_overhead
 
     def _start_next(self) -> None:
         if not self._ring:

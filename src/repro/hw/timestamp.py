@@ -32,16 +32,19 @@ def raw_to_ps(raw: int) -> int:
 
 
 #: A TX stamp embedded in a frame: the raw 64-bit counter, in
-#: ``STAMP_BYTES`` bytes of ``STAMP_ORDER``.
+#: ``STAMP_BYTES`` bytes of ``STAMP_ORDER``, by default at byte
+#: ``STAMP_OFFSET``: OSNT's tools put it at the start of a minimal UDP
+#: payload, 14 (eth) + 20 (ipv4) + 8 (udp).
 STAMP_BYTES = 8
 STAMP_ORDER = "big"
+STAMP_OFFSET = 42
 
 
 def read_stamp(data: bytes, offset: int) -> Optional[int]:
-    """The raw stamp at ``offset`` in frame bytes ``data``; None if the
-    frame ends before the stamp does."""
+    """The raw stamp at ``offset`` in frame bytes ``data``; None unless
+    the whole stamp lies inside the frame."""
     end = offset + STAMP_BYTES
-    if end > len(data):
+    if offset < 0 or end > len(data):
         return None
     return int.from_bytes(data[offset:end], STAMP_ORDER)
 

@@ -57,6 +57,13 @@ class Packet:
         return len(self.data)
 
     @property
+    def held_data(self) -> bytes:
+        """The bytes of the frame the host holds: ``data`` cut to
+        ``capture_length`` (all of it when uncut)."""
+        cut = self.capture_length
+        return self.data if cut is None else self.data[:cut]
+
+    @property
     def frame_length(self) -> int:
         """On-the-wire frame length including FCS and minimum padding."""
         return max(len(self.data) + ETH_FCS_BYTES, ETH_MIN_FRAME)

@@ -143,11 +143,9 @@ class PcapWriter:
 
     def write_packet(self, packet: Packet, timestamp_ps: int) -> None:
         """Convenience: write a simulator :class:`Packet` at a timestamp."""
-        data = packet.data
-        orig_len = len(data)
-        if packet.capture_length is not None:
-            data = data[: packet.capture_length]
-        self.write(PcapRecord(timestamp_ps=timestamp_ps, data=data, orig_len=orig_len))
+        self.write(
+            PcapRecord(timestamp_ps, packet.held_data, orig_len=len(packet.data))
+        )
 
     def close(self) -> None:
         if self._owns_stream:

@@ -39,15 +39,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigError
+from ..hw.timestamp import STAMP_OFFSET, read_stamp
 from ..net.packet import Packet
 from ..sim.kernel import _Recorder
 
 #: Bound on live spans: beyond this the oldest span (and its index
 #: entries) is evicted, like the tracer's ring buffer.
 DEFAULT_SPAN_CAPACITY = 1 << 14
-#: Default byte offset of the embedded TX stamp (the OSNT tools'
-#: 14 + 20 + 8 = start of a minimal UDP payload).
-DEFAULT_STAMP_OFFSET = 42
 
 #: Fault actions that end a packet's life on the wire: the span is
 #: closed with outcome ``fault_<action>`` when one touches it.
@@ -132,7 +130,7 @@ class SpanRecorder(_Recorder):
         self,
         capacity: int = DEFAULT_SPAN_CAPACITY,
         sample_one_in: int = 1,
-        stamp_offset: int = DEFAULT_STAMP_OFFSET,
+        stamp_offset: int = STAMP_OFFSET,
     ) -> None:
         if capacity < 1:
             raise ConfigError(f"span capacity must be >= 1, got {capacity}")
@@ -140,10 +138,6 @@ class SpanRecorder(_Recorder):
             raise ConfigError(f"sample_one_in must be >= 1, got {sample_one_in}")
         if stamp_offset < 0:
             raise ConfigError(f"stamp_offset must be >= 0, got {stamp_offset}")
-        # Bound once: ``repro.obs`` imports no hardware module at load.
-        from ..hw.timestamp import read_stamp
-
-        self._read_stamp = read_stamp
         self.capacity = capacity
         self.sample_one_in = sample_one_in
         self.stamp_offset = stamp_offset
@@ -195,7 +189,7 @@ class SpanRecorder(_Recorder):
         span = self._by_packet.get(packet.packet_id)
         if span is None and self._by_stamp:
             # A frame too short to carry a stamp reads None: no span.
-            span = self._by_stamp.get(self._read_stamp(packet.data, self.stamp_offset))
+            span = self._by_stamp.get(read_stamp(packet.data, self.stamp_offset))
             if span is not None:
                 self._by_packet[packet.packet_id] = span
                 span.packet_ids.append(packet.packet_id)

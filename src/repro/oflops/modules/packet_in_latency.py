@@ -5,6 +5,11 @@ flow table and returns to the OFLOPS host as an OFPT_PACKET_IN carrying
 those bytes. The latency is controller-arrival minus embedded TX stamp —
 a cross-channel measurement only possible because both channels share
 the measurement clock (the paper's core OFLOPS-turbo argument).
+
+Every probe is stamped, so a zero stamp is a real time (the run may
+start at t=0). That differs on purpose from the host-side capture rule,
+:func:`repro.analysis.latency.stamped_frames`, which takes a zero stamp
+field as never written.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from ...analysis.stats import SummaryStats
+from ...hw.timestamp import STAMP_OFFSET, raw_to_ps, read_stamp
 from ...openflow.messages import PacketIn
 from ...osnt.generator.schedule import ConstantGap
-from ...osnt.generator.tx_timestamp import DEFAULT_OFFSET, extract_ps
 from ...testbed.workloads import fixed_size_source
 from ...units import us
 from ..context import OflopsContext
@@ -53,12 +58,10 @@ class PacketInLatencyModule(MeasurementModule):
         def on_message(message) -> None:
             if not isinstance(message, PacketIn):
                 return
-            if len(message.data) < DEFAULT_OFFSET + 8:
-                return
-            # Every probe is stamped, so a zero stamp is a real time
-            # (the run may start at t=0), not an unwritten field.
-            tx_ps = extract_ps(message.data)
-            self.samples.append(ctx.sim.now - tx_ps)
+            raw = read_stamp(message.data, STAMP_OFFSET)
+            if raw is None:
+                return  # the frame ends before the stamp does
+            self.samples.append(ctx.sim.now - raw_to_ps(raw))  # a zero stamp too
 
         return on_message
 

@@ -437,7 +437,7 @@ class TrafficMonitor:
 
     def enable_latency(
         self,
-        offset: Optional[int] = None,
+        offset: int = DEFAULT_OFFSET,
         per_flow: bool = False,
         flow_key: str = "dst_port",
         max_flows: int = 4096,
@@ -448,13 +448,8 @@ class TrafficMonitor:
         sample per flow (keyed by ``flow_key``), P4TG-style — read the
         result from :attr:`flow_latency` or :meth:`flow_latency_rows`.
         """
-        from .generator.tx_timestamp import DEFAULT_OFFSET
-
         self._pipeline.enable_latency(
-            DEFAULT_OFFSET if offset is None else offset,
-            per_flow=per_flow,
-            flow_key=flow_key,
-            max_flows=max_flows,
+            offset, per_flow=per_flow, flow_key=flow_key, max_flows=max_flows
         )
         return self
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ...errors import GeneratorError
+from ...errors import ConfigError, GeneratorError
 from ...hw.burst import attach_lane, resolve_datapath
 from ...hw.port import EthernetPort
 from ...hw.timestamp import TimestampUnit
@@ -105,9 +105,16 @@ class PortGenerator:
         embed_timestamps: bool = False,
         timestamp_offset: int = DEFAULT_OFFSET,
     ) -> None:
-        """Set up a run. Call :meth:`start` to begin transmitting."""
+        """Set up a run. Call :meth:`start` to begin transmitting.
+
+        A run with a ``duration_ps`` sends nothing unless it is positive,
+        so a non-positive one is refused here, where every generator's
+        duration lands.
+        """
         if self.running:
             raise GeneratorError(f"{self.name}: cannot reconfigure while running")
+        if duration_ps is not None and not duration_ps > 0:
+            raise ConfigError(f"duration must be positive, got {duration_ps!r} ps")
         self.source = source
         self.schedule = schedule or LineRate(self.port.rate_bps)
         self.limit_count = count

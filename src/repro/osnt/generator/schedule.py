@@ -64,7 +64,19 @@ class Schedule:
         return None
 
 
-class LineRate(Schedule):
+class _FixedGap(Schedule):
+    """Every gap is the same for one frame length: a train of one-frame
+    bursts, each ``gap_after(frame_len)`` after the last."""
+
+    def train_profile(self, frame_len: int) -> Optional[Tuple[int, int, int]]:
+        gap = self.gap_after(frame_len)
+        return (1, gap, gap)
+
+    def expected_gap_ps(self, frame_len: int) -> Optional[float]:
+        return float(self.gap_after(frame_len))
+
+
+class LineRate(_FixedGap):
     """Back-to-back: next frame starts the moment the wire allows."""
 
     def __init__(self, rate_bps: float = TEN_GBPS) -> None:
@@ -72,9 +84,6 @@ class LineRate(Schedule):
 
     def gap_after(self, frame_len: int) -> int:
         return wire_time_ps(frame_wire_bytes(frame_len), self.rate_bps)
-
-    def expected_gap_ps(self, frame_len: int) -> Optional[float]:
-        return float(self.gap_after(frame_len))
 
 
 class ConstantBitRate(Schedule):
@@ -108,7 +117,7 @@ class ConstantBitRate(Schedule):
         return frame_wire_bytes(frame_len) * 8 * 1e12 / self.target_bps
 
 
-class ConstantGap(Schedule):
+class ConstantGap(_FixedGap):
     """A fixed start-to-start gap, floored at the frame's wire time."""
 
     def __init__(self, gap_ps: int, line_rate_bps: float = TEN_GBPS) -> None:
@@ -120,9 +129,6 @@ class ConstantGap(Schedule):
     def gap_after(self, frame_len: int) -> int:
         floor = wire_time_ps(frame_wire_bytes(frame_len), self.line_rate_bps)
         return max(self.gap_ps, floor)
-
-    def expected_gap_ps(self, frame_len: int) -> Optional[float]:
-        return float(self.gap_after(frame_len))
 
 
 class PoissonGaps(Schedule):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from ...errors import GeneratorError
 from ...hw.timestamp import (
     STAMP_BYTES,
+    STAMP_OFFSET as DEFAULT_OFFSET,  # the generator's name for it
     STAMP_ORDER,
     TimestampUnit,
     ps_to_raw,
@@ -27,11 +28,6 @@ from ...net.packet import Packet
 from ...net.parser import header_offsets
 from ...net.udp import UDP_HEADER_LEN
 from .field_modifiers import _zero_udp_checksum
-
-#: Default byte offset of the embedded stamp within the frame. OSNT's
-#: tools default to the start of a minimal UDP payload:
-#: 14 (eth) + 20 (ipv4) + 8 (udp).
-DEFAULT_OFFSET = 42
 
 
 def embed_raw(data: bytes, offset: int, raw: int) -> bytes:
@@ -46,7 +42,7 @@ def embed_raw(data: bytes, offset: int, raw: int) -> bytes:
 
 def extract_raw(data: bytes, offset: int = DEFAULT_OFFSET) -> int:
     """Read the 64-bit embedded stamp at ``offset``."""
-    raw = read_stamp(data, offset) if offset >= 0 else None
+    raw = read_stamp(data, offset)
     if raw is None:
         raise GeneratorError(
             f"no timestamp at offset {offset} in a {len(data)}-byte frame"

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 from ...errors import CaptureError
 from ...hw.dma import DmaEngine
 from ...hw.port import EthernetPort
-from ...hw.timestamp import TimestampUnit, raw_to_ps, read_stamp
+from ...hw.timestamp import STAMP_OFFSET, TimestampUnit, raw_to_ps, read_stamp
 from ...net.packet import Packet
 from ...net.pcap import PcapRecord, PcapWriter
 from ...sim import Simulator
@@ -110,13 +110,7 @@ class HostCaptureBuffer:
 
     def records(self) -> List[PcapRecord]:
         return [
-            PcapRecord(
-                timestamp_ps=packet.rx_timestamp or 0,
-                data=packet.data[: packet.capture_length]
-                if packet.capture_length is not None
-                else packet.data,
-                orig_len=len(packet.data),
-            )
+            PcapRecord(packet.rx_timestamp or 0, packet.held_data, len(packet.data))
             for packet in self.packets
         ]
 
@@ -170,7 +164,7 @@ class CapturePipeline:
 
     def enable_latency(
         self,
-        offset: int = 42,
+        offset: int = STAMP_OFFSET,
         per_flow: bool = False,
         flow_key: str = "dst_port",
         max_flows: int = 4096,
@@ -215,6 +209,14 @@ class CapturePipeline:
         registry.register_histogram(f"{prefix}.latency_ps", self.latency)
 
     def _on_frame(self, packet: Packet) -> None:
+        """RX stamp, count and bin one frame, then pass it down the stages.
+
+        The in-band histogram's sample rule differs on purpose from the
+        host's (:func:`repro.analysis.latency.stamped_frames`): it reads
+        the stamp from the whole frame before any cut and bins any delta
+        inside the ``[0, LATENCY_SANITY_PS]`` range check, a zero stamp
+        field included, as a hardware range check would.
+        """
         # Timestamp and count unconditionally: the stats module and the
         # timestamp run even when host capture is disabled.
         packet.rx_timestamp = self.timestamp_unit.now_ps()

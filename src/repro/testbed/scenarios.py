@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..analysis.latency import latency_from_capture
+from ..analysis.latency import latency_from_capture, stamped_frames
 from ..analysis.stats import SummaryStats, gap_jitter_std
 from ..devices.legacy_switch import LegacySwitch
 from ..devices.openflow_switch import SwitchProfile
@@ -508,14 +508,9 @@ def timestamp_placement_point(
     bed.generator.set_load(load).embed_timestamps().for_duration(duration_ps)
     bed.generator.start()
     sim.run()
-    from ..osnt.generator.tx_timestamp import extract_ps
-
     hw_samples = []
     host_samples = []
-    for packet in bed.monitor.packets:
-        tx = extract_ps(packet.data)
-        if tx == 0:
-            continue
+    for packet, tx in stamped_frames(bed.monitor.packets):
         hw_samples.append(packet.rx_timestamp - tx)
         host_samples.append(host_arrivals[packet.packet_id] - tx)
     hw = SummaryStats.of(hw_samples)
@@ -649,14 +644,8 @@ def imix_latency_point(
     )
     bed.generator._engine.start()
     sim.run()
-
-    from ..osnt.generator.tx_timestamp import extract_ps
-
     by_size: Dict[int, List[int]] = {}
-    for packet in bed.monitor.packets:
-        tx = extract_ps(packet.data)
-        if tx == 0 or packet.rx_timestamp is None:
-            continue
+    for packet, tx in stamped_frames(bed.monitor.packets):
         by_size.setdefault(packet.frame_length, []).append(packet.rx_timestamp - tx)
     rows = []
     for size in sorted(by_size):

@@ -14,7 +14,7 @@ from repro.analysis import (
     percentile,
     rfc3550_jitter,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.hw.timestamp import ps_to_raw
 from repro.net import Packet, build_udp
 from repro.osnt.generator import SequenceNumber, embed_raw
@@ -170,6 +170,14 @@ class TestLossAnalysis:
         assert result.reordered == 1
         assert result.duplicates == 1
         assert result.lost == 0
+
+    def test_cut_before_sequence_number_is_an_error(self):
+        """The host holds only the cut: a sequence number past it was
+        never captured, so reading one is an error, not a sample."""
+        packets = self.seq_packets(range(3))
+        packets[1].capture_length = 52  # cut mid-sequence-number
+        with pytest.raises(ReproError, match="beyond 52-byte capture"):
+            loss_from_sequence_numbers(packets, offset=50)
 
 
 class TestReport:

@@ -247,6 +247,36 @@ class TestLinkGuardian:
         with pytest.raises(FlowError):
             guardian.attach(built.link_between("h1", "s1"))
 
+    def test_unprotected_corruption_booked_as_link_corrupt(self):
+        """Without protection a corrupted frame fails its FCS check at the
+        far MAC, booked as the ``link_corrupt`` fault books it: one
+        corrupted frame on the link, one RX error, one injected drop."""
+
+        def booking(impair):
+            sim = Simulator()
+            tester = OSNT(sim)
+            link = connect(tester.port(0), tester.port(1))
+            model = impair(sim, link)
+            for index in range(40):
+                sim.call_at(index * us(1), tester.port(0).send, udp_template(128))
+            sim.run()
+            rx = tester.port(1).rx.stats
+            return model.corrupted, (
+                link.frames_corrupted, rx.errors, rx.drops_injected, 40 - rx.packets
+            )
+
+        def guardian(sim, link):
+            return LinkGuardian(0.5, protected=False, seed=3).attach(link)
+
+        def link_corrupt(sim, link):
+            spec = {"name": "dirt", "model": "link_corrupt", "params": {"rate": 0.5}}
+            return FaultInjector(sim, [spec], seed=3).bind(link=link).arm().model("dirt")
+
+        for impair in (guardian, link_corrupt):
+            corrupted, booked = booking(impair)
+            assert 0 < corrupted < 40
+            assert booked == (corrupted,) * 4
+
     def test_counters_consistent(self):
         result = fct_vs_loss_point(corrupt_rate=5e-3, protected=True, seed=2, n_flows=16)
         link = result["link"]

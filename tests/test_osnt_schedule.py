@@ -58,6 +58,20 @@ class TestSchedules:
         schedule = ConstantGap(gap_ps=10_000_000)
         assert schedule.gap_after(64) == 10_000_000
 
+    @pytest.mark.parametrize(
+        "schedule, frame_len, gap",
+        [
+            (LineRate(), 64, wire_time_ps(84, TEN_GBPS)),
+            (LineRate(), 1518, wire_time_ps(1538, TEN_GBPS)),
+            (ConstantGap(gap_ps=10_000_000), 64, 10_000_000),
+            (ConstantGap(gap_ps=100), 1518, wire_time_ps(1538, TEN_GBPS)),
+        ],
+        ids=["line-rate-64", "line-rate-1518", "constant-gap", "constant-gap-floored"],
+    )
+    def test_constant_gap_is_a_train_of_one_frame_bursts(self, schedule, frame_len, gap):
+        assert schedule.train_profile(frame_len) == (1, gap, gap)
+        assert schedule.expected_gap_ps(frame_len) == gap
+
     def test_poisson_mean(self):
         rng = RandomStreams(3).stream("poisson")
         schedule = PoissonGaps(mean_gap_ps=1_000_000, stream=rng)

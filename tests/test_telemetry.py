@@ -317,6 +317,21 @@ class TestDeviceTelemetry:
         if pipeline.latency.count:
             assert pipeline.latency.maximum <= 10**13
 
+    def test_negative_offset_bins_nothing(self):
+        """An offset before the frame's start holds no stamp: every frame
+        is skipped, none binned from bytes read off the frame's tail."""
+        sim = Simulator()
+        tester = OSNT(sim)
+        connect(tester.port(0), tester.port(1))
+        tester.device.monitors[1].enable_latency(offset=-20)
+        generator = tester.generator(0)
+        generator.load_template(build_udp(frame_size=128), count=5)
+        generator.embed_timestamps()
+        generator.start()
+        sim.run()
+        pipeline = tester.device.monitors[1]
+        assert (pipeline.latency.count, pipeline.latency_skipped) == (0, 5)
+
     def test_dashboard_shows_percentiles(self):
         tester = _run_loopback()
         panel = render_status(tester)

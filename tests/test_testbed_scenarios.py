@@ -7,12 +7,15 @@ factor — which is exactly what the benchmark harness prints.
 import pytest
 
 from repro.errors import ConfigError
+from repro.faults.scenarios import lossy_link_latency_point
 from repro.testbed import (
     CAPTURE_VARIANTS,
     capture_path_point,
     clock_error_point,
     idt_precision_point,
+    imix_latency_point,
     imix_source,
+    incast_burst_point,
     legacy_latency_point,
     legacy_testbed,
     line_rate_point,
@@ -22,6 +25,7 @@ from repro.testbed import (
     multi_flow_source,
     openflow_testbed,
     router_latency_point,
+    syn_flood_flowmod_point,
     timestamp_placement_point,
 )
 from repro.sim import Simulator
@@ -225,6 +229,29 @@ class TestLatencyPointDurations:
         monkeypatch.setattr(scenarios, "Simulator", no_build)
         with pytest.raises(ConfigError, match="duration must be positive"):
             point(*args, duration_ps=duration_ps)
+
+
+class TestGeneratorDuration:
+    @pytest.mark.parametrize(
+        "point, kwargs",
+        [
+            (line_rate_point, {"frame_size": 64, "duration_ps": 0}),
+            (imix_latency_point, {"duration_ps": 0}),
+            (imix_latency_point, {"duration_ps": -5}),
+            (capture_path_point, {"load": 0.5, "duration_ps": 0}),
+            (lossy_link_latency_point, {"duration_ps": 0}),
+            (incast_burst_point, {"duration_ps": 0}),
+            (syn_flood_flowmod_point, {"n_flows": 16, "n_rules": 4, "duration_ps": 0}),
+        ],
+        ids=["e1", "e3b", "e3b-negative", "e6", "lossy_link", "incast", "syn_flood"],
+    )
+    def test_non_positive_duration_fails_at_the_generator(self, point, kwargs):
+        """A run that sends nothing used to return an empty row (E1's
+        0 pps, SYN flood's flow_mod numbers with no attack at all); every
+        generator's duration lands in ``PortGenerator.configure``, which
+        refuses it."""
+        with pytest.raises(ConfigError, match="duration must be positive"):
+            point(**kwargs)
 
 
 class TestTopologies:

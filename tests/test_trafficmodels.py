@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.hw import connect
+from repro.hw.burst import BurstLane
 from repro.osnt import OSNT
 from repro.osnt.generator.schedule import ConstantBitRate, ConstantGap, PoissonGaps
 from repro.osnt.generator.trafficmodels import (
@@ -425,6 +426,25 @@ class TestDatapathEquivalence:
             monkeypatch,
         )
         assert state["g0.stats"][0] > 0
+
+    def test_one_frame_train_runs_as_bulk(self, monkeypatch):
+        """A train of one-frame bursts is a constant gap of one period:
+        its lane takes the bulk emitter, not the train's run per frame."""
+        lanes = []
+        audit = BurstLane._audit
+
+        def recorded_audit(lane):
+            engaged = audit(lane)
+            lanes.append((engaged, lane.bulk_gap, lane.train))
+            return engaged
+
+        monkeypatch.setattr(BurstLane, "_audit", recorded_audit)
+        state = _assert_equivalent(
+            lambda: self._loopback(lambda g: g.burst_train(1, "5us")),
+            monkeypatch,
+        )
+        assert state["g0.stats"][0] > 0
+        assert lanes == [(True, BurstTrain(1, us(5)).period_ps(128), None)]
 
     def test_burst_train_ramp_falls_back(self, monkeypatch):
         _assert_equivalent(
