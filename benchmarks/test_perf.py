@@ -335,8 +335,10 @@ BUDGETS = [
     ("fct-sweep-seconds/1k-flows", None, fct_sweep, ("<", 20.0), 1),
     ("pool-overlap/16-sleeps", partial(sweep, SLEEP_SPEC, workers=4),
      partial(sweep, SLEEP_SPEC, workers=1), (">=", 1.5), 1),
+    # One rep per side read 1.10-2.03 on a 2-vCPU VM; the min of three
+    # keeps the pool's overlap, not one run's scheduling luck.
     ("parallel/16-line-rate", partial(sweep, LINE_RATE_SPEC, workers=4),
-     partial(sweep, LINE_RATE_SPEC, workers=1), (">=", PARALLEL_FLOOR), 1),
+     partial(sweep, LINE_RATE_SPEC, workers=1), (">=", PARALLEL_FLOOR), 3),
     # One rep: the cold sweep fills the store that the warm sweep reads.
     ("warm-cache/8-sleeps",
      partial(sweep, CACHE_SPEC, cache_hits=8, workers=2, cache_dir="store"),

@@ -29,10 +29,6 @@ class TruncatedPacketError(PacketError):
     """A parse ran off the end of the packet bytes."""
 
 
-class ChecksumError(PacketError):
-    """A verified checksum (L3/L4 or Ethernet FCS) did not match."""
-
-
 class PcapError(ReproError):
     """A PCAP file was malformed or used an unsupported feature."""
 

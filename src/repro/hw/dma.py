@@ -170,12 +170,11 @@ class DmaEngine:
         if self.sim.now < self._stalled_until:
             self.sim.call_at(self._stalled_until, self._start_next)
             return
-        transfer_ps = self._transfer_ps[self._transfer_bytes(self._ring[0])]
-        self.sim.call_after(transfer_ps, self._complete)
+        nbytes = self._transfer_bytes(self._ring[0])
+        self.sim.call_after(self._transfer_ps[nbytes], self._complete, nbytes)
 
-    def _complete(self) -> None:
+    def _complete(self, nbytes: int) -> None:
         packet = self._ring.popleft()
-        nbytes = self._transfer_bytes(packet)
         self.stats.delivered += 1
         self.stats.delivered_bytes += nbytes
         waves = self.sim.waves

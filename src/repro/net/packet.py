@@ -79,16 +79,5 @@ class Packet:
         clone.capture_length = self.capture_length
         return clone
 
-    def with_data(self, data: bytes) -> "Packet":
-        """Copy of this packet carrying different bytes (e.g. rewritten)."""
-        clone = Packet(data)
-        clone.ingress_port = self.ingress_port
-        clone.egress_port = self.egress_port
-        clone.tx_timestamp = self.tx_timestamp
-        clone.rx_timestamp = self.rx_timestamp
-        clone.hash_value = self.hash_value
-        clone.capture_length = self.capture_length
-        return clone
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Packet #{self.packet_id} len={len(self.data)}>"

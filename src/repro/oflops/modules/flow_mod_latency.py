@@ -17,8 +17,8 @@ from typing import Any, Dict, List, Optional
 from ...net.parser import decode
 from ...openflow.actions import OutputAction
 from ...openflow.match import Match
-from ...osnt.generator.schedule import ConstantGap
-from ...testbed.workloads import port_sweep_source
+from ...osnt.generator.field_modifiers import UdpPortSweep
+from ...testbed.workloads import udp_template
 from ...units import ms, us
 from ..context import OflopsContext
 from ..module import MeasurementModule
@@ -93,14 +93,15 @@ class FlowModLatencyModule(MeasurementModule):
         ctx.control.sync_barrier(ctx.run_for, ms(5), retries=self.setup_retries)
         self.before_probes(ctx)
         ctx.data.start_capture()
-        ctx.data.monitor("egress")._pipeline.host.add_listener(self._on_capture)
-        engine = ctx.data.generator._engine
-        engine.configure(
-            port_sweep_source(128, self.n_rules, base_port=self.base_port),
-            schedule=ConstantGap(self.probe_gap_ps),
-            embed_timestamps=self.stamp_probes,
-        )
-        engine.start()
+        ctx.data.monitor("egress").on_packet(self._on_capture)
+        generator = ctx.data.generator
+        generator.load_template(
+            udp_template(128),
+            modifiers=[UdpPortSweep("dst", self.base_port, self.n_rules)],
+        ).set_gap(self.probe_gap_ps)
+        if self.stamp_probes:
+            generator.embed_timestamps()
+        generator.start()
         if self.warmup_ps:
             ctx.run_for(self.warmup_ps)
 
@@ -148,7 +149,7 @@ class FlowModLatencyModule(MeasurementModule):
         )
 
     def collect(self, ctx: OflopsContext) -> Dict[str, Any]:
-        ctx.data.generator._engine.stop()
+        ctx.data.generator.stop()
         # Tolerant of a degraded run: the barrier reply may never have
         # arrived and some rules may never have activated.
         result = self.result(ctx)

@@ -15,8 +15,8 @@ from typing import Any, Dict, Optional
 from ...errors import OflopsError
 from ...openflow.actions import OutputAction
 from ...openflow.match import Match
-from ...osnt.generator.schedule import ConstantGap
-from ...testbed.workloads import port_sweep_source
+from ...osnt.generator.field_modifiers import UdpPortSweep
+from ...testbed.workloads import udp_template
 from ...units import ms, us
 from ..context import OflopsContext
 from ..module import MeasurementModule
@@ -68,12 +68,10 @@ class ForwardingConsistencyModule(MeasurementModule):
             )
         self.sync_setup(ctx, ms(10))
         ctx.data.start_capture()
-        engine = ctx.data.generator._engine
-        engine.configure(
-            port_sweep_source(128, self.n_rules, base_port=self.base_port),
-            schedule=ConstantGap(self.probe_gap_ps),
-        )
-        engine.start()
+        ctx.data.generator.load_template(
+            udp_template(128),
+            modifiers=[UdpPortSweep("dst", self.base_port, self.n_rules)],
+        ).set_gap(self.probe_gap_ps).start()
         ctx.run_for(ms(1))  # steady state through the old port
 
     def start(self, ctx: OflopsContext) -> None:
@@ -114,7 +112,7 @@ class ForwardingConsistencyModule(MeasurementModule):
         )
 
     def collect(self, ctx: OflopsContext) -> Dict[str, Any]:
-        ctx.data.generator._engine.stop()
+        ctx.data.generator.stop()
         result = self.result(ctx)
         return {
             "n_rules": self.n_rules,

@@ -14,7 +14,7 @@ from typing import Any, Dict, Optional
 from ...net.parser import decode
 from ...openflow.actions import OutputAction
 from ...openflow.match import Match
-from ...osnt.generator.schedule import ConstantGap
+from ...osnt.generator.field_modifiers import UdpPortSweep
 from ...testbed.workloads import udp_template
 from ...units import ms, us
 from ..context import OflopsContext
@@ -53,16 +53,11 @@ class ControlInteractionModule(MeasurementModule):
         )
         self.sync_setup(ctx, ms(5))
         ctx.data.start_capture()
-        ctx.data.monitor("egress")._pipeline.host.add_listener(self._on_capture)
+        ctx.data.monitor("egress").on_packet(self._on_capture)
         # Continuous probes alternating the two measured flows.
-        engine = ctx.data.generator._engine
-        from ...testbed.workloads import port_sweep_source
-
-        engine.configure(
-            port_sweep_source(128, 2, base_port=_PROBE_PORT),
-            schedule=ConstantGap(self.probe_gap_ps),
-        )
-        engine.start()
+        ctx.data.generator.load_template(
+            udp_template(128), modifiers=[UdpPortSweep("dst", _PROBE_PORT, 2)]
+        ).set_gap(self.probe_gap_ps).start()
         ctx.run_for(ms(1))
 
     def start(self, ctx: OflopsContext) -> None:
@@ -112,7 +107,7 @@ class ControlInteractionModule(MeasurementModule):
         return True
 
     def collect(self, ctx: OflopsContext) -> Dict[str, Any]:
-        ctx.data.generator._engine.stop()
+        ctx.data.generator.stop()
         if self._storm_generator is not None:
             self._storm_generator.stop()
         return {

@@ -19,8 +19,7 @@ from typing import Any, Dict, List
 from ...analysis.stats import SummaryStats
 from ...hw.timestamp import STAMP_OFFSET, raw_to_ps, read_stamp
 from ...openflow.messages import PacketIn
-from ...osnt.generator.schedule import ConstantGap
-from ...testbed.workloads import fixed_size_source
+from ...testbed.workloads import udp_template
 from ...units import us
 from ..context import OflopsContext
 from ..module import MeasurementModule
@@ -45,14 +44,9 @@ class PacketInLatencyModule(MeasurementModule):
         ctx.control.add_listener(self._make_listener(ctx))
 
     def start(self, ctx: OflopsContext) -> None:
-        engine = ctx.data.generator._engine
-        engine.configure(
-            fixed_size_source(self.frame_size, count=self.count),
-            schedule=ConstantGap(self.probe_gap_ps),
-            count=self.count,
-            embed_timestamps=True,
-        )
-        engine.start()
+        ctx.data.generator.load_template(
+            udp_template(self.frame_size), count=self.count
+        ).set_gap(self.probe_gap_ps).embed_timestamps().start()
 
     def _make_listener(self, ctx: OflopsContext):
         def on_message(message) -> None:

@@ -24,18 +24,12 @@ from ..errors import CaptureError, GeneratorError
 from ..net.packet import Packet
 from ..net.pcap import PcapRecord, PcapWriter
 from ..net.pcapng import read_capture
-from ..units import duration_ps, rate_bps
+from ..units import duration_ps
 from .device import OSNTDevice
 from .generator.field_modifiers import FieldModifier
-from .generator.schedule import (
-    ConstantBitRate,
-    ConstantGap,
-    LineRate,
-    PoissonGaps,
-    Schedule,
-    rate_for_load,
-)
+from .generator.schedule import PoissonGaps, Schedule, rate_for_load
 from .generator.source import PacketSource, PcapReplaySource, TemplateSource
+from .generator.trafficspec import TrafficModelSpec, build_traffic
 from .generator.tx_timestamp import DEFAULT_OFFSET
 from .monitor.reducers import HashUnit
 
@@ -65,7 +59,7 @@ class TrafficGenerator:
         modifiers: Sequence[FieldModifier] = (),
     ) -> "TrafficGenerator":
         """Replay one frame ``count`` times (None = until stopped)."""
-        self._source = TemplateSource(packet, count=count, modifiers=modifiers)
+        self._source = TemplateSource(packet, modifiers=modifiers)
         self._count = count
         return self
 
@@ -88,15 +82,16 @@ class TrafficGenerator:
         return self
 
     # -- how fast ----------------------------------------------------------
+    #
+    # Every pacing method but poisson is its traffic-model kind
+    # (repro.osnt.generator.trafficspec), built by use_model.
 
     def at_line_rate(self) -> "TrafficGenerator":
-        self._schedule = LineRate(self._engine.port.rate_bps)
-        return self
+        return self.use_model("line_rate")
 
     def set_rate(self, rate: Union[str, float]) -> "TrafficGenerator":
         """Target wire rate, e.g. ``"9.5Gbps"`` or bits/second."""
-        self._schedule = ConstantBitRate(rate_bps(rate), self._engine.port.rate_bps)
-        return self
+        return self.use_model(TrafficModelSpec("cbr", {"rate": rate}))
 
     def set_load(self, fraction: float) -> "TrafficGenerator":
         """Target offered load as a fraction of line rate (0, 1]."""
@@ -104,11 +99,17 @@ class TrafficGenerator:
 
     def set_gap(self, gap: Union[str, int]) -> "TrafficGenerator":
         """Fixed start-to-start inter-departure time (ps or ``"2us"``)."""
-        self._schedule = ConstantGap(duration_ps(gap), self._engine.port.rate_bps)
-        return self
+        return self.use_model(TrafficModelSpec("constant_gap", {"gap": gap}))
 
     def poisson(self, mean_gap: Union[str, float]) -> "TrafficGenerator":
-        """Poisson arrivals with the given mean gap (ps or ``"2us"``)."""
+        """Poisson arrivals with the given mean gap (ps or ``"2us"``).
+
+        The one pacing method that does not go through its kind: it
+        draws from this port's stream ``gen<p>.poisson``, not the kind's
+        ``traffic/gen<p>.poisson``, and keeps a numeric mean unrounded,
+        where the kind rounds it to whole picoseconds. E3's
+        ``legacy_latency-*`` goldens pin those draws.
+        """
         stream = self.device.streams.stream(f"gen{self.port_index}.poisson")
         mean_gap_ps = (
             duration_ps(mean_gap) if isinstance(mean_gap, str) else float(mean_gap)
@@ -126,17 +127,17 @@ class TrafficGenerator:
         ramp_bursts: int = 0,
     ) -> "TrafficGenerator":
         """P4TG-style burst trains: N frames at peak rate, exact gaps."""
-        from .generator.trafficmodels import BurstTrain
-
-        line = self._engine.port.rate_bps
-        self._schedule = BurstTrain(
-            frames_per_burst,
-            duration_ps(inter_burst_gap),
-            peak_bps=line if peak is None else rate_bps(peak),
-            line_rate_bps=line,
-            ramp_bursts=ramp_bursts,
+        return self.use_model(
+            TrafficModelSpec(
+                "burst_train",
+                {
+                    "frames_per_burst": frames_per_burst,
+                    "inter_burst_gap": inter_burst_gap,
+                    "peak": peak,
+                    "ramp_bursts": ramp_bursts,
+                },
+            )
         )
-        return self
 
     def periodic(
         self,
@@ -146,17 +147,11 @@ class TrafficGenerator:
         phase: Union[str, int] = 0,
     ) -> "TrafficGenerator":
         """Deterministic on/off square wave with a phase offset."""
-        from .generator.trafficmodels import Periodic
-
-        line = self._engine.port.rate_bps
-        self._schedule = Periodic(
-            duration_ps(on),
-            duration_ps(off),
-            peak_bps=line if peak is None else rate_bps(peak),
-            line_rate_bps=line,
-            phase_ps=duration_ps(phase),
+        return self.use_model(
+            TrafficModelSpec(
+                "periodic", {"on": on, "off": off, "peak": peak, "phase": phase}
+            )
         )
-        return self
 
     def use_model(self, traffic) -> "TrafficGenerator":
         """Pace with a declarative traffic model.
@@ -168,8 +163,6 @@ class TrafficGenerator:
         device-derived stream, so timelines are pinned by the device
         seed.
         """
-        from .generator.trafficspec import build_traffic
-
         self._schedule = build_traffic(
             traffic,
             line_rate_bps=self._engine.port.rate_bps,
@@ -196,6 +189,11 @@ class TrafficGenerator:
     def start(self) -> "TrafficGenerator":
         """Arm the engine and start transmitting; returns ``self``.
 
+        The engine is configured once, with the staged source, schedule
+        and limits; the TX stamp's enable and offset and the start go
+        through the register map. Staged settings outlive the run, so a
+        second ``start()`` repeats it.
+
         Prefer the context-manager idiom for new code — it guarantees
         the matching :meth:`stop`::
 
@@ -212,8 +210,6 @@ class TrafficGenerator:
             schedule=self._schedule,
             count=self._count,
             duration_ps=self._duration_ps,
-            embed_timestamps=self._embed,
-            timestamp_offset=self._ts_offset,
         )
         self._bus.write32(self._base + 0x4, 1 if self._embed else 0)  # ts_enable
         self._bus.write32(self._base + 0x8, self._ts_offset)  # ts_offset

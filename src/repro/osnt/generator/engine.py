@@ -109,12 +109,14 @@ class PortGenerator:
 
         A run with a ``duration_ps`` sends nothing unless it is positive,
         so a non-positive one is refused here, where every generator's
-        duration lands.
+        duration and count land; so is a negative ``count``.
         """
         if self.running:
             raise GeneratorError(f"{self.name}: cannot reconfigure while running")
         if duration_ps is not None and not duration_ps > 0:
             raise ConfigError(f"duration must be positive, got {duration_ps!r} ps")
+        if count is not None and count < 0:
+            raise ConfigError(f"count must be non-negative, got {count!r}")
         self.source = source
         self.schedule = schedule or LineRate(self.port.rate_bps)
         self.limit_count = count

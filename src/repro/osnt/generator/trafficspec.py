@@ -84,14 +84,6 @@ class BuildContext:
 
         return RandomStreams(0 if self.seed is None else self.seed).stream(label)
 
-    def child(self, suffix: str) -> "BuildContext":
-        return BuildContext(
-            line_rate_bps=self.line_rate_bps,
-            streams=self.streams,
-            name=f"{self.name}.{suffix}",
-            seed=self.seed,
-        )
-
 
 def _check_params(kind: str, params: Dict[str, Any], allowed: tuple) -> None:
     unknown = set(params) - set(allowed)
@@ -330,23 +322,15 @@ def build_traffic(
     line_rate_bps: float = TEN_GBPS,
     streams: Optional[Any] = None,
     name: str = "traffic",
-    seed: Optional[int] = None,
-    default: Union[None, TrafficModelSpec, Dict[str, Any], str] = None,
 ) -> Optional[Schedule]:
     """Coerce a traffic argument (spec, dict, JSON, Schedule, None) to a Schedule.
 
     The accepted argument shape for scenario ``traffic=`` parameters:
     an already-built :class:`Schedule` passes through untouched;
     anything spec-shaped goes through :meth:`TrafficModelSpec.from_any`
-    and is built; ``None`` falls back to ``default`` (or None).
+    and is built; ``None`` stays None.
     """
-    if value is None:
-        value = default
-    if value is None:
-        return None
-    if isinstance(value, Schedule):
+    if value is None or isinstance(value, Schedule):
         return value
     spec = TrafficModelSpec.from_any(value)
-    return spec.build(
-        line_rate_bps=line_rate_bps, streams=streams, name=name, seed=seed
-    )
+    return spec.build(line_rate_bps=line_rate_bps, streams=streams, name=name)

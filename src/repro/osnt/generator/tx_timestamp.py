@@ -71,12 +71,10 @@ class TxTimestamper:
         timestamp_unit: TimestampUnit,
         offset: int = DEFAULT_OFFSET,
         enabled: bool = True,
-        fix_udp_checksum: bool = True,
     ) -> None:
         self.timestamp_unit = timestamp_unit
         self.offset = offset
         self.enabled = enabled
-        self.fix_udp_checksum = fix_udp_checksum
         self.stamped = 0
         self.skipped_short = 0
 
@@ -91,9 +89,7 @@ class TxTimestamper:
             return
         raw = ps_to_raw(stamp_ps)
         data = embed_raw(packet.data, self.offset, raw)
-        if self.fix_udp_checksum:
-            data = _clear_udp_checksum(data, self.offset)
-        packet.data = data
+        packet.data = _clear_udp_checksum(data, self.offset)
         self.stamped += 1
         # Register the embedded raw value as the span correlation key —
         # the exact 64-bit pattern a capture pipeline will re-extract,

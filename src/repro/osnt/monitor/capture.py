@@ -82,8 +82,7 @@ class MonitorStats:
 class HostCaptureBuffer:
     """Software end of the capture path: stores packets, fans out events."""
 
-    def __init__(self, keep_packets: bool = True) -> None:
-        self.keep_packets = keep_packets
+    def __init__(self) -> None:
         self.packets: List[Packet] = []
         self.received = 0
         self._listeners: List[Callable[[Packet], None]] = []
@@ -93,8 +92,7 @@ class HostCaptureBuffer:
 
     def deliver(self, packet: Packet) -> None:
         self.received += 1
-        if self.keep_packets:
-            self.packets.append(packet)
+        self.packets.append(packet)
         for listener in self._listeners:
             listener(packet)
 

@@ -32,7 +32,7 @@ from ..devices.openflow_switch import SwitchProfile
 from ..errors import ConfigError
 from ..hw.port import connect
 from ..osnt.api import OSNT
-from ..osnt.generator.schedule import ConstantBitRate, ConstantGap
+from ..osnt.generator.schedule import ConstantGap
 from ..osnt.software_baseline import SoftwareGenerator
 from ..sim import RandomStreams, Simulator
 from ..units import (
@@ -151,15 +151,13 @@ def idt_precision_point(
     tester = OSNT(sim)
     connect(tester.port(0), tester.port(1))
     departures: List[int] = []
-    source = fixed_size_source(frame_size, count=packet_count)
-    schedule = ConstantGap(target_gap_ps)
     if kind == "osnt":
-        generator = tester.generator(0)
         tester.device.ports[0].tx.on_start_of_frame = (
             lambda p: departures.append(sim.now)
         )
-        generator._engine.configure(source, schedule=schedule, count=packet_count)
-        generator._engine.start()
+        tester.generator(0).load_template(
+            udp_template(frame_size), count=packet_count
+        ).set_gap(target_gap_ps).start()
     else:
         # A separate port pair driven by the host-stack model.
         from ..hw.port import EthernetPort
@@ -169,7 +167,11 @@ def idt_precision_point(
         connect(a, b)
         swgen = SoftwareGenerator(sim, a, rng=RandomStreams(seed).stream("swgen"))
         a.tx.on_start_of_frame = lambda p: departures.append(sim.now)
-        swgen.configure(source, schedule, count=packet_count)
+        swgen.configure(
+            fixed_size_source(frame_size, count=packet_count),
+            ConstantGap(target_gap_ps),
+            count=packet_count,
+        )
         swgen.start()
     sim.run()
     gaps = [b_ - a_ for a_, b_ in zip(departures, departures[1:])]
@@ -625,7 +627,7 @@ def imix_latency_point(
     run yields the full per-size latency breakdown — no need for one
     run per size.
     """
-    from ..osnt.generator.source import PacketListSource
+    from ..net.pcap import PcapRecord
     from .workloads import IMIX_PATTERN
 
     sim = Simulator()
@@ -635,14 +637,11 @@ def imix_latency_point(
     bed = legacy_testbed(sim, switch=switch, root_seed=seed)
     bed.teach_mac_table("02:00:00:00:00:02")
     bed.monitor.start_capture()
-    packets = [udp_template(size) for size in IMIX_PATTERN]
-    bed.generator._engine.configure(
-        PacketListSource(packets, loop=10**6),
-        schedule=ConstantBitRate(load * TEN_GBPS),
-        duration_ps=duration_ps,
-        embed_timestamps=True,
-    )
-    bed.generator._engine.start()
+    records = [PcapRecord(0, udp_template(size).data) for size in IMIX_PATTERN]
+    generator = bed.generator
+    generator.load_pcap(records, loop=10**6, preserve_timing=False)
+    generator.set_rate(load * TEN_GBPS).for_duration(duration_ps)
+    generator.embed_timestamps().start()
     sim.run()
     by_size: Dict[int, List[int]] = {}
     for packet, tx in stamped_frames(bed.monitor.packets):

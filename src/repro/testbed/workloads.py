@@ -7,7 +7,7 @@ from typing import List, Optional
 from ..errors import ConfigError
 from ..net.builder import build_udp
 from ..net.packet import Packet
-from ..osnt.generator.field_modifiers import Ipv4AddressSweep, SequenceNumber, UdpPortSweep
+from ..osnt.generator.field_modifiers import Ipv4AddressSweep, SequenceNumber
 from ..osnt.generator.source import PacketListSource, TemplateSource
 
 #: The RFC 2544 frame sizes every tester sweeps.
@@ -71,21 +71,6 @@ def multi_flow_source(
         udp_template(frame_size, **template_kwargs),
         count=count,
         modifiers=[Ipv4AddressSweep("dst", base_dst_ip, flow_count)],
-    )
-
-
-def port_sweep_source(
-    frame_size: int,
-    port_count: int,
-    base_port: int = 6000,
-    count: Optional[int] = None,
-    **template_kwargs,
-) -> TemplateSource:
-    """Sweeps the UDP destination port (one rule-matchable flow each)."""
-    return TemplateSource(
-        udp_template(frame_size, **template_kwargs),
-        count=count,
-        modifiers=[UdpPortSweep("dst", base_port, port_count)],
     )
 
 

@@ -48,14 +48,6 @@ class TestPacket:
         assert clone.ingress_port == 2
         assert clone.packet_id != packet.packet_id
 
-    def test_with_data_replaces_bytes(self):
-        packet = Packet(b"\x00" * 60)
-        packet.tx_timestamp = 5
-        clone = packet.with_data(b"\xff" * 72)
-        assert clone.data == b"\xff" * 72
-        assert clone.tx_timestamp == 5
-        assert packet.data == b"\x00" * 60
-
 
 class TestBuilders:
     @pytest.mark.parametrize("size", [64, 65, 128, 512, 1024, 1518])

@@ -147,6 +147,29 @@ class TestPacketInModule:
         assert 50 < result["latency_mean_us"] < 1000
 
 
+def _stamped_flow_mod():
+    module = FlowModLatencyModule(n_rules=4)
+    module.stamp_probes = True
+    return module
+
+
+class TestProbeRegisters:
+    @pytest.mark.parametrize(
+        "make", [PacketInLatencyModule, _stamped_flow_mod], ids=["packet_in", "flow_mod"]
+    )
+    def test_stamped_probes_show_in_the_register_map(self, make):
+        """A module's stamped probe stream goes through the tester's API,
+        so generator 0's registers read what its engine does."""
+        module, ctx = make(), OflopsContext()
+        module.setup(ctx)
+        module.start(ctx)
+        device = ctx.testbed.tester.device
+        base = device.generator_base(0)
+        assert device.generator(0).timestamper.enabled
+        assert device.bus.read32(base + 0x4) == 1  # ts_enable
+        assert device.bus.read32(base + 0x20) == 1  # running
+
+
 class TestFlowModModule:
     def test_spec_vs_eager_contrast(self):
         spec = profiled_runner("spec").run(FlowModLatencyModule(n_rules=8))

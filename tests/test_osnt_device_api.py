@@ -192,6 +192,15 @@ class TestLoopbackMeasurement:
         with pytest.raises(GeneratorError):
             tester.generator(0).start()
 
+    def test_negative_count_refused_at_start(self):
+        """A template's count reaches the engine only as its limit, which
+        ``PortGenerator.configure`` checks before anything runs."""
+        sim = Simulator()
+        gen = loopback_tester(sim).generator(0).load_template(build_udp(), count=-1)
+        with pytest.raises(ConfigError, match="count must be non-negative, got -1"):
+            gen.start()
+        assert not gen.running
+
     def test_stop_via_api(self):
         sim = Simulator()
         tester = loopback_tester(sim)

@@ -231,26 +231,35 @@ class TestLatencyPointDurations:
             point(*args, duration_ps=duration_ps)
 
 
+_ZERO = "duration must be positive"
+_NEGATIVE = "duration must be non-negative, got -5"
+
+
 class TestGeneratorDuration:
     @pytest.mark.parametrize(
-        "point, kwargs",
+        "point, kwargs, message",
         [
-            (line_rate_point, {"frame_size": 64, "duration_ps": 0}),
-            (imix_latency_point, {"duration_ps": 0}),
-            (imix_latency_point, {"duration_ps": -5}),
-            (capture_path_point, {"load": 0.5, "duration_ps": 0}),
-            (lossy_link_latency_point, {"duration_ps": 0}),
-            (incast_burst_point, {"duration_ps": 0}),
-            (syn_flood_flowmod_point, {"n_flows": 16, "n_rules": 4, "duration_ps": 0}),
+            (line_rate_point, {"frame_size": 64, "duration_ps": 0}, _ZERO),
+            (imix_latency_point, {"duration_ps": 0}, _ZERO),
+            (imix_latency_point, {"duration_ps": -5}, _NEGATIVE),
+            (capture_path_point, {"load": 0.5, "duration_ps": 0}, _ZERO),
+            (lossy_link_latency_point, {"duration_ps": 0}, _ZERO),
+            (incast_burst_point, {"duration_ps": 0}, _ZERO),
+            (
+                syn_flood_flowmod_point,
+                {"n_flows": 16, "n_rules": 4, "duration_ps": 0},
+                _ZERO,
+            ),
         ],
         ids=["e1", "e3b", "e3b-negative", "e6", "lossy_link", "incast", "syn_flood"],
     )
-    def test_non_positive_duration_fails_at_the_generator(self, point, kwargs):
+    def test_non_positive_duration_fails_at_the_generator(self, point, kwargs, message):
         """A run that sends nothing used to return an empty row (E1's
         0 pps, SYN flood's flow_mod numbers with no attack at all); every
         generator's duration lands in ``PortGenerator.configure``, which
-        refuses it."""
-        with pytest.raises(ConfigError, match="duration must be positive"):
+        refuses it. A negative one stops earlier, in
+        ``TrafficGenerator.for_duration``."""
+        with pytest.raises(ConfigError, match=message):
             point(**kwargs)
 
 

@@ -139,12 +139,10 @@ class TestTrafficModelSpec:
         with pytest.raises(ConfigError, match="already registered"):
             traffic_model("cbr")(lambda params, ctx: None)
 
-    def test_build_traffic_passthrough_and_default(self):
+    def test_build_traffic_passthrough(self):
         schedule = ConstantGap(1000)
         assert build_traffic(schedule) is schedule
         assert build_traffic(None) is None
-        built = build_traffic(None, default={"model": "line_rate"})
-        assert built.gap_after(128) == WIRE_128
 
     def test_streams_pin_stochastic_draws(self):
         """Device streams and a bare seed derive the same sub-stream."""
@@ -371,17 +369,33 @@ class TestGeneratorIntegration:
         assert generator.packets_sent > 0
         assert state["p1.rx"][0] == generator.packets_sent
 
-    def test_fluent_burst_train_matches_spec(self):
-        _, fluent = self._run(lambda g: g.burst_train(4, "8us"))
-        _, declarative = self._run(
-            lambda g: g.use_model(
-                {
-                    "model": "burst_train",
-                    "params": {"frames_per_burst": 4, "inter_burst_gap": "8us"},
-                }
-            )
+    @pytest.mark.parametrize(
+        "fluent, model, params",
+        [
+            (lambda g: g.at_line_rate(), "line_rate", {}),
+            (lambda g: g.set_rate("4Gbps"), "cbr", {"rate": "4Gbps"}),
+            (lambda g: g.set_load(0.5), "cbr", {"rate": "5Gbps"}),
+            (lambda g: g.set_gap("2us"), "constant_gap", {"gap": "2us"}),
+            (
+                lambda g: g.burst_train(4, "8us"),
+                "burst_train",
+                {"frames_per_burst": 4, "inter_burst_gap": "8us"},
+            ),
+            (
+                lambda g: g.periodic("1us", "9us", peak="5Gbps", phase="4us"),
+                "periodic",
+                {"on": "1us", "off": "9us", "peak": "5Gbps", "phase": "4us"},
+            ),
+        ],
+        ids=["at_line_rate", "set_rate", "set_load", "set_gap", "burst_train", "periodic"],
+    )
+    def test_fluent_method_matches_kind(self, fluent, model, params):
+        """Each fluent pacing method offers its traffic-model kind's timeline."""
+        _, by_method = self._run(fluent)
+        _, by_kind = self._run(
+            lambda g: g.use_model({"model": model, "params": params})
         )
-        assert fluent == declarative
+        assert by_method == by_kind
 
     def test_periodic_phase_delays_first_frame(self):
         """A phase inside the OFF window must push the first TX to the
