@@ -38,7 +38,6 @@ def main() -> None:
     profiler = SimProfiler().arm(sim)
 
     bed = legacy_testbed(sim)
-    bed.teach_mac_table("02:00:00:00:00:02")
     bed.monitor.start_capture()
     bed.generator.load_template(udp_template(256), count=1)
     bed.generator.set_load(0.1).embed_timestamps()

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from ..analysis.latency import latency_from_capture
-from ..devices.legacy_switch import LegacySwitch
 from ..osnt.api import OSNT
-from ..sim import RandomStreams, Simulator
+from ..sim import Simulator
 from ..testbed.topology import legacy_testbed
 from ..testbed.workloads import udp_template
 from ..units import ms, seconds
@@ -72,9 +71,7 @@ def lossy_link_latency_point(
     byte-for-byte no-op on the capture output.
     """
     sim = Simulator()
-    switch = LegacySwitch(sim, rng=RandomStreams(switch_seed).stream("sw"))
-    bed = legacy_testbed(sim, switch=switch, root_seed=seed)
-    bed.teach_mac_table("02:00:00:00:00:02")
+    bed = legacy_testbed(sim, {"seed": switch_seed}, root_seed=seed)
     spec = ImpairmentSpec.from_any(
         []
         if loss_rate <= 0.0

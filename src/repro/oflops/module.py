@@ -39,15 +39,24 @@ class MeasurementModule:
     def sync_setup(self, ctx: OflopsContext, timeout_ps: int) -> None:
         """Fence the setup rules with one barrier, or fail naming the module.
 
-        Waits ``timeout_ps`` of simulated time for the reply, with no
+        Runs in ``timeout_ps`` slices of simulated time until the reply
+        lands, so a large table's setup takes as long as its writes do,
+        and gives up once :attr:`max_duration_ps` is spent. There are no
         resends: a module that needs its baseline rules cannot measure
         on a channel that lost them.
         """
-        if ctx.control.sync_barrier(ctx.run_for, timeout_ps) is None:
-            raise OflopsError(
-                f"module {self.name!r}: setup barrier unanswered after "
-                f"{timeout_ps} ps"
-            )
+        xid = ctx.control.barrier()
+        waited = 0
+        while True:
+            ctx.run_for(timeout_ps)
+            waited += timeout_ps
+            if ctx.control.rtt_of(xid) is not None:
+                return
+            if waited >= self.max_duration_ps:
+                raise OflopsError(
+                    f"module {self.name!r}: setup barrier unanswered after "
+                    f"{waited} ps"
+                )
 
     def start(self, ctx: OflopsContext) -> None:
         """Kick off the measured activity (traffic, message bursts)."""

@@ -70,7 +70,12 @@ class TrafficGenerator:
         preserve_timing: bool = True,
         speed: float = 1.0,
     ) -> "TrafficGenerator":
-        """Replay a capture (pcap or pcapng), with its recorded gaps."""
+        """Replay a capture (pcap or pcapng).
+
+        With ``preserve_timing`` the frames keep their recorded gaps
+        (scaled by ``speed``), paced by the ``explicit_gaps`` kind, so a
+        gap shorter than the port's wire time is raised to it.
+        """
         records = (
             read_capture(source) if isinstance(source, (str, Path)) else list(source)
         )
@@ -78,7 +83,7 @@ class TrafficGenerator:
         self._source = replay
         self._count = None
         if preserve_timing:
-            self._schedule = replay.timing_schedule()
+            self.use_model(TrafficModelSpec("explicit_gaps", {"gaps": replay.gaps()}))
         return self
 
     # -- how fast ----------------------------------------------------------
@@ -194,14 +199,13 @@ class TrafficGenerator:
         through the register map. Staged settings outlive the run, so a
         second ``start()`` repeats it.
 
-        Prefer the context-manager idiom for new code — it guarantees
-        the matching :meth:`stop`::
+        A run bounded by :meth:`for_duration` or a count ends by itself,
+        so the scenario points call bare ``start()``. The context-manager
+        form scopes a run to a block and guarantees the matching
+        :meth:`stop`::
 
             with generator.load_template(pkt).set_rate("5Gbps"):
                 sim.run(until=...)
-
-        (Bare ``start()``/``stop()`` pairs remain supported but are
-        deprecated in the docs.)
         """
         if self._source is None:
             raise GeneratorError("nothing loaded: call load_template()/load_pcap()")

@@ -22,7 +22,7 @@ from ...sim import Signal, Simulator, spawn
 from ...telemetry import LogLinearHistogram
 from .schedule import LineRate, Schedule
 from .source import PacketSource
-from .tx_timestamp import DEFAULT_OFFSET, TxTimestamper
+from .tx_timestamp import TxTimestamper
 
 
 @dataclass
@@ -102,14 +102,15 @@ class PortGenerator:
         schedule: Optional[Schedule] = None,
         count: Optional[int] = None,
         duration_ps: Optional[int] = None,
-        embed_timestamps: bool = False,
-        timestamp_offset: int = DEFAULT_OFFSET,
     ) -> None:
         """Set up a run. Call :meth:`start` to begin transmitting.
 
         A run with a ``duration_ps`` sends nothing unless it is positive,
         so a non-positive one is refused here, where every generator's
-        duration and count land; so is a negative ``count``.
+        duration and count land; so is a negative ``count``. The TX
+        stamp is not part of a run: it is :attr:`timestamper`'s
+        ``enabled`` and ``offset``, which the ``ts_enable`` and
+        ``ts_offset`` registers set.
         """
         if self.running:
             raise GeneratorError(f"{self.name}: cannot reconfigure while running")
@@ -121,8 +122,6 @@ class PortGenerator:
         self.schedule = schedule or LineRate(self.port.rate_bps)
         self.limit_count = count
         self.limit_duration_ps = duration_ps
-        self.timestamper.enabled = embed_timestamps
-        self.timestamper.offset = timestamp_offset
 
     # -- control -----------------------------------------------------------
 

@@ -8,7 +8,6 @@ from ...errors import GeneratorError
 from ...net.packet import Packet
 from ...net.pcap import PcapRecord
 from .field_modifiers import FieldModifier
-from .schedule import ExplicitGaps, Schedule
 
 
 class PacketSource:
@@ -68,11 +67,12 @@ class PacketListSource(PacketSource):
 
 
 class PcapReplaySource(PacketListSource):
-    """Replay captured frames; pairs with :meth:`timing_schedule`.
+    """Replay captured frames; :meth:`gaps` gives their recorded timing.
 
     ``speed`` scales the recorded inter-departure times: 2.0 replays
-    twice as fast, 0.5 at half speed. Gaps never compress below wire
-    time (the schedule clamps), exactly like the hardware replay engine.
+    twice as fast, 0.5 at half speed. A schedule built from the gaps
+    (the ``explicit_gaps`` traffic-model kind) never compresses one below
+    the port's wire time, exactly like the hardware replay engine.
     """
 
     def __init__(self, records: Sequence[PcapRecord], loop: int = 1, speed: float = 1.0) -> None:
@@ -82,17 +82,17 @@ class PcapReplaySource(PacketListSource):
         if not usable:
             raise GeneratorError("no replayable frames in the capture")
         super().__init__([Packet(record.data) for record in usable], loop=loop)
-        self.records = list(usable)
+        self.timestamps = [record.timestamp_ps for record in usable]
         self.speed = speed
 
-    def timing_schedule(self) -> Schedule:
-        """Schedule reproducing the capture's inter-departure gaps."""
+    def gaps(self) -> List[int]:
+        """The capture's inter-departure gaps (ps) over every loop, scaled
+        by ``speed``; the gap between loops repeats a loop's last gap."""
         gaps: List[int] = []
-        timestamps = [record.timestamp_ps for record in self.records]
-        for previous, current in zip(timestamps, timestamps[1:]):
+        for previous, current in zip(self.timestamps, self.timestamps[1:]):
             gap = current - previous
             if gap < 0:
                 raise GeneratorError("capture timestamps go backwards")
             gaps.append(round(gap / self.speed))
         one_loop = gaps + [gaps[-1] if gaps else 0]  # wrap gap between loops
-        return ExplicitGaps(one_loop * self.loop)
+        return one_loop * self.loop

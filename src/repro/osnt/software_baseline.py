@@ -29,8 +29,6 @@ from ..sim import Simulator, spawn
 from ..units import us
 from .generator.schedule import Schedule
 from .generator.source import PacketSource
-from .generator.tx_timestamp import DEFAULT_OFFSET, STAMP_BYTES, embed_raw
-from ..hw.timestamp import ps_to_raw
 
 
 @dataclass
@@ -74,8 +72,6 @@ class SoftwareGenerator:
         self._source: Optional[PacketSource] = None
         self._schedule: Optional[Schedule] = None
         self._count: Optional[int] = None
-        self._embed = False
-        self._ts_offset = DEFAULT_OFFSET
         port.tx.on_start_of_frame = self._note_departure
 
     def configure(
@@ -83,16 +79,12 @@ class SoftwareGenerator:
         source: PacketSource,
         schedule: Schedule,
         count: Optional[int] = None,
-        embed_timestamps: bool = False,
-        timestamp_offset: int = DEFAULT_OFFSET,
     ) -> None:
         if self.running:
             raise GeneratorError(f"{self.name}: cannot reconfigure while running")
         self._source = source
         self._schedule = schedule
         self._count = count
-        self._embed = embed_timestamps
-        self._ts_offset = timestamp_offset
 
     def start(self) -> None:
         if self._source is None or self._schedule is None:
@@ -118,10 +110,7 @@ class SoftwareGenerator:
 
     def _stamp(self, packet: Packet) -> None:
         """Host-side stamp: taken at queue time, not wire time."""
-        stamp_ps = self.sim.now
-        packet.tx_timestamp = stamp_ps
-        if self._embed and self._ts_offset + STAMP_BYTES <= len(packet.data):
-            packet.data = embed_raw(packet.data, self._ts_offset, ps_to_raw(stamp_ps))
+        packet.tx_timestamp = self.sim.now
 
     def _run(self):
         profile = self.profile

@@ -27,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..devices.legacy_switch import LegacySwitch
 from ..devices.openflow_switch import SwitchProfile
 from ..net.builder import build_tcp
 from ..osnt.generator.field_modifiers import Ipv4AddressSweep
 from ..osnt.generator.trafficspec import TrafficModelSpec
-from ..sim import RandomStreams, Simulator
+from ..sim import Simulator
 from ..units import duration_ps as _dur
 from ..units import ms, seconds, us
 from .scenarios import _run_to_result
@@ -255,7 +254,6 @@ def incast_burst_point(
     duration_ps: int = ms(2),
     buffer_bytes: int = 32 * 1024,
     phase_step_ps: int = 0,
-    switch_kwargs: Optional[dict] = None,
     seed: int = 0,
     switch_seed: int = 1,
     telemetry: bool = False,
@@ -278,13 +276,12 @@ def incast_burst_point(
     sim = Simulator()
     waves = _arm_waves(sim, waveforms)
     spec = _traffic_spec(traffic)
-    kwargs = dict(switch_kwargs or {})
-    kwargs.setdefault("buffer_bytes_per_port", buffer_bytes)
-    switch = LegacySwitch(
-        sim, rng=RandomStreams(switch_seed).stream("sw"), **kwargs
+    bed = legacy_testbed(
+        sim,
+        {"seed": switch_seed, "buffer_bytes": buffer_bytes},
+        wire_cross_ports=True,
+        root_seed=seed,
     )
-    bed = legacy_testbed(sim, switch=switch, wire_cross_ports=True, root_seed=seed)
-    bed.teach_mac_table("02:00:00:00:00:02")
     if telemetry:
         bed.tester.start_telemetry()
     bed.monitor.enable_latency(per_flow=True, flow_key="src_ip")
@@ -313,8 +310,8 @@ def incast_burst_point(
         traffic=spec.fingerprint(),
         sent=sum(g.packets_sent for g in generators),
         received=pipeline.stats.rx_packets,
-        egress_drops=switch.egress_drops,
-        queue_peak_bytes=switch.port(1).tx.fifo.peak_occupancy_bytes,
+        egress_drops=bed.switch.egress_drops,
+        queue_peak_bytes=bed.switch.port(1).tx.fifo.peak_occupancy_bytes,
         flow_rtt_rows=bed.monitor.flow_latency_rows(),
         **_percentiles_us(bank),
     )

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..analysis.latency import latency_from_capture
-from ..devices.legacy_switch import LegacySwitch
 from ..errors import ConfigError
-from ..sim import RandomStreams, Simulator
+from ..sim import Simulator
 from ..units import line_rate_goodput_bps, ms
 from .topology import legacy_testbed
 from .workloads import udp_template
@@ -60,17 +59,14 @@ def _run_trial(
     with_timestamps: bool,
 ):
     sim = Simulator()
-    switch = LegacySwitch(
-        sim,
-        fabric_rate_bps=fabric_rate_bps,
-        rng=RandomStreams(switch_seed).stream("sw"),
-    )
     # Generous DMA for the latency trial's capture: the tester's own
     # capture path must not lose stamped frames.
     bed = legacy_testbed(
-        sim, switch=switch, dma_bandwidth_bps=40e9, dma_ring_slots=1 << 14
+        sim,
+        {"seed": switch_seed, "fabric_rate": fabric_rate_bps},
+        dma_bandwidth_bps=40e9,
+        dma_ring_slots=1 << 14,
     )
-    bed.teach_mac_table("02:00:00:00:00:02")
     generator = bed.generator
     generator.load_template(udp_template(frame_size))
     if load >= 1.0:

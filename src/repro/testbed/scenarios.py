@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..analysis.latency import latency_from_capture, stamped_frames
 from ..analysis.stats import SummaryStats, gap_jitter_std
-from ..devices.legacy_switch import LegacySwitch
 from ..devices.openflow_switch import SwitchProfile
 from ..errors import ConfigError
 from ..hw.port import connect
@@ -248,7 +247,6 @@ def legacy_latency_point(
     load: float,
     duration_ps: int = ms(2),
     probe_load: float = 0.05,
-    switch_kwargs: Optional[dict] = None,
     seed: int = 0,
     switch_seed: int = 1,
     telemetry: bool = False,
@@ -265,11 +263,9 @@ def legacy_latency_point(
     if not duration_ps > 0:
         raise ConfigError(f"duration must be positive, got {duration_ps!r} ps")
     sim = Simulator()
-    switch = LegacySwitch(
-        sim, rng=RandomStreams(switch_seed).stream("sw"), **(switch_kwargs or {})
+    bed = legacy_testbed(
+        sim, {"seed": switch_seed}, wire_cross_ports=True, root_seed=seed
     )
-    bed = legacy_testbed(sim, switch=switch, wire_cross_ports=True, root_seed=seed)
-    bed.teach_mac_table("02:00:00:00:00:02")
     if telemetry:
         bed.tester.start_telemetry()
     bed.monitor.start_capture()
@@ -304,7 +300,7 @@ def legacy_latency_point(
         p99_us=summary.p99 / 1e6,
         max_us=summary.maximum / 1e6,
         jitter_us=result.jitter_rfc3550_ps / 1e6,
-        switch_drops=switch.egress_drops,
+        switch_drops=bed.switch.egress_drops,
     )
     return row, _maybe_snapshot(bed.tester, telemetry)
 
@@ -496,11 +492,12 @@ def timestamp_placement_point(
     if not duration_ps > 0:
         raise ConfigError(f"duration must be positive, got {duration_ps!r} ps")
     sim = Simulator()
-    switch = LegacySwitch(sim, rng=RandomStreams(switch_seed).stream("sw"))
     bed = legacy_testbed(
-        sim, switch=switch, dma_bandwidth_bps=dma_bandwidth_bps, root_seed=seed
+        sim,
+        {"seed": switch_seed},
+        dma_bandwidth_bps=dma_bandwidth_bps,
+        root_seed=seed,
     )
-    bed.teach_mac_table("02:00:00:00:00:02")
     host_arrivals: Dict[int, int] = {}
     bed.monitor.start_capture()
     bed.monitor.on_packet(
@@ -615,7 +612,6 @@ class ImixLatencyRow:
 def imix_latency_point(
     load: float = 0.5,
     duration_ps: int = ms(2),
-    switch_kwargs: Optional[dict] = None,
     seed: int = 0,
     switch_seed: int = 1,
 ) -> Tuple[List[ImixLatencyRow], Extras]:
@@ -631,11 +627,7 @@ def imix_latency_point(
     from .workloads import IMIX_PATTERN
 
     sim = Simulator()
-    switch = LegacySwitch(
-        sim, rng=RandomStreams(switch_seed).stream("sw"), **(switch_kwargs or {})
-    )
-    bed = legacy_testbed(sim, switch=switch, root_seed=seed)
-    bed.teach_mac_table("02:00:00:00:00:02")
+    bed = legacy_testbed(sim, {"seed": switch_seed}, root_seed=seed)
     bed.monitor.start_capture()
     records = [PcapRecord(0, udp_template(size).data) for size in IMIX_PATTERN]
     generator = bed.generator

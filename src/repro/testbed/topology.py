@@ -13,10 +13,10 @@ public entry points; the testbed classes are the handles they return
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Optional
 
-from ..devices.legacy_switch import LegacySwitch
 from ..devices.openflow_switch import SwitchProfile
+from ..net.builder import DEFAULT_DST_MAC, build_udp
 from ..osnt.api import TrafficGenerator, TrafficMonitor
 from ..sim import Simulator
 from ..topology import BuiltTopology, Topology
@@ -86,8 +86,6 @@ class LegacySwitchTestbed:
         Sends one frame *from* ``dst_mac`` out of the capture-side OSNT
         port, exactly as the OSNT tools do before a latency run.
         """
-        from ..net.builder import build_udp
-
         learning = build_udp(src_mac=dst_mac, dst_mac="02:ff:ff:ff:ff:fe")
         self.tester.port(1).send(learning)
         self.sim.run(until=self.sim.now + us(10))
@@ -124,16 +122,28 @@ class OpenFlowTestbed:
 
 def legacy_testbed(
     sim: Simulator,
-    switch: Optional[LegacySwitch] = None,
+    switch_params: Optional[Dict[str, Any]] = None,
     wire_cross_ports: bool = False,
     **osnt_kwargs,
 ) -> LegacySwitchTestbed:
-    """Build the Part-I testbed; ``switch`` injects a pre-built DUT."""
+    """Build the Part-I testbed with its switch taught the capture side.
+
+    ``switch_params`` are the ``legacy_switch`` node's params
+    (``seed``, ``buffer_bytes``, ``fabric_rate``, ...; see
+    :mod:`repro.topology`), merged into the declared node. Once built,
+    the switch learns :data:`~repro.net.builder.DEFAULT_DST_MAC`, the
+    destination of :func:`~repro.testbed.workloads.udp_template`, behind
+    OSNT port 1 (:meth:`LegacySwitchTestbed.teach_mac_table`), so test
+    traffic is unicast from its first frame.
+    """
     topo = legacy_switch_topology(wire_cross_ports)
     if osnt_kwargs:
         topo.nodes[0].params.update(osnt_kwargs)
-    devices = {"sw": switch} if switch is not None else None
-    return LegacySwitchTestbed(topo.build(sim, devices=devices))
+    if switch_params:
+        topo.nodes[1].params.update(switch_params)
+    bed = LegacySwitchTestbed(topo.build(sim))
+    bed.teach_mac_table(DEFAULT_DST_MAC)
+    return bed
 
 
 def openflow_testbed(

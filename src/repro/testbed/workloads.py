@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..errors import ConfigError
-from ..net.builder import build_udp
+from ..net.builder import DEFAULT_DST_MAC, build_udp
 from ..net.packet import Packet
 from ..osnt.generator.field_modifiers import Ipv4AddressSweep, SequenceNumber
 from ..osnt.generator.source import PacketListSource, TemplateSource
@@ -19,7 +19,7 @@ IMIX_PATTERN = [64] * 7 + [576] * 4 + [1518]
 
 def udp_template(
     frame_size: int,
-    dst_mac: str = "02:00:00:00:00:02",
+    dst_mac: str = DEFAULT_DST_MAC,
     src_mac: str = "02:00:00:00:00:01",
     dst_ip: str = "10.0.0.2",
     src_ip: str = "10.0.0.1",

@@ -25,7 +25,8 @@ Node kinds and their ``params`` (all optional, human units accepted):
 * ``legacy_switch`` (builder alias :meth:`Topology.switch`) —
   :class:`~repro.devices.legacy_switch.LegacySwitch`; ``ports``,
   ``rate``, ``latency``, ``jitter``, ``buffer_bytes``, ``mac_table``,
-  ``fabric_rate``, ``seed`` (per-switch jitter RNG).
+  ``fabric_rate``, ``seed`` (the switch's jitter RNG,
+  ``RandomStreams(seed).stream("sw")``).
 * ``openflow_switch`` — a
   :class:`~repro.openflow.connection.ControlChannel` plus an
   :class:`~repro.devices.openflow_switch.OpenFlowSwitch` on its switch
@@ -45,10 +46,6 @@ A link's ``rate`` (when given) reprograms both endpoint ports before
 cabling; ``delay`` is the propagation delay and ``bit_error_rate``
 models a dirty fibre exactly like
 :func:`repro.hw.port.connect`.
-
-Pre-built devices (a switch with a pinned RNG, a shared tester) are
-injected at build time with ``build(sim, devices={"s1": switch})`` —
-the spec stays serializable, the injected object is used as-is.
 """
 
 from __future__ import annotations
@@ -244,37 +241,21 @@ class Topology(Spec):
 
     # -- construction --------------------------------------------------------
 
-    def build(
-        self,
-        sim=None,
-        devices: Optional[Dict[str, Any]] = None,
-    ) -> "BuiltTopology":
+    def build(self, sim=None) -> "BuiltTopology":
         """Instantiate devices and wire cables, in declaration order.
 
-        ``devices`` maps node names to pre-built device objects that are
-        used instead of constructing new ones (their declared params are
-        ignored). Returns a :class:`BuiltTopology`.
+        Returns a :class:`BuiltTopology`.
         """
         from .sim import Simulator
 
         if sim is None:
             sim = Simulator()
-        injected = dict(devices or {})
-        unknown = set(injected) - {node.name for node in self.nodes}
-        if unknown:
-            raise TopologyError(
-                f"injected device(s) not declared in the topology: "
-                f"{', '.join(sorted(unknown))}"
-            )
         built = BuiltTopology(sim, self)
         host_index = 0
         for node in self.nodes:
             if node.kind == "host":
                 host_index += 1
-            device = injected.get(node.name)
-            if device is None:
-                device = self._build_node(built, sim, node, host_index)
-            built.devices[node.name] = device
+            built.devices[node.name] = self._build_node(built, sim, node, host_index)
         for spec in self.links:
             built.links.append(self._build_link(built, spec))
         return built

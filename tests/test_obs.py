@@ -273,7 +273,6 @@ class TestSpansEndToEnd:
     def test_single_packet_through_figure2_topology(self):
         sim = Simulator()
         bed = legacy_testbed(sim)
-        bed.teach_mac_table("02:00:00:00:00:02")
         spans = SpanRecorder().arm(sim)
         bed.monitor.start_capture()
         bed.generator.load_template(udp_template(256), count=1)

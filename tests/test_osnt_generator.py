@@ -8,6 +8,7 @@ from repro.net import Packet, PcapRecord, build_udp, decode
 from repro.net.pcap import PcapWriter
 from repro.osnt.generator import (
     ConstantBitRate,
+    ExplicitGaps,
     LineRate,
     PacketListSource,
     PcapReplaySource,
@@ -17,6 +18,7 @@ from repro.osnt.generator import (
     extract_raw,
     embed_raw,
 )
+from repro.osnt import OSNT
 from repro.osnt.software_baseline import SoftwareGenerator, SoftwareGeneratorProfile
 from repro.sim import RandomStreams, Simulator
 from repro.units import (
@@ -167,10 +169,8 @@ class TestTxTimestamping:
     def test_embedded_stamp_matches_metadata(self):
         sim = Simulator()
         generator, received = gen_rig(sim)
-        generator.configure(
-            TemplateSource(build_udp(frame_size=128), count=5),
-            embed_timestamps=True,
-        )
+        generator.configure(TemplateSource(build_udp(frame_size=128), count=5))
+        generator.timestamper.enabled = True
         generator.start()
         sim.run()
         for packet in received:
@@ -182,10 +182,8 @@ class TestTxTimestamping:
     def test_stamps_quantised_to_tick(self):
         sim = Simulator()
         generator, received = gen_rig(sim)
-        generator.configure(
-            TemplateSource(build_udp(frame_size=128), count=8),
-            embed_timestamps=True,
-        )
+        generator.configure(TemplateSource(build_udp(frame_size=128), count=8))
+        generator.timestamper.enabled = True
         generator.start()
         sim.run()
         for packet in received:
@@ -194,10 +192,8 @@ class TestTxTimestamping:
     def test_stamp_clears_udp_checksum(self):
         sim = Simulator()
         generator, received = gen_rig(sim)
-        generator.configure(
-            TemplateSource(build_udp(frame_size=128), count=1),
-            embed_timestamps=True,
-        )
+        generator.configure(TemplateSource(build_udp(frame_size=128), count=1))
+        generator.timestamper.enabled = True
         generator.start()
         sim.run()
         assert decode(received[0].data).udp.checksum == 0
@@ -207,7 +203,8 @@ class TestTxTimestamping:
         generator, received = gen_rig(sim)
         # 46-byte frame data: offset 42 + 8 bytes does not fit.
         short = Packet(build_udp(frame_size=64).data[:46])
-        generator.configure(TemplateSource(short, count=3), embed_timestamps=True)
+        generator.configure(TemplateSource(short, count=3))
+        generator.timestamper.enabled = True
         generator.start()
         sim.run()
         assert generator.timestamper.skipped_short == 3
@@ -215,11 +212,9 @@ class TestTxTimestamping:
     def test_custom_offset(self):
         sim = Simulator()
         generator, received = gen_rig(sim)
-        generator.configure(
-            TemplateSource(build_udp(frame_size=256), count=1),
-            embed_timestamps=True,
-            timestamp_offset=100,
-        )
+        generator.configure(TemplateSource(build_udp(frame_size=256), count=1))
+        generator.timestamper.enabled = True
+        generator.timestamper.offset = 100
         generator.start()
         sim.run()
         assert extract_ps(received[0].data, offset=100) >= 0
@@ -250,7 +245,7 @@ class TestPcapReplay:
         sim = Simulator()
         generator, received = gen_rig(sim)
         source = PcapReplaySource(self.make_capture())
-        generator.configure(source, schedule=source.timing_schedule())
+        generator.configure(source, schedule=ExplicitGaps(source.gaps()))
         arrivals = []
         generator.port.link.peer_of(generator.port).add_rx_sink(
             lambda p: arrivals.append(sim.now)
@@ -265,7 +260,7 @@ class TestPcapReplay:
         sim = Simulator()
         generator, received = gen_rig(sim)
         source = PcapReplaySource(self.make_capture(), speed=2.0)
-        generator.configure(source, schedule=source.timing_schedule())
+        generator.configure(source, schedule=ExplicitGaps(source.gaps()))
         arrivals = []
         generator.port.link.peer_of(generator.port).add_rx_sink(
             lambda p: arrivals.append(sim.now)
@@ -278,7 +273,7 @@ class TestPcapReplay:
         sim = Simulator()
         generator, received = gen_rig(sim)
         source = PcapReplaySource(self.make_capture(), loop=3)
-        generator.configure(source, schedule=source.timing_schedule())
+        generator.configure(source, schedule=ExplicitGaps(source.gaps()))
         generator.start()
         sim.run()
         assert generator.stats.sent == 9
@@ -288,7 +283,7 @@ class TestPcapReplay:
         records.reverse()
         source = PcapReplaySource(records)
         with pytest.raises(GeneratorError):
-            source.timing_schedule()
+            ExplicitGaps(source.gaps())
 
     def test_empty_capture_rejected(self):
         with pytest.raises(GeneratorError):
@@ -303,7 +298,7 @@ class TestPcapReplay:
         sim = Simulator()
         generator, received = gen_rig(sim)
         source = PcapReplaySource(records)
-        generator.configure(source, schedule=source.timing_schedule())
+        generator.configure(source, schedule=ExplicitGaps(source.gaps()))
         arrivals = []
         generator.port.link.peer_of(generator.port).add_rx_sink(
             lambda p: arrivals.append(sim.now)
@@ -311,6 +306,23 @@ class TestPcapReplay:
         generator.start()
         sim.run()
         assert arrivals[1] - arrivals[0] == wire_time_ps(frame_wire_bytes(1518), TEN_GBPS)
+
+    def test_load_pcap_paces_at_the_port_rate(self):
+        # 1518 B records 1 ns apart replayed on a 1 Gbps port: each gap
+        # is raised to that port's wire time, so the TX FIFO never
+        # holds more than the frame on the wire.
+        sim = Simulator()
+        tester = OSNT(sim, port_rate_bps=GBPS)
+        connect(tester.port(0), tester.port(1))
+        frame = build_udp(frame_size=1518).data
+        records = [PcapRecord(timestamp_ps=ns(index), data=frame) for index in range(64)]
+        generator = tester.generator(0)
+        generator.load_pcap(records).start()
+        sim.run()
+        slot = wire_time_ps(frame_wire_bytes(1518), GBPS)
+        assert slot == 12_304_000
+        assert generator.stats.finished_at_ps == 64 * slot
+        assert tester.port(0).tx.fifo.peak_occupancy_bytes <= 1518
 
 
 class TestSoftwareBaseline:

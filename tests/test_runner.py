@@ -520,15 +520,6 @@ class TestSharedConfigRegression:
         capture_path_point(0.1, variant=variant, duration_ps=us(50))
         assert variant == {"name": "cut-64", "snaplen": 64}
 
-    def test_legacy_latency_switch_kwargs_not_mutated(self):
-        from repro.testbed.scenarios import legacy_latency_point
-
-        switch_kwargs = {"mac_table_capacity": 64}
-        legacy_latency_point(
-            256, 0.2, duration_ps=us(50), switch_kwargs=switch_kwargs
-        )
-        assert switch_kwargs == {"mac_table_capacity": 64}
-
 
 class TestLegacyShims:
     """Pinned legacy seeds: a point function's row equals the scenario's."""

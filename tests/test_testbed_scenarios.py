@@ -7,6 +7,7 @@ factor — which is exactly what the benchmark harness prints.
 import pytest
 
 from repro.errors import ConfigError
+from repro.oflops.modules.forwarding_consistency import ConsistencyResult
 from repro.faults.scenarios import lossy_link_latency_point
 from repro.testbed import (
     CAPTURE_VARIANTS,
@@ -163,6 +164,16 @@ class TestE5Consistency:
         assert result.stale_after_barrier > 0
         assert result.stale_after_barrier < result.stale_during_update
 
+    def test_setup_waits_for_a_slow_table(self):
+        # 32 setup rules at 500 us per table write take 16 ms, longer
+        # than the setup barrier's first 10 ms slice.
+        result = measure_forwarding_consistency(
+            n_rules=32, barrier_mode="spec", table_write_ps=us(500)
+        )
+        assert isinstance(result, ConsistencyResult)
+        assert result.n_rules == 32
+        assert result.stale_after_barrier == 0
+
 
 class TestE6CapturePath:
     def test_full_capture_loses_at_high_load(self):
@@ -267,6 +278,8 @@ class TestTopologies:
     def test_legacy_testbed_wiring(self):
         sim = Simulator()
         bed = legacy_testbed(sim)
+        # The testbed teaches the switch udp_template's destination.
+        assert bed.switch.mac_table.lookup("02:00:00:00:00:02", sim.now) == 1
         assert bed.tester.port(0).connected
         assert bed.tester.port(1).connected
         assert not bed.tester.port(2).connected

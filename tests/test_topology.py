@@ -146,17 +146,6 @@ class TestBuild:
         assert built.sim is sim
         assert built.node("h1").sim is sim
 
-    def test_device_injection(self):
-        sim = Simulator()
-        mine = LegacySwitch(sim, num_ports=2)
-        built = pair_topology().build(sim, devices={"s1": mine})
-        assert built.node("s1") is mine
-
-    def test_injection_must_match_declared_names(self):
-        sim = Simulator()
-        with pytest.raises(TopologyError):
-            pair_topology().build(sim, devices={"sx": object()})
-
     def test_endpoint_resolution_errors(self):
         built = pair_topology().build()
         with pytest.raises(TopologyError):
